@@ -29,7 +29,7 @@ from .errors import ConfigError, ConvergenceError
 from .fidelity import C2_ZERO_FLOOR, average_c2, entanglement_c2, input_output_c2
 from .model import build_hamiltonian, correlation_fn_discrete, rate_from_correlation
 from .operators import Ket
-from .oracle import Scenario, resolve_n_max, verify_expansion
+from .oracle import ModelMemo, Scenario, resolve_n_max, verify_expansion
 from .spectral import (
     classify_regime,
     gaussian_correlation,
@@ -193,7 +193,7 @@ def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int, jobs: i
     if cfg.bath_kind != "discrete":
         raise ConfigError("bath", "verify needs a discrete bath (the oracle evolves explicit modes)")
     state = cfg.state()
-    rows = []
+    scenarios = []
     for kind in cfg.fidelity_kinds:
         if kind == "average":
             scen_state = cfg.ensemble()
@@ -203,9 +203,12 @@ def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int, jobs: i
             scen_state = state
         else:
             scen_state = state.projector() if isinstance(state, Ket) else state
-        scenario = Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.modes,
-                            scen_state, cfg.n_max, dimension_cap())
-        rep = verify_expansion(scenario)
+        scenarios.append(Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.modes,
+                                  scen_state, cfg.n_max, dimension_cap()))
+    memo = ModelMemo(scenarios)
+    rows = []
+    for scenario in scenarios:
+        rep = verify_expansion(scenario, memo=memo)
         rows.append({"scenario": rep.scenario, "c2_analytic": rep.c2_analytic,
                      "c2_fitted": rep.c2_fitted, "rel_err": rep.rel_err, "pass": bool(rep.passed)})
     return rows

@@ -77,10 +77,6 @@ class DenseOperator:
         object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix, self.space.dim))
 
     @classmethod
-    def operator(cls, space: HilbertSpace, matrix) -> "DenseOperator":
-        return cls(space, matrix)
-
-    @classmethod
     def hermitian_op(cls, space: HilbertSpace, matrix, atol: float = HERMITIAN_ATOL) -> "DenseOperator":
         m = _as_complex_matrix(matrix, space.dim)
         dev = np.abs(m - m.conj().T).max()
@@ -110,9 +106,6 @@ class DenseOperator:
             if lo < DENSITY_EIG_FLOOR:
                 raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         return cls(space, m, hermitian=True, density=True)
-
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.space, self.matrix.conj().T, hermitian=self.hermitian, density=self.density)
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -256,8 +249,7 @@ def n_max_for_tail(omega: float, temperature: float,
     """Smallest truncation level whose untruncated tail weight is below ``tail``."""
     if temperature == 0.0:
         return floor
-    r = math.exp(-omega / temperature)
-    n = math.ceil(math.log(tail) / math.log(r)) - 1
+    n = math.ceil(math.log(tail) / (-omega / temperature)) - 1
     return max(floor, n)
 
 

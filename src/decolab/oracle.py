@@ -1,22 +1,32 @@
 """Brute-force ground truth for the closed-form damping coefficients.
 
-The full system x environment state is evolved exactly (one eigendecomposition
-of the total Hamiltonian, phases re-exponentiated per time point), the three
-fidelity definitions are evaluated directly, and a short-time quartic fit
-extracts the numerical (c1, c2) for comparison against the closed forms.
+The full system x environment state is evolved exactly, the three fidelity
+definitions are evaluated directly, and a short-time quartic fit extracts the
+numerical (c1, c2) for comparison against the closed forms.
 
-Mixed environment states are expanded into their eigenvector ensemble so the
-evolution propagates a block of kets instead of a full density; this is exact
-up to eigenvector weights below 1e-15, which are dropped.
+All three fidelities go through one core.  Each input is a weighted set of
+purifications (io: one ancilla row; entanglement: the purification of rho_s;
+average: one row per ensemble state), and a mixed environment state is
+expanded into its eigenvector ensemble, so evolution propagates a block of
+kets instead of a full density (exact up to environment weights below 1e-15,
+which are dropped).  The total Hamiltonian is diagonalised once per model
+per verify run (``ModelMemo`` shares it between scenarios).  Per curve,
+ancilla rows and system-basis entries with zero amplitude are dropped, the
+eigenvector rows are projected onto <psi_r(t)| x <e| before the dense
+product, and all times of a curve are propagated in one batched call.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .config import DEFAULT_DIM_CAP
 from .errors import ConvergenceError
 from .fidelity import (
     Ensemble,
@@ -55,8 +65,8 @@ TAIL_WEIGHT_TARGET = 1e-10
 FLAT_C2_FRACTION = 1e-12
 FLAT_PASS_FRACTION = 1e-4
 C1_PASS_FRACTION = 1e-4
-DEFAULT_DIM_CAP = 4096
 ENV_WEIGHT_CUTOFF = 1e-15
+BATCH_ELEMENTS = 1 << 20  # complex entries per batched propagation intermediate (16 MiB)
 
 
 @dataclass(frozen=True)
@@ -101,17 +111,39 @@ def evolve_exact(model: ModelHamiltonian, rho0: DenseOperator, t: float) -> Dens
 
 
 class _Propagated:
-    """One eigendecomposition of H_total, reused for every time point."""
+    """One eigendecomposition of H_total, shared by every curve on the model."""
 
     def __init__(self, model: ModelHamiltonian):
         self.lam, self.vec = np.linalg.eigh(model.total().matrix)
+        self.h0_diag = model.h0_system_diagonal()
+        n = self.vec.shape[0]
+        self.rows = self.vec.reshape(len(self.h0_diag), n // len(self.h0_diag), n)  # (system, env, n)
 
-    def advance(self, coeffs: np.ndarray, t: float) -> np.ndarray:
-        """Apply exp(-i H t) to ket columns given in the eigenbasis."""
-        return self.vec @ (np.exp(-1j * self.lam * t)[:, None] * coeffs)
+    def advance(self, curve: _Curve, t) -> np.ndarray:
+        """The curve's F at every time in ``t`` (a scalar or 1D array).
 
-    def to_eigenbasis(self, columns: np.ndarray) -> np.ndarray:
-        return self.vec.conj().T @ columns
+        F = sum_b p_b sum_{e,m} |sum_r <psi_br(t)| x <e| exp(-i H t) |col_brm>|^2,
+        where psi_br(t) carries the free co-rotation.  The eigenvector rows are
+        projected onto <psi_br(t)| x <e| before the dense product, and the
+        times go through in batches of at most BATCH_ELEMENTS entries per
+        intermediate.
+        """
+        times = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros(times.shape)
+        for weight, support, bra, kets in curve.members:
+            rows = self.rows[support]
+            r, n, m = kets.shape
+            de = rows.shape[1]
+            step = max(1, BATCH_ELEMENTS // (r * n * de))
+            for i in range(0, len(times), step):
+                tc = times[i:i + step]
+                rotated = np.exp(1j * np.outer(tc, self.h0_diag[support]))[:, None, :] * bra
+                proj = np.tensordot(rotated, rows, axes=(2, 0)).transpose(0, 2, 1, 3).reshape(len(tc), de, r * n)
+                phased = np.exp(-1j * np.outer(tc, self.lam))[:, None, :, None] * kets
+                w = proj @ phased.reshape(len(tc), r * n, m)
+                out[i:i + step] += weight * np.sum(np.abs(w) ** 2, axis=(1, 2))
+        out[times == 0.0] = 1.0  # exact, as the fit's first sample assumes
+        return out
 
 
 def _env_ensemble(rho_env: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -127,107 +159,77 @@ def _env_ensemble(rho_env: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     return q[keep], vec[:, keep]
 
 
-class _IOCurveEvaluator:
-    """F(t) = <psi0(t)| tr_env[rho(t)] |psi0(t)> for a pure system input."""
+class _Curve:
+    """Exact F(t) of one fidelity kind on one model.
 
-    def __init__(self, model: ModelHamiltonian, psi0: Ket, rho_env: DenseOperator, prop: _Propagated | None = None):
-        if psi0.space != model.system_space():
-            raise ValueError("input state does not live on the system space")
-        if rho_env.space != model.env_space():
-            raise ValueError("environment state does not live on the mode space")
-        self.prop = prop or _Propagated(model)
-        self.ds = psi0.space.dim
-        self.de = rho_env.space.dim
-        self.psi0 = psi0.amplitudes
-        self.h0_diag = model.h0_system_diagonal()
-        q, venv = _env_ensemble(rho_env)
-        cols = np.kron(self.psi0[:, None], venv) * np.sqrt(q)[None, :]
-        self.coeffs = self.prop.to_eigenbasis(cols)
+    Every kind is a weighted set of purified inputs, where row r of a member's
+    amplitudes holds the system amplitudes paired with ancilla state r: ``io``
+    is one single-row member, ``entanglement`` of a mixed state is one member
+    holding the purification (the ancilla is untouched by the dynamics and by
+    the free co-rotation; an optional ancilla unitary probes purification
+    independence), and ``average`` is one single-row member per ensemble state.
 
-    def _rotated_input(self, t: float) -> np.ndarray:
-        return np.exp(-1j * self.h0_diag * t) * self.psi0
-
-    def fidelity(self, t: float) -> float:
-        if t == 0.0:
-            return 1.0
-        y = self.prop.advance(self.coeffs, t).reshape(self.ds, self.de, -1)
-        w = np.einsum("s,sem->em", self._rotated_input(t).conj(), y)
-        return float(np.sum(np.abs(w) ** 2))
-
-    def curve(self, times: np.ndarray) -> FidelityCurve:
-        return FidelityCurve(np.asarray(times, float), np.array([self.fidelity(t) for t in times]))
-
-
-class _EntanglementCurveEvaluator:
-    """Entanglement fidelity through an explicit purification.
-
-    The ancilla (one factor, dimension = system dimension) is untouched by the
-    dynamics and by the free co-rotation; an optional ancilla unitary probes
-    purification independence.
+    ``members`` keeps, per member, ``(weight, support, bra, kets)``: the
+    system-basis entries that carry amplitude, the conjugate amplitudes of
+    the nonzero ancilla rows on them, and those rows' kets (tensored with the
+    weighted environment ensemble) in the eigenbasis, shaped (rows, n, env).
     """
 
-    def __init__(self, model: ModelHamiltonian, rho_s: DenseOperator, rho_env: DenseOperator,
-                 ancilla_unitary: np.ndarray | None = None, prop: _Propagated | None = None):
-        if rho_s.space != model.system_space():
-            raise ValueError("system state does not live on the system space")
+    def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator,
+                 ancilla_unitary: np.ndarray | None = None):
+        system = model.system_space()
         if rho_env.space != model.env_space():
             raise ValueError("environment state does not live on the mode space")
-        self.prop = prop or _Propagated(model)
-        self.ds = rho_s.space.dim
-        self.de = rho_env.space.dim
-        psi_rs = purify(rho_s).amplitudes.reshape(self.ds, self.ds)
-        if ancilla_unitary is not None:
-            psi_rs = ancilla_unitary @ psi_rs
-        self.psi_rs = psi_rs
-        self.h0_diag = model.h0_system_diagonal()
         q, venv = _env_ensemble(rho_env)
-        sq = np.sqrt(q)
-        cols = [np.kron(psi_rs[r][:, None], venv) * sq[None, :] for r in range(self.ds)]
-        self.n_env = venv.shape[1]
-        self.coeffs = self.prop.to_eigenbasis(np.concatenate(cols, axis=1))
+        env_cols = venv * np.sqrt(q)[None, :]
+        self.prop = prop
+        self.members = []
+        for weight, psi in (state.members if kind == "average" else [(1.0, state)]):
+            if psi.space != system:
+                raise ValueError("input state does not live on the system space")
+            if isinstance(psi, Ket):
+                amps = psi.amplitudes[None, :]
+            else:
+                amps = purify(psi).amplitudes.reshape(system.dim, system.dim)
+                if ancilla_unitary is not None:
+                    amps = ancilla_unitary @ amps
+            amps = amps[np.any(amps != 0, axis=1)]
+            support = np.flatnonzero(np.any(amps != 0, axis=0))
+            amps = amps[:, support]
+            rows = prop.rows[support]
+            s, de, n = rows.shape
+            r, m = amps.shape[0], env_cols.shape[1]
+            kets = np.einsum("rs,em->serm", amps, env_cols).reshape(s * de, r * m)
+            kets = rows.reshape(s * de, n).conj().T @ kets
+            self.members.append((weight, support, amps.conj(), kets.reshape(n, r, m).transpose(1, 0, 2).copy()))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(n, propagated ket columns); perfbench's tracer reads it as ``advance``'s width."""
+        return self.prop.vec.shape[0], sum(k.shape[0] * k.shape[2] for *_, k in self.members)
 
     def fidelity(self, t: float) -> float:
-        if t == 0.0:
-            return 1.0
-        y = self.prop.advance(self.coeffs, t)
-        y = y.reshape(self.ds, self.de, self.ds, self.n_env)  # (sys, env, ancilla, env member)
-        rotated = np.exp(-1j * self.h0_diag * t)[None, :] * self.psi_rs
-        w = np.einsum("rs,serm->em", rotated.conj(), y)
-        return float(np.sum(np.abs(w) ** 2))
+        return float(self.prop.advance(self, t)[0])
 
-    def curve(self, times: np.ndarray) -> FidelityCurve:
-        return FidelityCurve(np.asarray(times, float), np.array([self.fidelity(t) for t in times]))
-
-
-class _AverageCurveEvaluator:
-    """Probability-weighted mean of the members' pure-input fidelities."""
-
-    def __init__(self, model: ModelHamiltonian, ensemble: Ensemble, rho_env: DenseOperator):
-        prop = _Propagated(model)
-        self.parts = [(p, _IOCurveEvaluator(model, psi, rho_env, prop))
-                      for p, psi in ensemble.members]
-
-    def fidelity(self, t: float) -> float:
-        return sum(p * ev.fidelity(t) for p, ev in self.parts)
-
-    def curve(self, times: np.ndarray) -> FidelityCurve:
-        return FidelityCurve(np.asarray(times, float), np.array([self.fidelity(t) for t in times]))
+    def curve(self, times) -> FidelityCurve:
+        times = np.asarray(times, float)
+        return FidelityCurve(times, self.prop.advance(self, times))
 
 
 def fidelity_curve_io(model: ModelHamiltonian, psi0: Ket, rho_env: DenseOperator, times) -> FidelityCurve:
     """Exact pure-input fidelity curve on the given time grid."""
-    return _IOCurveEvaluator(model, psi0, rho_env).curve(times)
+    return _Curve(_Propagated(model), model, "io", psi0, rho_env).curve(times)
 
 
 def fidelity_curve_ent(model: ModelHamiltonian, rho_s: DenseOperator, rho_env: DenseOperator, times,
                        ancilla_unitary: np.ndarray | None = None) -> FidelityCurve:
     """Exact entanglement fidelity curve (optionally with a rotated ancilla)."""
-    return _EntanglementCurveEvaluator(model, rho_s, rho_env, ancilla_unitary).curve(times)
+    return _Curve(_Propagated(model), model, "entanglement", rho_s, rho_env, ancilla_unitary).curve(times)
 
 
 def fidelity_curve_avg(model: ModelHamiltonian, ensemble: Ensemble, rho_env: DenseOperator, times) -> FidelityCurve:
     """Exact ensemble-average fidelity curve."""
-    return _AverageCurveEvaluator(model, ensemble, rho_env).curve(times)
+    return _Curve(_Propagated(model), model, "average", ensemble, rho_env).curve(times)
 
 
 def estimate_c2(curve: FidelityCurve) -> ExpansionEstimate:
@@ -266,7 +268,7 @@ def _select_t_max(fidelity, c2_rough: float, scale: float) -> float:
 
     Starts from the closed-form rate when it is available, otherwise from the
     coupling's second moment; identically flat curves cap out and return the
-    probe time unchanged.
+    probe time unchanged.  Running out of probes raises ConvergenceError.
     """
     lo, hi = INFIDELITY_WINDOW
     if c2_rough > FLAT_C2_FRACTION * max(scale, 1.0):
@@ -287,6 +289,8 @@ def _select_t_max(fidelity, c2_rough: float, scale: float) -> float:
             t *= 2.0
         else:
             break
+    else:
+        raise ConvergenceError(f"no fit window in 200 probes (last t = {t:.3e}, 1 - F = {y:.3e})")
     return t
 
 
@@ -302,20 +306,22 @@ def _fit_with_refinement(evaluator, c2_rough: float, scale: float) -> ExpansionE
     that bias by 8x per step, so agreement between consecutive fits certifies
     it directly.  Shrinking stops at the cancellation floor (infidelity
     ~1e-6), below which 1 - F loses precision faster than the bias shrinks.
+    Running out of halvings raises ConvergenceError.
     """
     t_max = _select_t_max(evaluator.fidelity, c2_rough, scale)
     prev = None
     for _ in range(60):
-        est = estimate_c2(evaluator.curve(np.linspace(0.0, t_max, FIT_POINTS)))
+        curve = evaluator.curve(np.linspace(0.0, t_max, FIT_POINTS))
+        est = estimate_c2(curve)
         if prev is not None:
-            denom = max(abs(est.c2_hat), abs(prev.c2_hat), 1e-2 * scale, 1e-300)
-            if abs(est.c2_hat - prev.c2_hat) / denom < FIT_HALVING_REL_TOL and est.residual <= FIT_RESIDUAL_TARGET:
+            shift = abs(est.c2_hat - prev.c2_hat) / max(abs(est.c2_hat), abs(prev.c2_hat), 1e-2 * scale, 1e-300)
+            if shift < FIT_HALVING_REL_TOL and est.residual <= FIT_RESIDUAL_TARGET:
                 return est
-        if 1.0 - evaluator.fidelity(t_max) < 3.0 * INFIDELITY_FLOOR:
+        if 1.0 - curve.values[-1] < 3.0 * INFIDELITY_FLOOR:
             return est
         prev = est
         t_max *= 0.5
-    return est
+    raise ConvergenceError("fitted c2 did not settle in 60 window halvings", achieved=shift)
 
 
 @dataclass(frozen=True)
@@ -390,16 +396,6 @@ def _analytic_c2(scenario: Scenario, model: ModelHamiltonian, rho_env: DenseOper
     return entanglement_c2(rho_s, model.h_i, rho_env).c2
 
 
-def _curve_evaluator(scenario: Scenario, model: ModelHamiltonian, rho_env: DenseOperator):
-    if scenario.kind == "io":
-        return _IOCurveEvaluator(model, scenario.state, rho_env)
-    if scenario.kind == "average":
-        return _AverageCurveEvaluator(model, scenario.state, rho_env)
-    if isinstance(scenario.state, Ket):
-        return _IOCurveEvaluator(model, scenario.state, rho_env)
-    return _EntanglementCurveEvaluator(model, scenario.state, rho_env)
-
-
 def _scale_moment(model: ModelHamiltonian, rho_env: DenseOperator) -> float:
     """2 <H_I^2> against the maximally mixed system: the c2 magnitude scale.
 
@@ -414,7 +410,39 @@ def _scale_moment(model: ModelHamiltonian, rho_env: DenseOperator) -> float:
     return max(2.0 * m2, 0.0)
 
 
-def verify_expansion(scenario: Scenario, check_convergence: bool = False) -> VerifyReport:
+class ModelMemo:
+    """Shared oracle state per truncated model, for the scenarios of one verify run.
+
+    Each model is built and diagonalised once and held only while a listed
+    scenario still needs it, so grouped scenarios keep a single dense model
+    alive.  A model no listed scenario names (such as a convergence re-run)
+    is built for its one use.  The lock lets concurrent tasks share the memo;
+    results never depend on a hit.
+    """
+
+    def __init__(self, scenarios: Sequence[Scenario] = ()):
+        self._lock = threading.Lock()
+        self._uses = Counter((s.lattice, s.modes, resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max, s.dim_cap))
+                             for s in scenarios)
+        self._runs: dict[tuple, tuple] = {}
+
+    def get(self, lattice: QubitLattice, modes: BathModeSet, n_max: int) -> tuple:
+        """(model, thermal environment state, scale moment, eigendecomposition)."""
+        key = (lattice, modes, n_max)
+        with self._lock:
+            run = self._runs.pop(key, None)
+            if run is None:
+                model = build_hamiltonian(lattice, modes, n_max)
+                rho_env = model.thermal_env_state()
+                run = model, rho_env, _scale_moment(model, rho_env), _Propagated(model)
+            self._uses[key] -= 1
+            if self._uses[key] > 0:
+                self._runs[key] = run
+            return run
+
+
+def verify_expansion(scenario: Scenario, check_convergence: bool = False,
+                     memo: ModelMemo | None = None) -> VerifyReport:
     """Compare the closed-form damping coefficient against the fitted oracle.
 
     For ``factorized-rate`` scenarios the analytic side is the spatial
@@ -424,14 +452,19 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False) -> Ver
 
     ``check_convergence`` re-runs the fit at doubled n_max and demands the
     fitted coefficient move by less than 1e-8 relative (raises otherwise).
+
+    ``memo`` shares the model, its eigendecomposition and the scale moment
+    with the other scenarios it lists.
     """
-    result = _verify_once(scenario)
+    if memo is None:
+        memo = ModelMemo()
+    result = _verify_once(scenario, memo)
     if check_convergence:
         doubled = Scenario(
             scenario.name, scenario.kind, scenario.lattice, scenario.modes,
             scenario.state, n_max=2 * result.n_max, dim_cap=scenario.dim_cap,
         )
-        again = _verify_once(doubled)
+        again = _verify_once(doubled, memo)
         denom = max(abs(result.c2_fitted), abs(again.c2_fitted), 1e-14)
         shift = abs(again.c2_fitted - result.c2_fitted) / denom
         if shift > 1e-8:
@@ -441,12 +474,10 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False) -> Ver
     return result
 
 
-def _verify_once(scenario: Scenario) -> VerifyReport:
+def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
     n_max = resolve_n_max(scenario.modes, scenario.lattice.n_qubits, scenario.n_max, scenario.dim_cap)
-    model = build_hamiltonian(scenario.lattice, scenario.modes, n_max)
-    rho_env = model.thermal_env_state()
+    model, rho_env, scale, prop = memo.get(scenario.lattice, scenario.modes, n_max)
     tail = _worst_tail(scenario.modes, n_max)
-    scale = _scale_moment(model, rho_env)
     c2_model = float(_analytic_c2(scenario, model, rho_env))
 
     c2_factorized = None
@@ -459,7 +490,7 @@ def _verify_once(scenario: Scenario) -> VerifyReport:
     else:
         c2_analytic = c2_model
 
-    evaluator = _curve_evaluator(scenario, model, rho_env)
+    evaluator = _Curve(prop, model, scenario.kind, scenario.state, rho_env)
     est = _fit_with_refinement(evaluator, c2_model, scale)
     t_max = est.window[0]
 

@@ -3,7 +3,9 @@
 Each suite is a list of named zero-argument tasks returning one report row
 ``{scenario, c2_analytic, c2_fitted, rel_err, pass}``.  Tasks are built
 deterministically from the seed up front, so they can run in any order (or in
-parallel) and still produce identical rows in the listed order.
+parallel) and still produce identical rows in the listed order.  The tasks of
+one ``quick`` or ``full`` list share a ``ModelMemo``, so scenarios on the same
+truncated model reuse its Hamiltonian and eigendecomposition.
 
 Row semantics per suite:
 
@@ -18,6 +20,7 @@ Row semantics per suite:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -41,7 +44,7 @@ from .operators import (
     n_max_for_tail,
     thermal_boson_state,
 )
-from .oracle import Scenario, VerifyReport, verify_expansion
+from .oracle import ModelMemo, Scenario, VerifyReport, verify_expansion
 from .rng import Xoshiro256pp, random_decomposition, random_density_matrix, random_hermitian_matrix
 from .states import (
     computational_ensemble,
@@ -97,10 +100,18 @@ def _verify_row(report: VerifyReport) -> dict:
     }
 
 
-def _verify_task(scenario: Scenario, dim_cap: int, check_convergence: bool = False) -> Task:
-    sc = Scenario(scenario.name, scenario.kind, scenario.lattice, scenario.modes,
-                  scenario.state, scenario.n_max, dim_cap)
-    return sc.name, lambda: _verify_row(verify_expansion(sc, check_convergence))
+def _verify_tasks(scenarios: list[Scenario], dim_cap: int, checked: tuple[str, ...] = ()) -> list[Task]:
+    """One task per scenario at the run's dimension cap, all sharing one ModelMemo.
+
+    Scenarios named in ``checked`` also re-run the fit at doubled n_max.
+    """
+    capped = [replace(s, dim_cap=dim_cap) for s in scenarios]
+    memo = ModelMemo(capped)
+
+    def task(sc: Scenario) -> Task:
+        return sc.name, lambda: _verify_row(verify_expansion(sc, sc.name in checked, memo))
+
+    return [task(sc) for sc in capped]
 
 
 def _grid_scenarios(dim_cap: int) -> list[Scenario]:
@@ -174,23 +185,20 @@ def quick_tasks(seed: int, dim_cap: int) -> list[Task]:
         Scenario("quick-factorized-hot", "factorized-rate", lat2, hot1, maximally_mixed_density(2)),
         Scenario("quick-io-encoded", "io", lat2, vacuum1, pair_encode(ground_ket(1), lat2)),
     ]
-    return [_verify_task(s, dim_cap) for s in scenarios]
+    return _verify_tasks(scenarios, dim_cap)
 
 
 def full_tasks(seed: int, dim_cap: int) -> list[Task]:
-    tasks = [_verify_task(s, dim_cap) for s in _grid_scenarios(dim_cap)]
-    tasks += [_factorization_task(L, K, t, dim_cap) for L, K, t in FACTORIZATION_COMBOS]
+    grid = _grid_scenarios(dim_cap)
     # thermal K=4 corner: full-stack factorized-rate at fit tolerance
-    modes = _grid_modes(4, 0.5)
-    tasks.append(_verify_task(
-        Scenario("full-stack-L2-K4-thermal", "factorized-rate", _grid_lattice(2), modes,
-                 ghz_ket(2).projector(), n_max=3), dim_cap))
+    stack = Scenario("full-stack-L2-K4-thermal", "factorized-rate", _grid_lattice(2), _grid_modes(4, 0.5),
+                     ghz_ket(2).projector(), n_max=3)
     # truncation convergence gate on a tail-converged scenario
-    tasks.append(_verify_task(
-        Scenario("convergence-gate-L1-K1-warm", "entanglement", QubitLattice((0.0,), 1.0, 0.5, (1.0,)),
-                 BathModeSet((BathMode(0.0, 1.0, 0.05),), 0.5), maximally_mixed_density(1)),
-        dim_cap, check_convergence=True))
-    return tasks
+    gate = Scenario("convergence-gate-L1-K1-warm", "entanglement", QubitLattice((0.0,), 1.0, 0.5, (1.0,)),
+                    BathModeSet((BathMode(0.0, 1.0, 0.05),), 0.5), maximally_mixed_density(1))
+    verify = _verify_tasks(grid + [stack, gate], dim_cap, checked=(gate.name,))
+    factorization = [_factorization_task(L, K, t, dim_cap) for L, K, t in FACTORIZATION_COMBOS]
+    return verify[:len(grid)] + factorization + verify[len(grid):]
 
 
 def _inequality_instance(rng: Xoshiro256pp, index: int) -> Task:

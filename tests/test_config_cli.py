@@ -334,12 +334,22 @@ def test_cli_json_format(tmp_path):
 
 
 def test_cli_verify_jobs_deterministic(tmp_path):
-    outs = []
-    for jobs in ("1", "4"):
-        out = tmp_path / f"enc{jobs}.csv"
-        assert main(["verify", "--suite", "encoding", "--jobs", jobs, "--out", str(out)]) == EXIT_OK
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    # quick runs the oracle, whose tasks share one model memo across threads
+    for suite in ("encoding", "quick"):
+        outs = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"{suite}{jobs}.csv"
+            assert main(["verify", "--suite", suite, "--jobs", jobs, "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+
+def test_inequality_suite_builds_at_every_seed():
+    # draws reach T / omega ~ 1e-4, where the tail policy once underflowed
+    from decolab.suites import inequality_tasks
+
+    for seed in range(20):
+        assert len(inequality_tasks(seed, 4096)) == 1001
 
 
 def test_rates_rejects_unconverged_auto_truncation(tmp_path):

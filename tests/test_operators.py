@@ -146,6 +146,18 @@ def test_thermal_state_geometric_populations_and_tail():
     assert gibbs_tail_weight(omega, temperature, n_policy - 1) >= 1e-10
 
 
+def test_tail_policy_survives_cold_limit():
+    # omega / T above ~745 underflows exp(-omega / T); the policy must not
+    omega = 1.7
+    for ratio in np.logspace(-4, 0, 41):
+        temperature = ratio * omega
+        n = n_max_for_tail(omega, temperature, tail=1e-10)
+        assert n >= 2
+        assert gibbs_tail_weight(omega, temperature, n) < 1e-10
+        if n > 2:
+            assert gibbs_tail_weight(omega, temperature, n - 1) >= 1e-10
+
+
 def test_boson_commutator_on_untruncated_block():
     n_max = 8
     a, adag, num = boson_ops(n_max)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,3 +264,176 @@ def test_verify_factorized_rate_thermal_four_modes():
     assert rep.passed
     assert rep.tail_weight > 1e-10  # genuinely outside the tail-converged regime
     assert rep.factorization_rel_err < 1e-2
+
+
+def _two_qubit_thermal_model():
+    lattice = QubitLattice((0.0, 0.7), 1.0, 0.5, (1.0, 0.8))
+    modes = BathModeSet((BathMode(0.0, 1.0, 0.3),), 0.6)
+    model = build_hamiltonian(lattice, modes, 2)
+    return model, model.thermal_env_state()
+
+
+def _reference_entanglement(model, env, rho_s, t, ancilla_unitary=None):
+    """<Psi(t)| (tr_env U (|Psi><Psi| x env) U^dag) |Psi(t)> on ancilla x system x env."""
+    from decolab.model import ModelHamiltonian
+    from decolab.operators import identity, partial_trace, purify
+
+    anc = HilbertSpace((model.system_space().dim,))
+    ext = ModelHamiltonian(anc * model.space, kron(identity(anc), model.h0), kron(identity(anc), model.h_i),
+                           kron(identity(anc), model.h_env), model.lattice, model.modes, model.n_max)
+    psi = purify(rho_s).amplitudes.reshape(anc.dim, -1)
+    if ancilla_unitary is not None:
+        psi = ancilla_unitary @ psi
+    pure = Ket(anc * model.system_space(), psi.reshape(-1))
+    rho_t = evolve_exact(ext, kron(pure.projector(), env), t)
+    red = partial_trace(rho_t, keep=set(range(1 + model.lattice.n_qubits)))
+    rotated = (psi * np.exp(-1j * model.h0_system_diagonal() * t)[None, :]).reshape(-1)
+    return (rotated.conj() @ red.matrix @ rotated).real
+
+
+def _reference_io(model, env, psi, t):
+    from decolab.operators import partial_trace
+
+    rho_t = evolve_exact(model, kron(psi.projector(), env), t)
+    red = partial_trace(rho_t, keep=set(range(model.lattice.n_qubits)))
+    rotated = np.exp(-1j * model.h0_system_diagonal() * t) * psi.amplitudes
+    return (rotated.conj() @ red.matrix @ rotated).real
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_entanglement_curve_matches_dense_evolution(rank):
+    from decolab.rng import random_density_matrix
+
+    model, env = _two_qubit_thermal_model()
+    rng = Xoshiro256pp(40 + rank)
+    rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(rng, 4, rank=rank))
+    u = random_unitary_matrix(rng, 4)
+    times = np.linspace(0.0, 2.5, 6)
+    for unitary in (None, u):
+        curve = fidelity_curve_ent(model, rho_s, env, times, ancilla_unitary=unitary)
+        ref = [_reference_entanglement(model, env, rho_s, t, unitary) for t in times]
+        assert np.abs(curve.values - ref).max() < 1e-12
+    assert curve.values[-1] < 0.99  # the dynamics is far from trivial on this window
+
+
+def test_io_and_average_curves_match_dense_evolution():
+    from decolab.rng import random_decomposition, random_density_matrix
+
+    model, env = _two_qubit_thermal_model()
+    rng = Xoshiro256pp(7)
+    space = model.system_space()
+    times = np.linspace(0.0, 2.5, 6)
+    amp = rng.complex_normals(4)
+    psi = Ket(space, amp / np.linalg.norm(amp))
+    for ket in (psi, ghz_ket(2)):  # full support, and support on 2 of 4 basis entries
+        io = fidelity_curve_io(model, ket, env, times)
+        assert np.abs(io.values - [_reference_io(model, env, ket, t) for t in times]).max() < 1e-12
+        ent = fidelity_curve_ent(model, ket.projector(), env, times)
+        assert np.abs(ent.values - io.values).max() < 1e-12
+    members = tuple((p, Ket(space, amp))
+                    for p, amp in random_decomposition(rng, random_density_matrix(rng, 4, rank=3), 5))
+    avg = fidelity_curve_avg(model, Ensemble(members), env, times)
+    ref = [sum(p * _reference_io(model, env, m, t) for p, m in members) for t in times]
+    assert np.abs(avg.values - ref).max() < 1e-12
+
+
+def test_window_search_fails_loudly_when_probes_run_out():
+    from decolab.oracle import _fit_with_refinement
+
+    never_in_window = SimpleNamespace(fidelity=lambda t: 0.0)  # 1 - F = 1 at every probe time
+    with pytest.raises(ConvergenceError, match="200 probes"):
+        _fit_with_refinement(never_in_window, 1.0, 1.0)
+
+
+def test_window_halving_fails_loudly_when_c2_never_settles():
+    from decolab.oracle import _fit_with_refinement
+
+    calls = []
+
+    def curve(times):
+        # the fitted c2 jumps by 2x between consecutive windows at any depth
+        calls.append(len(calls))
+        return FidelityCurve(times, 1.0 - 1e-4 * (1 + len(calls) % 2) * (times / times[-1]) ** 2)
+
+    stub = SimpleNamespace(fidelity=lambda t: 1.0 - 1e-4, curve=curve)
+    with pytest.raises(ConvergenceError, match="60 window halvings"):
+        _fit_with_refinement(stub, 1.0, 1.0)
+    assert len(calls) == 60
+
+
+def test_window_search_flat_curve_still_returns():
+    from decolab.oracle import _select_t_max
+
+    assert _select_t_max(lambda t: 1.0, 0.0, 1.0) == 0.3 * 2.0 ** 60
+
+
+def test_quick_suite_diagonalises_each_model_once(monkeypatch, tmp_path):
+    from decolab import oracle
+    from decolab.cli import main
+
+    keys = []
+    init = oracle._Propagated.__init__
+
+    def counting(self, model):
+        keys.append((model.lattice, model.modes, model.n_max))
+        init(self, model)
+
+    monkeypatch.setattr(oracle._Propagated, "__init__", counting)
+    assert main(["verify", "--suite", "quick", "--out", str(tmp_path / "quick.csv")]) == 0
+    assert len(keys) == len(set(keys))
+    assert len(keys) < 8  # fewer models than rows: scenarios share them
+
+
+def test_time_batches_agree_with_single_time_steps(monkeypatch):
+    from decolab import oracle
+    from decolab.rng import random_density_matrix
+
+    model, env = _two_qubit_thermal_model()
+    rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(Xoshiro256pp(5), 4))
+    times = np.linspace(0.0, 2.5, 9)
+    batched = fidelity_curve_ent(model, rho_s, env, times)
+    monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 1)  # one time per dense product
+    single = fidelity_curve_ent(model, rho_s, env, times)
+    assert np.abs(batched.values - single.values).max() < 1e-14
+
+
+def test_model_memo_builds_each_model_once_under_threads(monkeypatch):
+    import sys
+    import threading
+
+    from decolab import oracle
+
+    lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
+    mode_sets = [BathModeSet((BathMode(0.0, 1.0, g),), 0.0) for g in (0.05, 0.07)]
+    scenarios = [Scenario(f"s{i}", "io", lattice, mode_sets[i % 2], ground_ket(1), n_max=2) for i in range(12)]
+    memo = oracle.ModelMemo(scenarios)
+    built = []
+    init = oracle._Propagated.__init__
+
+    def counting(self, model):
+        built.append(model.modes)
+        init(self, model)
+
+    monkeypatch.setattr(oracle._Propagated, "__init__", counting)
+    got = [None] * len(scenarios)
+    start = threading.Barrier(len(scenarios))
+
+    def worker(i):
+        start.wait(timeout=30)
+        got[i] = memo.get(lattice, scenarios[i].modes, 2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(scenarios))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(built) == 2 and set(built) == set(mode_sets)  # one build per model
+    for i, run in enumerate(got):
+        assert run is got[i % 2] and run[0].modes == mode_sets[i % 2]
+    assert memo._runs == {}  # every planned use consumed: nothing kept alive
