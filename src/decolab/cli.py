@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -96,13 +97,29 @@ def _tau2(c2: float) -> float:
 
 
 def _correlation_fn(cfg: ScenarioConfig):
+    """The config's spatial correlation; the returned function evaluates each separation once."""
     if cfg.bath_kind == "discrete":
-        return lambda d: correlation_fn_discrete(cfg.modes, d)
-    if cfg.bath_kind == "gaussian":
-        return lambda d: gaussian_correlation(cfg.gaussian, d)
-    form = {"quad": ohmic_correlation_quad, "highT": ohmic_correlation_highT,
-            "lowT": ohmic_correlation_lowT}[cfg.ohmic_form]
-    return lambda d: form(cfg.ohmic, d)
+        fn = lambda d: correlation_fn_discrete(cfg.modes, d)
+    elif cfg.bath_kind == "gaussian":
+        fn = lambda d: gaussian_correlation(cfg.gaussian, d)
+    else:
+        form = {"quad": ohmic_correlation_quad, "highT": ohmic_correlation_highT,
+                "lowT": ohmic_correlation_lowT}[cfg.ohmic_form]
+        fn = lambda d: form(cfg.ohmic, d)
+    return functools.cache(fn)
+
+
+def _kind_state(cfg: ScenarioConfig, kind: str):
+    """What a fidelity kind acts on: the ensemble (average), a pure state (io)
+    or a density matrix (entanglement)."""
+    if kind == "average":
+        return cfg.ensemble()
+    state = cfg.state()
+    if kind == "io":
+        if not isinstance(state, Ket):
+            raise ConfigError("fidelity_kind", "the io fidelity needs a pure state")
+        return state
+    return state.projector() if isinstance(state, Ket) else state
 
 
 def _closed_form_c2(cfg: ScenarioConfig, kind: str) -> float:
@@ -110,41 +127,28 @@ def _closed_form_c2(cfg: ScenarioConfig, kind: str) -> float:
     n_max = resolve_n_max(cfg.modes, cfg.lattice.n_qubits, cfg.n_max, dimension_cap())
     model = build_hamiltonian(cfg.lattice, cfg.modes, n_max)
     rho_env = model.thermal_env_state()
-    if kind == "io":
-        state = cfg.state()
-        if not isinstance(state, Ket):
-            raise ConfigError("fidelity_kind", "the io fidelity needs a pure state")
-        return input_output_c2(state, model.h_i, rho_env).c2
-    if kind == "average":
-        return average_c2(cfg.ensemble(), model.h_i, rho_env).c2
-    state = cfg.state()
-    rho_s = state.projector() if isinstance(state, Ket) else state
-    return entanglement_c2(rho_s, model.h_i, rho_env).c2
+    c2_fn = {"io": input_output_c2, "average": average_c2}.get(kind, entanglement_c2)
+    return c2_fn(_kind_state(cfg, kind), model.h_i, rho_env).c2
 
 
-def _factorized_c2(cfg: ScenarioConfig, kind: str) -> float:
-    omega2 = _correlation_fn(cfg)
+def _factorized_c2(cfg: ScenarioConfig, kind: str, omega2) -> float:
+    state = _kind_state(cfg, kind)
     if kind == "average":
         return sum(p * rate_from_correlation(cfg.lattice, omega2, psi.projector())
-                   for p, psi in cfg.ensemble().members)
-    state = cfg.state()
-    if kind == "io":
-        if not isinstance(state, Ket):
-            raise ConfigError("fidelity_kind", "the io fidelity needs a pure state")
-        rho_s = state.projector()
-    else:
-        rho_s = state.projector() if isinstance(state, Ket) else state
+                   for p, psi in state.members)
+    rho_s = state.projector() if isinstance(state, Ket) else state
     return rate_from_correlation(cfg.lattice, omega2, rho_s)
 
 
 def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
+    omega2 = _correlation_fn(cfg)
     rows = []
     for kind in cfg.fidelity_kinds:
         if cfg.bath_kind == "discrete":
             c2 = _closed_form_c2(cfg, kind)
             method = "closed-form"
         else:
-            c2 = _factorized_c2(cfg, kind)
+            c2 = _factorized_c2(cfg, kind, omega2)
             method = "factorized"
         rows.append({"scenario_id": cfg.name, "kind": kind, "c2": c2,
                      "tau2": _tau2(c2), "method": method})
@@ -192,19 +196,9 @@ def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int, jobs: i
         return _run_tasks(tasks, jobs)
     if cfg.bath_kind != "discrete":
         raise ConfigError("bath", "verify needs a discrete bath (the oracle evolves explicit modes)")
-    state = cfg.state()
-    scenarios = []
-    for kind in cfg.fidelity_kinds:
-        if kind == "average":
-            scen_state = cfg.ensemble()
-        elif kind == "io":
-            if not isinstance(state, Ket):
-                raise ConfigError("fidelity_kind", "the io fidelity needs a pure state")
-            scen_state = state
-        else:
-            scen_state = state.projector() if isinstance(state, Ket) else state
-        scenarios.append(Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.modes,
-                                  scen_state, cfg.n_max, dimension_cap()))
+    scenarios = [Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.modes,
+                          _kind_state(cfg, kind), cfg.n_max, dimension_cap())
+                 for kind in cfg.fidelity_kinds]
     memo = ModelMemo(scenarios)
     rows = []
     for scenario in scenarios:

@@ -11,11 +11,13 @@ collectively.
 
 The Ohmic bath has spectral weight ``w exp(-w / omega_c)`` with linear
 dispersion ``w = v k``; its correlation admits closed forms in the high- and
-low-temperature limits and is evaluated by quadrature in between.
+low-temperature limits and is evaluated by quadrature in between.  The
+quadrature's Gauss-Legendre rule is built once per process, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,11 +165,20 @@ def _thermal_weight(omega: np.ndarray, temperature: float) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the _QUAD_NODES-point rule on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _ohmic_panel_integral(bath: OhmicBath, delta_r: float, n_panels: int,
                           extra_power: int = 0) -> float:
     """Gauss-Legendre sum of w^extra_power * thermal_weight(w) e^(-w/wc) cos(w d / v)."""
     omega_max = _CUTOFF_IN_OMEGA_C * bath.omega_c
-    nodes, gl_weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes, gl_weights = _gauss_legendre()
     edges = np.linspace(0.0, omega_max, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -200,17 +211,18 @@ def _refine(bath: OhmicBath, delta_r: float, atol: float, extra_power: int = 0) 
     raise ConvergenceError("quadrature did not converge", achieved=abs(cur - prev))
 
 
+def _quad_atol(bath: OhmicBath) -> float:
+    """QUAD_REL_TOL of the zero-separation integral, whose first refinement pass fixes the scale."""
+    return QUAD_REL_TOL * abs(_refine(bath, 0.0, atol=math.inf))
+
+
 def ohmic_correlation_quad(bath: OhmicBath, delta_r: float) -> float:
     """Correlation at any temperature: 2 * integral of the thermal Ohmic weight.
 
     Adaptive panel quadrature with oscillation-aware panel widths; converged
     to 1e-9 relative to the zero-separation value.
     """
-    scale = _refine(bath, 0.0, atol=math.inf)  # first refinement pass fixes the scale
-    atol = QUAD_REL_TOL * abs(scale)
-    if delta_r == 0.0:
-        return bath.amplitude * 2.0 * _refine(bath, 0.0, atol)
-    return bath.amplitude * 2.0 * _refine(bath, delta_r, atol)
+    return bath.amplitude * 2.0 * _refine(bath, delta_r, _quad_atol(bath))
 
 
 def ohmic_spectrum_moments(bath: OhmicBath) -> GaussianSpectrum:
@@ -219,8 +231,7 @@ def ohmic_spectrum_moments(bath: OhmicBath) -> GaussianSpectrum:
     Moments are taken in frequency and mapped to wavevectors through the
     linear dispersion: k_bar = <w>/v, delta_k = std(w)/v.
     """
-    scale = _refine(bath, 0.0, atol=math.inf)
-    atol = QUAD_REL_TOL * abs(scale)
+    atol = _quad_atol(bath)
     m0 = _refine(bath, 0.0, atol)
     m1 = _refine(bath, 0.0, atol * bath.omega_c, extra_power=1)
     m2 = _refine(bath, 0.0, atol * bath.omega_c ** 2, extra_power=2)

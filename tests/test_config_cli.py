@@ -144,6 +144,34 @@ def test_rates_ohmic_factorized():
     assert row["c2"] > 0.0
 
 
+def test_rates_quad_evaluates_each_separation_once(monkeypatch):
+    import decolab.cli
+
+    calls = []
+    quad = decolab.cli.ohmic_correlation_quad
+
+    def counting(bath, delta_r):
+        calls.append(delta_r)
+        return quad(bath, delta_r)
+
+    monkeypatch.setattr(decolab.cli, "ohmic_correlation_quad", counting)
+    positions = [0.0, 1.0, 2.0, 3.0]
+    cfg = base_config(
+        qubits=[{"position": r} for r in positions],
+        h0_splittings=[],
+        bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3, "form": "quad"}},
+        state="plus_all",
+        fidelity_kind=["io", "entanglement", "average"],
+    )
+    separations = {ri - rj for ri in positions for rj in positions}
+    rows = cmd_rates(parse_config(cfg))
+    assert [r["kind"] for r in rows] == ["io", "entanglement", "average"]
+    assert sorted(calls) == sorted(separations)  # 7 calls; 48 without the memo
+    # a freshly parsed config starts with an empty memo
+    assert cmd_rates(parse_config(cfg)) == rows
+    assert len(calls) == 2 * len(separations)
+
+
 # --- correlation / regime ----------------------------------------------------
 
 def test_correlation_ohmic_highT_grid():
@@ -313,15 +341,25 @@ def test_sweep_point_errors_recorded_not_fatal():
 
 
 def test_sweep_parallel_jobs_match_serial():
-    cfg = base_config(
-        qubits=[{"position": 0.0}, {"position": 1.0}],
-        h0_splittings=[],
-        bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 50.0, "form": "highT"}},
-        sweep={"parameter": "d", "values": [0.2, 0.4, 0.8, 1.6], "columns": ["normalized"]},
-    )
-    serial, _ = cmd_sweep(parse_config(cfg), jobs=1)
-    parallel, _ = cmd_sweep(parse_config(cfg), jobs=4)
-    assert serial == parallel
+    # highT covers the pool alone; quad also runs the memoized correlation in each point's rates
+    for bath, sweep in (
+        ({"omega_c": 1.0, "v": 1.0, "temperature": 50.0, "form": "highT"},
+         {"parameter": "d", "values": [0.2, 0.4, 0.8, 1.6], "columns": ["normalized"]}),
+        ({"omega_c": 1.0, "v": 1.0, "temperature": 0.3, "form": "quad"},
+         {"parameter": "d", "values": [0.05, 0.1, 0.2], "columns": ["c2", "normalized"]}),
+    ):
+        cfg = base_config(
+            qubits=[{"position": 0.0}, {"position": 1.0}],
+            h0_splittings=[],
+            bath={"ohmic": bath},
+            state="ghz",
+            fidelity_kind="entanglement",
+            sweep=sweep,
+        )
+        serial, _ = cmd_sweep(parse_config(cfg), jobs=1)
+        parallel, _ = cmd_sweep(parse_config(cfg), jobs=4)
+        assert serial == parallel
+        assert all(row["error"] == "" for row in serial)
 
 
 def test_cli_json_format(tmp_path):

@@ -113,6 +113,18 @@ def test_quad_zero_temperature_zero_separation_moment():
     assert abs(got - 1.3 * 2 * bath.omega_c ** 2) / got < 1e-12
 
 
+def test_quad_even_in_separation_and_rule_read_only():
+    from decolab.spectral import _gauss_legendre
+
+    bath = OhmicBath(1.0, 1.0, 0.3)
+    for d in (0.0, 0.5, 3.0, 40.0):
+        assert ohmic_correlation_quad(bath, -d) == ohmic_correlation_quad(bath, d)
+    # the rule is shared by every later integral, so no caller may write to it
+    for arr in _gauss_legendre():
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_quad_matches_lowT_closed_form_at_zero_temperature():
     bath = OhmicBath(2.0, 1.5, 0.0, amplitude=0.7)
     for u in (0.0, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0):
