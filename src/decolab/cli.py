@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import (
     ScenarioConfig,
@@ -183,17 +182,9 @@ def cmd_regime(cfg: ScenarioConfig, d_values: list[float]) -> list[dict]:
     return rows
 
 
-def _run_tasks(tasks, jobs: int) -> list[dict]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: t[1](), tasks))
-    return [run() for _, run in tasks]
-
-
-def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int, jobs: int) -> list[dict]:
+def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> list[dict]:
     if suite is not None:
-        tasks = suite_tasks(suite, seed, dimension_cap())
-        return _run_tasks(tasks, jobs)
+        return [run() for _, run in suite_tasks(suite, seed, dimension_cap())]
     if cfg.bath_kind != "discrete":
         raise ConfigError("bath", "verify needs a discrete bath (the oracle evolves explicit modes)")
     scenarios = [Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.modes,
@@ -248,15 +239,14 @@ def _sweep_row(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> dict:
     return {k: row[k] for k in (spec.parameter, *spec.columns, "error")}
 
 
-def cmd_sweep(cfg: ScenarioConfig, jobs: int) -> tuple[list[dict], tuple[str, ...]]:
+def cmd_sweep(cfg: ScenarioConfig) -> tuple[list[dict], tuple[str, ...]]:
     if cfg.sweep is None:
         raise ConfigError("sweep", "missing sweep specification")
     spec = cfg.sweep
     if spec.parameter not in ("d", "temperature"):
         set_config_path(cfg.raw, spec.parameter, 0.0)  # validate the path exists up front
     columns = (spec.parameter, *spec.columns, "error")
-    tasks = [(f"point-{i}", (lambda v=v: _sweep_row(cfg, spec, v))) for i, v in enumerate(spec.values)]
-    return _run_tasks(tasks, jobs), columns
+    return [_sweep_row(cfg, spec, v) for v in spec.values], columns
 
 
 def _emit(text: str, out_path: str | None):
@@ -277,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent tasks for verify/sweep")
+        p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; tasks run serially")
 
     common(sub.add_parser("rates", help="closed-form or factorized damping coefficients"))
     p_corr = sub.add_parser("correlation", help="spatial correlation profile")
@@ -326,10 +316,10 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             if (args.suite is None) == (cfg is None):
                 raise ConfigError("verify", "exactly one of --suite or --config is required")
-            rows, columns = cmd_verify(cfg, args.suite, seed, args.jobs), VERIFY_COLUMNS
+            rows, columns = cmd_verify(cfg, args.suite, seed), VERIFY_COLUMNS
             verify_failed = any(not r["pass"] for r in rows)
         else:
-            rows, columns = cmd_sweep(cfg, args.jobs)
+            rows, columns = cmd_sweep(cfg)
 
         text = rows_to_csv(rows, columns) if args.format == "csv" else rows_to_json(rows, columns)
         _emit(text, args.out)

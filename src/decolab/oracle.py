@@ -19,14 +19,13 @@ product, and all times of a curve are propagated in one batched call.
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_DIM_CAP
+from .config import DEFAULT_DIM_CAP, FIDELITY_KINDS
 from .errors import ConvergenceError
 from .fidelity import (
     Ensemble,
@@ -336,7 +335,7 @@ class Scenario:
     n_max: int | None = None
     dim_cap: int = DEFAULT_DIM_CAP
 
-    VALID_KINDS = ("io", "entanglement", "average", "factorized-rate")
+    VALID_KINDS = FIDELITY_KINDS + ("factorized-rate",)
 
     def __post_init__(self):
         if self.kind not in self.VALID_KINDS:
@@ -416,12 +415,10 @@ class ModelMemo:
     Each model is built and diagonalised once and held only while a listed
     scenario still needs it, so grouped scenarios keep a single dense model
     alive.  A model no listed scenario names (such as a convergence re-run)
-    is built for its one use.  The lock lets concurrent tasks share the memo;
-    results never depend on a hit.
+    is built for its one use.  Results never depend on a hit.
     """
 
     def __init__(self, scenarios: Sequence[Scenario] = ()):
-        self._lock = threading.Lock()
         self._uses = Counter((s.lattice, s.modes, resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max, s.dim_cap))
                              for s in scenarios)
         self._runs: dict[tuple, tuple] = {}
@@ -429,16 +426,15 @@ class ModelMemo:
     def get(self, lattice: QubitLattice, modes: BathModeSet, n_max: int) -> tuple:
         """(model, thermal environment state, scale moment, eigendecomposition)."""
         key = (lattice, modes, n_max)
-        with self._lock:
-            run = self._runs.pop(key, None)
-            if run is None:
-                model = build_hamiltonian(lattice, modes, n_max)
-                rho_env = model.thermal_env_state()
-                run = model, rho_env, _scale_moment(model, rho_env), _Propagated(model)
-            self._uses[key] -= 1
-            if self._uses[key] > 0:
-                self._runs[key] = run
-            return run
+        run = self._runs.pop(key, None)
+        if run is None:
+            model = build_hamiltonian(lattice, modes, n_max)
+            rho_env = model.thermal_env_state()
+            run = model, rho_env, _scale_moment(model, rho_env), _Propagated(model)
+        self._uses[key] -= 1
+        if self._uses[key] > 0:
+            self._runs[key] = run
+        return run
 
 
 def verify_expansion(scenario: Scenario, check_convergence: bool = False,

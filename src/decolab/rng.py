@@ -79,11 +79,6 @@ class Xoshiro256pp:
         return g[:n] + 1j * g[n:]
 
 
-def random_ket_amplitudes(rng: Xoshiro256pp, dim: int) -> np.ndarray:
-    v = rng.complex_normals(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_unitary_matrix(rng: Xoshiro256pp, dim: int) -> np.ndarray:
     g = rng.complex_normals(dim * dim).reshape(dim, dim)
     q, r = np.linalg.qr(g)

@@ -2,10 +2,10 @@
 
 Each suite is a list of named zero-argument tasks returning one report row
 ``{scenario, c2_analytic, c2_fitted, rel_err, pass}``.  Tasks are built
-deterministically from the seed up front, so they can run in any order (or in
-parallel) and still produce identical rows in the listed order.  The tasks of
-one ``quick`` or ``full`` list share a ``ModelMemo``, so scenarios on the same
-truncated model reuse its Hamiltonian and eigendecomposition.
+deterministically from the seed up front, so they can run in any order and
+still produce identical rows in the listed order.  The tasks of one ``quick``
+or ``full`` list share a ``ModelMemo``, so scenarios on the same truncated
+model reuse its Hamiltonian and eigendecomposition.
 
 Row semantics per suite:
 

