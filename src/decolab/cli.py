@@ -29,7 +29,7 @@ from .errors import ConfigError, ConvergenceError
 from .fidelity import C2_ZERO_FLOOR, average_c2, entanglement_c2, input_output_c2
 from .model import build_hamiltonian, correlation_fn_discrete, rate_from_correlation
 from .operators import Ket
-from .oracle import ModelMemo, Scenario, resolve_n_max, verify_expansion
+from .oracle import ModelMemo, Scenario, _density, resolve_n_max, verify_expansion
 from .spectral import (
     classify_regime,
     gaussian_correlation,
@@ -39,7 +39,7 @@ from .spectral import (
     ohmic_spectrum_moments,
     spectrum_moments,
 )
-from .suites import SUITE_NAMES, suite_tasks
+from .suites import SUITE_NAMES, _verify_row, suite_tasks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,7 +118,7 @@ def _kind_state(cfg: ScenarioConfig, kind: str):
         if not isinstance(state, Ket):
             raise ConfigError("fidelity_kind", "the io fidelity needs a pure state")
         return state
-    return state.projector() if isinstance(state, Ket) else state
+    return _density(state)
 
 
 def _closed_form_c2(cfg: ScenarioConfig, kind: str) -> float:
@@ -135,8 +135,7 @@ def _factorized_c2(cfg: ScenarioConfig, kind: str, omega2) -> float:
     if kind == "average":
         return sum(p * rate_from_correlation(cfg.lattice, omega2, psi.projector())
                    for p, psi in state.members)
-    rho_s = state.projector() if isinstance(state, Ket) else state
-    return rate_from_correlation(cfg.lattice, omega2, rho_s)
+    return rate_from_correlation(cfg.lattice, omega2, _density(state))
 
 
 def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
@@ -191,12 +190,7 @@ def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> list
                           _kind_state(cfg, kind), cfg.n_max, dimension_cap())
                  for kind in cfg.fidelity_kinds]
     memo = ModelMemo(scenarios)
-    rows = []
-    for scenario in scenarios:
-        rep = verify_expansion(scenario, memo=memo)
-        rows.append({"scenario": rep.scenario, "c2_analytic": rep.c2_analytic,
-                     "c2_fitted": rep.c2_fitted, "rel_err": rep.rel_err, "pass": bool(rep.passed)})
-    return rows
+    return [_verify_row(verify_expansion(scenario, memo=memo)) for scenario in scenarios]
 
 
 def _sweep_point_config(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> tuple[ScenarioConfig, float | None]:

@@ -191,6 +191,15 @@ class ModelHamiltonian:
             diag += 0.5 * w0 * np.diagonal(sz.matrix).real
         return diag
 
+    def parity(self) -> np.ndarray:
+        """(popcount(s) + sum_k n_k) mod 2 for each basis index (s, e) of ``space``.
+
+        Every coupling term flips one qubit and adds or removes one boson, and
+        the free parts are diagonal, so this parity commutes with ``total()``.
+        """
+        dims = self.space.factor_dims
+        return np.indices(dims).reshape(len(dims), -1).sum(axis=0) % 2
+
     def thermal_env_state(self) -> DenseOperator:
         parts = [thermal_boson_state(m.omega, self.modes.temperature, self.n_max) for m in self.modes.modes]
         return kron_all(parts)

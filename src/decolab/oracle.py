@@ -10,10 +10,17 @@ average: one row per ensemble state), and a mixed environment state is
 expanded into its eigenvector ensemble, so evolution propagates a block of
 kets instead of a full density (exact up to environment weights below 1e-15,
 which are dropped).  The total Hamiltonian is diagonalised once per model
-per verify run (``ModelMemo`` shares it between scenarios).  Per curve,
-ancilla rows and system-basis entries with zero amplitude are dropped, the
-eigenvector rows are projected onto <psi_r(t)| x <e| before the dense
-product, and all times of a curve are propagated in one batched call.
+per verify run (``ModelMemo`` shares it between scenarios), and per parity
+sector: every coupling term flips one qubit and adds or removes one boson,
+so (excited qubits + total boson number) mod 2 is conserved and the two
+sectors are diagonalised as independent half-size blocks.  Per curve,
+ancilla rows and system-basis entries with zero amplitude are dropped, and
+each sector keeps only the environment rows and ensemble columns that the
+input reaches in it: a single-parity input against a diagonal environment
+does a quarter of the dense product's work.  The eigenvector rows are
+projected onto <psi_r(t)| x <e| before the product, the sectors' amplitudes
+are summed before |.|^2 is taken, and all times of a curve are propagated
+in one batched call.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,36 +117,62 @@ def evolve_exact(model: ModelHamiltonian, rho0: DenseOperator, t: float) -> Dens
 
 
 class _Propagated:
-    """One eigendecomposition of H_total, shared by every curve on the model."""
+    """The eigendecomposition of H_total, one parity sector at a time, shared by every curve on the model.
+
+    H_total conserves ``model.parity()``, so each sector's block is
+    diagonalised on its own.  ``lam`` and ``vec`` hold the whole spectrum with
+    the even sector's columns first; ``vec`` is exactly zero outside each
+    sector's rows.  ``sectors`` holds, per sector (even, then odd), its basis
+    indices and its column slice.  A Hamiltonian with an entry between the
+    sectors raises ValueError.
+    """
 
     def __init__(self, model: ModelHamiltonian):
-        self.lam, self.vec = np.linalg.eigh(model.total().matrix)
+        h = model.total().matrix
+        parity = model.parity()
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        if np.any(h[np.ix_(even, odd)]):
+            raise ValueError("H_total couples the two parity sectors")
+        n = len(parity)
+        self.lam = np.empty(n)
+        self.vec = np.zeros((n, n), dtype=np.complex128)
+        self.sectors = [(even, slice(0, len(even))), (odd, slice(len(even), n))]
+        for idx, cols in self.sectors:
+            self.lam[cols], self.vec[idx, cols] = np.linalg.eigh(h[np.ix_(idx, idx)])
         self.h0_diag = model.h0_system_diagonal()
-        n = self.vec.shape[0]
-        self.rows = self.vec.reshape(len(self.h0_diag), n // len(self.h0_diag), n)  # (system, env, n)
+        ds = len(self.h0_diag)
+        self.parity = parity.reshape(ds, n // ds)  # (system, env)
+        self.rows = self.vec.reshape(ds, n // ds, n)  # (system, env, n)
 
     def advance(self, curve: _Curve, t) -> np.ndarray:
         """The curve's F at every time in ``t`` (a scalar or 1D array).
 
         F = sum_b p_b sum_{e,m} |sum_r <psi_br(t)| x <e| exp(-i H t) |col_brm>|^2,
-        where psi_br(t) carries the free co-rotation.  The eigenvector rows are
-        projected onto <psi_br(t)| x <e| before the dense product, and the
-        times go through in batches of at most BATCH_ELEMENTS entries per
-        intermediate.
+        where psi_br(t) carries the free co-rotation.  Each sector part
+        projects its eigenvector rows onto <psi_br(t)| x <e| for its own
+        environment rows e, makes its dense product, and adds it into the
+        member's amplitudes w[t, e, m] before |w|^2 is taken: a mixed-parity
+        input feeds both sectors into the same (e, m).  The times go through
+        in batches of at most BATCH_ELEMENTS entries per intermediate.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros(times.shape)
-        for weight, support, bra, kets in curve.members:
-            rows = self.rows[support]
-            r, n, m = kets.shape
-            de = rows.shape[1]
-            step = max(1, BATCH_ELEMENTS // (r * n * de))
+        de, m = self.rows.shape[1], curve.env_cols
+        for weight, parts in curve.members:
+            # the largest intermediate per time: w, or a part's projected rows or phased kets
+            size = max([de * m] + [max(p.rows.shape[1] * p.kets.shape[0] * p.kets.shape[1], p.kets.size)
+                                   for p in parts])
+            step = max(1, BATCH_ELEMENTS // size)
             for i in range(0, len(times), step):
                 tc = times[i:i + step]
-                rotated = np.exp(1j * np.outer(tc, self.h0_diag[support]))[:, None, :] * bra
-                proj = np.tensordot(rotated, rows, axes=(2, 0)).transpose(0, 2, 1, 3).reshape(len(tc), de, r * n)
-                phased = np.exp(-1j * np.outer(tc, self.lam))[:, None, :, None] * kets
-                w = proj @ phased.reshape(len(tc), r * n, m)
+                w = np.zeros((len(tc), de, m), dtype=np.complex128)
+                for part in parts:
+                    r, n, mp = part.kets.shape
+                    rotated = np.exp(1j * np.outer(tc, part.h0))[:, None, :] * part.bra
+                    proj = np.tensordot(rotated, part.rows, axes=(2, 0)).transpose(0, 2, 1, 3)
+                    proj = proj.reshape(len(tc), -1, r * n)
+                    phased = np.exp(-1j * np.outer(tc, self.lam[part.cols]))[:, None, :, None] * part.kets
+                    w[part.block] += proj @ phased.reshape(len(tc), r * n, mp)
                 out[i:i + step] += weight * np.sum(np.abs(w) ** 2, axis=(1, 2))
         out[times == 0.0] = 1.0  # exact, as the fit's first sample assumes
         return out
@@ -158,6 +191,17 @@ def _env_ensemble(rho_env: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     return q[keep], vec[:, keep]
 
 
+class _Part(NamedTuple):
+    """One sector's share of one class of a member's ancilla rows (see ``_Curve``)."""
+
+    h0: np.ndarray  # free qubit energies on the support
+    bra: np.ndarray  # conjugate amplitudes, (rows, support)
+    cols: slice  # the sector's eigenvector columns
+    rows: np.ndarray  # eigenvector rows on the support and the kept environment rows, (support, env, sector)
+    kets: np.ndarray  # the ancilla rows' kets in the sector's eigenbasis, (rows, sector, kept columns)
+    block: tuple  # where the part's amplitudes land in w[t, e, m]: all of it, or (kept rows, kept columns)
+
+
 class _Curve:
     """Exact F(t) of one fidelity kind on one model.
 
@@ -168,10 +212,13 @@ class _Curve:
     the free co-rotation; an optional ancilla unitary probes purification
     independence), and ``average`` is one single-row member per ensemble state.
 
-    ``members`` keeps, per member, ``(weight, support, bra, kets)``: the
-    system-basis entries that carry amplitude, the conjugate amplitudes of
-    the nonzero ancilla rows on them, and those rows' kets (tensored with the
-    weighted environment ensemble) in the eigenbasis, shaped (rows, n, env).
+    ``members`` keeps ``(weight, parts)`` per member.  Its nonzero ancilla rows
+    are classed by the parities their system support carries (even, odd or
+    both), and each class gets one ``_Part`` per parity sector that its kets
+    reach.  A part keeps only the environment rows its support reaches in
+    the sector and the environment-ensemble columns whose kets are not zero
+    there: a single-parity class against a diagonal environment keeps half
+    of each, so its two parts do a quarter of the dense product's work.
     """
 
     def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator,
@@ -182,7 +229,10 @@ class _Curve:
         q, venv = _env_ensemble(rho_env)
         env_cols = venv * np.sqrt(q)[None, :]
         self.prop = prop
+        self.env_cols = env_cols.shape[1]
+        self.width = 0
         self.members = []
+        system_parity = prop.parity[:, 0]  # environment index 0 is the boson vacuum
         for weight, psi in (state.members if kind == "average" else [(1.0, state)]):
             if psi.space != system:
                 raise ValueError("input state does not live on the system space")
@@ -193,19 +243,19 @@ class _Curve:
                 if ancilla_unitary is not None:
                     amps = ancilla_unitary @ amps
             amps = amps[np.any(amps != 0, axis=1)]
-            support = np.flatnonzero(np.any(amps != 0, axis=0))
-            amps = amps[:, support]
-            rows = prop.rows[support]
-            s, de, n = rows.shape
-            r, m = amps.shape[0], env_cols.shape[1]
-            kets = np.einsum("rs,em->serm", amps, env_cols).reshape(s * de, r * m)
-            kets = rows.reshape(s * de, n).conj().T @ kets
-            self.members.append((weight, support, amps.conj(), kets.reshape(n, r, m).transpose(1, 0, 2).copy()))
+            self.width += amps.shape[0] * self.env_cols
+            classes = [frozenset(system_parity[row != 0]) for row in amps]
+            parts = []
+            for cls in dict.fromkeys(classes):
+                group = amps[[c == cls for c in classes]]
+                support = np.flatnonzero(np.any(group != 0, axis=0))
+                parts += _sector_parts(prop, group[:, support], support, env_cols)
+            self.members.append((weight, parts))
 
     @property
     def shape(self) -> tuple[int, int]:
         """(n, propagated ket columns); perfbench's tracer reads it as ``advance``'s width."""
-        return self.prop.vec.shape[0], sum(k.shape[0] * k.shape[2] for *_, k in self.members)
+        return self.prop.vec.shape[0], self.width
 
     def fidelity(self, t: float) -> float:
         return float(self.prop.advance(self, t)[0])
@@ -213,6 +263,33 @@ class _Curve:
     def curve(self, times) -> FidelityCurve:
         times = np.asarray(times, float)
         return FidelityCurve(times, self.prop.advance(self, times))
+
+
+def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_cols: np.ndarray) -> list[_Part]:
+    """The parts of one class of ancilla rows, ``amps`` shaped (rows, support).
+
+    Each sector keeps the environment rows a support entry reaches in it and
+    the environment-ensemble columns whose kets are not zero there; a sector
+    with no such column gets no part.
+    """
+    parts = []
+    r, m = amps.shape[0], env_cols.shape[1]
+    for p, (_, cols) in enumerate(prop.sectors):
+        env_rows = np.flatnonzero(np.any(prop.parity[support] == p, axis=0))
+        rows = prop.rows[support[:, None], env_rows, cols]
+        s, e, n = rows.shape
+        kets = np.einsum("rs,em->serm", amps, env_cols[env_rows]).reshape(s * e, r * m)
+        kets = (rows.reshape(s * e, n).conj().T @ kets).reshape(n, r, m)
+        ket_cols = np.flatnonzero(np.any(kets != 0, axis=(0, 1)))
+        if len(ket_cols) == 0:
+            continue
+        if e == prop.rows.shape[1] and len(ket_cols) == m:
+            block = (slice(None),) * 3  # a plain in-place add: no scatter
+        else:
+            block = (slice(None), env_rows[:, None], ket_cols)
+        parts.append(_Part(prop.h0_diag[support], amps.conj(), cols, rows,
+                           kets[:, :, ket_cols].transpose(1, 0, 2).copy(), block))
+    return parts
 
 
 def fidelity_curve_io(model: ModelHamiltonian, psi0: Ket, rho_env: DenseOperator, times) -> FidelityCurve:
@@ -386,13 +463,17 @@ def _worst_tail(modes: BathModeSet, n_max: int) -> float:
     return max(gibbs_tail_weight(m.omega, modes.temperature, n_max) for m in modes.modes)
 
 
+def _density(state) -> DenseOperator:
+    """The density matrix of a state: a ``DenseOperator`` as is, a ``Ket`` as its projector."""
+    return state if isinstance(state, DenseOperator) else state.projector()
+
+
 def _analytic_c2(scenario: Scenario, model: ModelHamiltonian, rho_env: DenseOperator) -> float:
     if scenario.kind == "io":
         return input_output_c2(scenario.state, model.h_i, rho_env).c2
     if scenario.kind == "average":
         return average_c2(scenario.state, model.h_i, rho_env).c2
-    rho_s = scenario.state if isinstance(scenario.state, DenseOperator) else scenario.state.projector()
-    return entanglement_c2(rho_s, model.h_i, rho_env).c2
+    return entanglement_c2(_density(scenario.state), model.h_i, rho_env).c2
 
 
 def _scale_moment(model: ModelHamiltonian, rho_env: DenseOperator) -> float:
@@ -479,8 +560,7 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
     c2_factorized = None
     factorization_rel_err = None
     if scenario.kind == "factorized-rate":
-        rho_s = scenario.state if isinstance(scenario.state, DenseOperator) else scenario.state.projector()
-        c2_factorized = float(decoherence_rate(scenario.lattice, scenario.modes, rho_s))
+        c2_factorized = float(decoherence_rate(scenario.lattice, scenario.modes, _density(scenario.state)))
         factorization_rel_err = float(abs(c2_factorized - c2_model) / max(c2_model, 1e-14))
         c2_analytic = c2_factorized
     else:

@@ -91,6 +91,20 @@ def test_decoupled_spectrum_is_sum_of_parts():
     assert len(qubit_e) == 4
 
 
+def test_parity_labels_basis_and_commutes_with_total():
+    lat = QubitLattice((0.0, 0.7), 1.0, 0.5, (1.0, 0.8))
+    modes = BathModeSet.symmetric([(1.3, 1.1, 0.04)], 0.5)
+    model = build_hamiltonian(lat, modes, 2)
+    parity = model.parity()
+    # index (s, n1, n2) on dims (2, 2, 3, 3): popcount(s) + n1 + n2 mod 2
+    expected = [(q0 + q1 + n1 + n2) % 2 for q0 in range(2) for q1 in range(2)
+                for n1 in range(3) for n2 in range(3)]
+    assert parity.tolist() == expected
+    h = model.total().matrix
+    assert not np.any(h[np.ix_(parity == 0, parity == 1)])  # exact zeros, not rounding
+    assert np.any(h[np.ix_(parity == 0, parity == 0)]) and np.any(h[np.ix_(parity == 1, parity == 1)])
+
+
 def test_correlation_at_zero_is_normalization():
     modes = BathModeSet.symmetric([(1.0, 1.0, 0.1), (2.0, 1.5, 0.07)], 0.8)
     x = correlation_fn_discrete(modes, 0.0)

@@ -417,3 +417,80 @@ def test_model_memo_builds_each_model_once_interleaved(monkeypatch):
     for i, run in enumerate(got):
         assert run is got[i % 2] and run[0].modes == mode_sets[i % 2]
     assert memo._runs == {}  # every planned use consumed: nothing kept alive
+
+
+def test_propagated_rejects_a_hamiltonian_that_breaks_parity():
+    from dataclasses import replace
+
+    from decolab.oracle import _Propagated
+    from decolab.operators import embed, identity, pauli
+
+    model, _ = single_qubit_model(temperature=0.5, n_max=3)
+    sx = kron(embed(pauli("x"), 0, model.system_space()), identity(model.env_space()))
+    broken = replace(model, h0=DenseOperator.hermitian_op(model.space, model.h0.matrix + 0.3 * sx.matrix))
+    with pytest.raises(ValueError, match="parity"):
+        _Propagated(broken)
+    _Propagated(model)  # the unbroken model diagonalises
+
+
+def _mirror_mode_model():
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(2, 0.5), 2)
+    return model, model.thermal_env_state()
+
+
+def test_sector_eigenpairs_reassemble_the_total_hamiltonian():
+    from decolab.oracle import _Propagated
+
+    model, _ = _mirror_mode_model()
+    prop = _Propagated(model)
+    h = model.total().matrix
+    assert np.abs((prop.vec * prop.lam) @ prop.vec.conj().T - h).max() < 1e-12
+    assert np.abs(prop.vec.conj().T @ prop.vec - np.eye(len(h))).max() < 1e-12
+    parity = model.parity()
+    for p, (idx, cols) in enumerate(prop.sectors):
+        assert np.all(parity[idx] == p)
+        assert not np.any(np.delete(prop.vec[:, cols], idx, axis=0))  # exactly zero off the sector
+
+
+def test_sector_curves_match_dense_evolution_on_mirror_modes():
+    from decolab.model import pair_encode
+    from decolab.rng import random_density_matrix
+    from decolab.states import computational_ensemble
+
+    model, env = _mirror_mode_model()
+    times = np.linspace(0.0, 2.5, 5)
+    single = ghz_ket(2)
+    mixed = (plus_all_ket(2), pair_encode(ground_ket(1), model.lattice))
+    for ket in (single, *mixed):
+        io = fidelity_curve_io(model, ket, env, times)
+        assert np.abs(io.values - [_reference_io(model, env, ket, t) for t in times]).max() < 1e-12
+    rng = Xoshiro256pp(11)
+    rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(rng, 4, rank=4))
+    for unitary in (None, random_unitary_matrix(rng, 4)):
+        ent = fidelity_curve_ent(model, rho_s, env, times, ancilla_unitary=unitary)
+        ref = [_reference_entanglement(model, env, rho_s, t, unitary) for t in times]
+        assert np.abs(ent.values - ref).max() < 1e-12
+    ensemble = computational_ensemble(2)
+    avg = fidelity_curve_avg(model, ensemble, env, times)
+    ref = [sum(p * _reference_io(model, env, m, t) for p, m in ensemble.members) for t in times]
+    assert np.abs(avg.values - ref).max() < 1e-12
+    assert avg.values[-1] < 0.999  # the window sees real decay
+
+
+def test_sector_parts_keep_half_of_a_single_parity_input():
+    from decolab.oracle import _Curve, _Propagated
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 3)
+    env = model.thermal_env_state()
+    prop = _Propagated(model)
+    ghz = _Curve(prop, model, "entanglement", ghz_ket(2).projector(), env)
+    (_, parts), = ghz.members
+    assert len(parts) == 2
+    for part in parts:
+        rows, kept_cols = part.rows.shape[1], part.kets.shape[2]
+        assert (rows, kept_cols) == (128, 128)  # of 256 environment rows and 256 ensemble columns
+    (_, parts), = _Curve(prop, model, "io", plus_all_ket(2), env).members
+    assert [part.rows.shape[1] for part in parts] == [256, 256]
