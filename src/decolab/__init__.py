@@ -52,9 +52,7 @@ from .oracle import (
     VerifyReport,
     estimate_c2,
     evolve_exact,
-    fidelity_curve_avg,
-    fidelity_curve_ent,
-    fidelity_curve_io,
+    fidelity_curve,
     verify_expansion,
 )
 from .spectral import (

@@ -26,10 +26,9 @@ from .config import (
     set_config_path,
 )
 from .errors import ConfigError, ConvergenceError
-from .fidelity import C2_ZERO_FLOOR, average_c2, entanglement_c2, input_output_c2
-from .model import build_hamiltonian, correlation_fn_discrete, rate_from_correlation
-from .operators import Ket
-from .oracle import ModelMemo, Scenario, _density, resolve_n_max, verify_expansion
+from .fidelity import C2_ZERO_FLOOR, closed_form_c2, factorized_c2, kind_state
+from .model import build_hamiltonian, correlation_fn_discrete
+from .oracle import ModelMemo, Scenario, resolve_n_max, verify_expansion
 from .spectral import (
     classify_regime,
     gaussian_correlation,
@@ -109,33 +108,19 @@ def _correlation_fn(cfg: ScenarioConfig):
 
 
 def _kind_state(cfg: ScenarioConfig, kind: str):
-    """What a fidelity kind acts on: the ensemble (average), a pure state (io)
-    or a density matrix (entanglement)."""
-    if kind == "average":
-        return cfg.ensemble()
-    state = cfg.state()
-    if kind == "io":
-        if not isinstance(state, Ket):
-            raise ConfigError("fidelity_kind", "the io fidelity needs a pure state")
-        return state
-    return _density(state)
+    """The config's state for one fidelity kind, as ``kind_state`` takes it."""
+    state = cfg.ensemble() if kind == "average" else cfg.state()
+    try:
+        return kind_state(kind, state)
+    except ValueError as exc:
+        raise ConfigError("fidelity_kind", str(exc)) from exc
 
 
 def _closed_form_c2(cfg: ScenarioConfig, kind: str) -> float:
     """Variance-form coefficient on the explicitly built discrete model."""
     n_max = resolve_n_max(cfg.modes, cfg.lattice.n_qubits, cfg.n_max, dimension_cap())
     model = build_hamiltonian(cfg.lattice, cfg.modes, n_max)
-    rho_env = model.thermal_env_state()
-    c2_fn = {"io": input_output_c2, "average": average_c2}.get(kind, entanglement_c2)
-    return c2_fn(_kind_state(cfg, kind), model.h_i, rho_env).c2
-
-
-def _factorized_c2(cfg: ScenarioConfig, kind: str, omega2) -> float:
-    state = _kind_state(cfg, kind)
-    if kind == "average":
-        return sum(p * rate_from_correlation(cfg.lattice, omega2, psi.projector())
-                   for p, psi in state.members)
-    return rate_from_correlation(cfg.lattice, omega2, _density(state))
+    return closed_form_c2(kind, _kind_state(cfg, kind), model.h_i, model.thermal_env_state())
 
 
 def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
@@ -146,7 +131,7 @@ def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
             c2 = _closed_form_c2(cfg, kind)
             method = "closed-form"
         else:
-            c2 = _factorized_c2(cfg, kind, omega2)
+            c2 = factorized_c2(kind, _kind_state(cfg, kind), cfg.lattice, omega2)
             method = "factorized"
         rows.append({"scenario_id": cfg.name, "kind": kind, "c2": c2,
                      "tau2": _tau2(c2), "method": method})

@@ -5,6 +5,12 @@ with ``c1 = 0`` exactly; ``c2`` is the coupling variance form evaluated
 against the appropriate system mean, and plays the role of a squared damping
 rate (``tau2 = c2**-0.5``).  Coefficients are stored as damping coefficients
 rather than characteristic times so vanishing rates stay representable.
+
+The kinds (io, entanglement, average) differ only in the state they act on
+and how they average over it.  The kind table below holds those rules, and
+only it: ``kind_state``, ``kind_members``, ``closed_form_c2`` and
+``factorized_c2``.  Any other kind name, such as ``factorized-rate``, reads
+as entanglement.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import QubitLattice, rate_from_correlation
 from .operators import (
     DenseOperator,
     Ket,
@@ -111,6 +118,39 @@ def average_c2(ensemble: Ensemble, h_i: DenseOperator, rho_env: DenseOperator) -
         b = np.einsum("u,uesf,s->ef", amp.conj(), h4, amp)
         msq += p * float(np.sum((rho_env.matrix @ b) * b.T).real)
     return ExpansionCoefficients(0.0, _clamped_c2(m2 - msq))
+
+
+def _density(state) -> DenseOperator:
+    return state.projector() if isinstance(state, Ket) else state
+
+
+_ACCEPTS = {"io": (Ket, "a pure state"), "average": (Ensemble, "an ensemble")}
+
+
+def kind_state(kind: str, state):
+    """What a kind acts on: io a ``Ket`` and average an ``Ensemble``, as is;
+    entanglement a ``Ket`` or a density, as the density.  Else ValueError."""
+    accepts, what = _ACCEPTS.get(kind, ((Ket, DenseOperator), "a pure state or a density"))
+    if not isinstance(state, accepts):
+        raise ValueError(f"the {kind} fidelity needs {what}")
+    return state if kind in _ACCEPTS else _density(state)
+
+
+def kind_members(kind: str, state) -> tuple:
+    """The weighted inputs ``(p, state)`` the oracle purifies: the ensemble's members, or the state as given."""
+    kind_state(kind, state)
+    return state.members if kind == "average" else ((1.0, state),)
+
+
+def closed_form_c2(kind: str, state, h_i: DenseOperator, rho_env: DenseOperator) -> float:
+    """The kind's variance-form damping coefficient."""
+    c2 = {"io": input_output_c2, "average": average_c2}.get(kind, entanglement_c2)
+    return c2(kind_state(kind, state), h_i, rho_env).c2
+
+
+def factorized_c2(kind: str, state, lattice: QubitLattice, omega2) -> float:
+    """The members' weighted factorized rates under the spatial correlation ``omega2``."""
+    return sum(p * rate_from_correlation(lattice, omega2, _density(psi)) for p, psi in kind_members(kind, state))
 
 
 @dataclass(frozen=True)

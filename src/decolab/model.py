@@ -35,11 +35,11 @@ from .operators import (
     kron_all,
     pauli,
     thermal_boson_state,
+    VARIANCE_NEGATIVE_ERROR,
 )
 
 MODE_MATCH_RTOL = 1e-12
 COVARIANCE_IMAG_ATOL = 1e-10
-RATE_NEGATIVE_ERROR = -1e-9
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def _rate_sum(coords: Sequence[float], cov: np.ndarray, omega2: Callable[[float]
         for j, rj in enumerate(coords):
             rate += omega2(ri - rj) * cov[i, j]
     rate = 0.5 * float(rate)  # Omega^2 is twice the per-site thermal weight
-    if rate < RATE_NEGATIVE_ERROR:
+    if rate < VARIANCE_NEGATIVE_ERROR:  # the factorized rate is the variance form
         raise ValueError(f"decoherence rate is negative beyond rounding noise: {rate:.3e}")
     return max(rate, 0.0)
 

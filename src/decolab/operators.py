@@ -22,9 +22,13 @@ KET_NORM_ATOL = 1e-12
 # positivity check is skipped (constructions preserve it mathematically)
 SPECTRUM_CHECK_MAX_DIM = 512
 
+# the floor below which a damping coefficient or a factorized rate is an error, not rounding
 VARIANCE_NEGATIVE_ERROR = -1e-9
 
-DEFAULT_TAIL_WEIGHT = 1e-10
+# the truncation policy: the Gibbs weight left beyond n_max stays below this
+TAIL_WEIGHT_TARGET = 1e-10
+N_MAX_FLOOR = 2
+CONJUGATION_TRACE_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,27 +81,21 @@ class DenseOperator:
         object.__setattr__(self, "matrix", _as_complex_matrix(self.matrix, self.space.dim))
 
     @classmethod
-    def hermitian_op(cls, space: HilbertSpace, matrix, atol: float = HERMITIAN_ATOL) -> "DenseOperator":
+    def hermitian_op(cls, space: HilbertSpace, matrix) -> "DenseOperator":
         m = _as_complex_matrix(matrix, space.dim)
         dev = np.abs(m - m.conj().T).max()
-        if dev > atol:
+        if dev > HERMITIAN_ATOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         return cls(space, m, hermitian=True)
 
     @classmethod
-    def density_op(
-        cls,
-        space: HilbertSpace,
-        matrix,
-        atol: float = DENSITY_TRACE_ATOL,
-        check_spectrum: bool | None = None,
-    ) -> "DenseOperator":
+    def density_op(cls, space: HilbertSpace, matrix, check_spectrum: bool | None = None) -> "DenseOperator":
         m = _as_complex_matrix(matrix, space.dim)
         dev = np.abs(m - m.conj().T).max()
         if dev > HERMITIAN_ATOL:
             raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
         tr = np.trace(m)
-        if abs(tr - 1.0) > atol:
+        if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
         if check_spectrum is None:
             check_spectrum = space.dim <= SPECTRUM_CHECK_MAX_DIM
@@ -200,11 +198,11 @@ def herm_propagator(h: DenseOperator, t: float) -> DenseOperator:
     return DenseOperator(h.space, u)
 
 
-def conjugate_density(u: DenseOperator, rho: DenseOperator, trace_atol: float = 1e-10) -> DenseOperator:
+def conjugate_density(u: DenseOperator, rho: DenseOperator) -> DenseOperator:
     """u rho u^dagger, guarding trace preservation."""
     m = u.matrix @ rho.matrix @ u.matrix.conj().T
     tr = np.trace(m)
-    if abs(tr - 1.0) > trace_atol:
+    if abs(tr - 1.0) > CONJUGATION_TRACE_ATOL:
         raise ValueError(f"conjugation did not preserve the trace (got {tr})")
     # renormalize rounding residue and symmetrize so the density flag is honest
     m = 0.5 * (m + m.conj().T) / tr.real
@@ -244,13 +242,12 @@ def gibbs_tail_weight(omega: float, temperature: float, n_max: int) -> float:
     return r ** (n_max + 1)
 
 
-def n_max_for_tail(omega: float, temperature: float,
-                   tail: float = DEFAULT_TAIL_WEIGHT, floor: int = 2) -> int:
-    """Smallest truncation level whose untruncated tail weight is below ``tail``."""
+def n_max_for_tail(omega: float, temperature: float, tail: float = TAIL_WEIGHT_TARGET) -> int:
+    """Smallest truncation level, at least N_MAX_FLOOR, whose untruncated tail weight is below ``tail``."""
     if temperature == 0.0:
-        return floor
+        return N_MAX_FLOOR
     n = math.ceil(math.log(tail) / (-omega / temperature)) - 1
-    return max(floor, n)
+    return max(N_MAX_FLOOR, n)
 
 
 def boson_ops(n_max: int) -> tuple[DenseOperator, DenseOperator, DenseOperator]:

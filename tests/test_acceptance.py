@@ -41,7 +41,7 @@ from decolab.suites import (
     inequality_tasks,
     quick_tasks,
 )
-from decolab.oracle import fidelity_curve_ent, fidelity_curve_io
+from decolab.oracle import fidelity_curve
 
 DIM_CAP = 4096
 
@@ -71,7 +71,7 @@ def test_criterion_01_first_order_vanishes(grid_reports):
     modes = BathModeSet((BathMode(0.0, 1.0, 0.0),), 0.0)
     model = build_hamiltonian(lattice, modes, 2)
     times = np.linspace(0.0, 2.0, 9)
-    curve = fidelity_curve_io(model, ground_ket(1), model.thermal_env_state(), times)
+    curve = fidelity_curve(model, "io", ground_ket(1), model.thermal_env_state(), times)
     flat_dev = np.abs(curve.values - 1.0).max()
     _report(1, "first-order vanishing", flat_dev < 1e-12,
             f"(worst c1 fraction {worst:.2e}, flat deviation {flat_dev:.2e})")
@@ -95,7 +95,7 @@ def test_criterion_02_second_order_closed_form(grid_reports):
 def test_criterion_03_factorization_identity():
     worst = 0.0
     for L, K, t_ratio in FACTORIZATION_COMBOS:
-        _, run = _factorization_task(L, K, t_ratio, DIM_CAP)
+        _, run = _factorization_task(L, K, t_ratio)
         row = run()
         assert row["pass"], row["scenario"]
         worst = max(worst, row["rel_err"])
@@ -110,7 +110,7 @@ def test_criterion_03_factorization_identity():
 
 
 def test_criterion_04_rate_inequality():
-    rows = [run() for _, run in inequality_tasks(0, DIM_CAP, count=1000)]
+    rows = [run() for _, run in inequality_tasks(0, DIM_CAP)]
     holds = all(r["pass"] for r in rows)
     strict = any(r["c2_analytic"] > 0 and r["c2_analytic"] >= 10 * r["c2_fitted"] for r in rows)
     _report(4, "rate inequality", holds and strict,
@@ -195,12 +195,12 @@ def test_criterion_09_purification_independence():
     env = model.thermal_env_state()
     rho_s = maximally_mixed_density(1)
     times = np.linspace(0.0, 0.6, 9)
-    base = fidelity_curve_ent(model, rho_s, env, times)
+    base = fidelity_curve(model, "entanglement", rho_s, env, times)
     rng = Xoshiro256pp(0)
     worst = 0.0
     for _ in range(20):
         u = random_unitary_matrix(rng, 2)
-        rotated = fidelity_curve_ent(model, rho_s, env, times, ancilla_unitary=u)
+        rotated = fidelity_curve(model, "entanglement", rho_s, env, times, ancilla_unitary=u)
         worst = max(worst, np.abs(rotated.values - base.values).max())
     _report(9, "purification independence", worst < 1e-10, f"(worst pointwise dev {worst:.1e})")
 

@@ -13,9 +13,7 @@ from decolab.oracle import (
     Scenario,
     estimate_c2,
     evolve_exact,
-    fidelity_curve_avg,
-    fidelity_curve_ent,
-    fidelity_curve_io,
+    fidelity_curve,
     verify_expansion,
 )
 from decolab.rng import Xoshiro256pp, random_unitary_matrix
@@ -56,14 +54,14 @@ def test_evolve_exact_preserves_spectrum():
 def test_io_curve_flat_without_coupling():
     model, env = single_qubit_model(g=0.0)
     times = np.linspace(0.0, 2.0, 9)
-    curve = fidelity_curve_io(model, plus_all_ket(1), env, times)
+    curve = fidelity_curve(model, "io", plus_all_ket(1), env, times)
     assert np.abs(curve.values - 1.0).max() < 1e-12
 
 
 def test_io_curve_matches_closed_form_quadratic():
     model, env = single_qubit_model()
     times = np.linspace(0.0, 0.4, 9)
-    curve = fidelity_curve_io(model, ground_ket(1), env, times)
+    curve = fidelity_curve(model, "io", ground_ket(1), env, times)
     assert np.all(curve.values <= 1.0 + 1e-9) and np.all(curve.values >= 0.0)
     expected = 1.0 - G * G * times ** 2
     assert np.abs(curve.values - expected).max() < 2e-5
@@ -74,7 +72,7 @@ def test_io_curve_agrees_with_dense_evolution():
     model, env = single_qubit_model(temperature=0.7, n_max=6)
     psi = plus_all_ket(1)
     times = np.linspace(0.0, 0.8, 5)
-    curve = fidelity_curve_io(model, psi, env, times)
+    curve = fidelity_curve(model, "io", psi, env, times)
     from decolab.operators import partial_trace
 
     sys_dim = 2
@@ -91,8 +89,8 @@ def test_io_curve_agrees_with_dense_evolution():
 def test_entanglement_curve_pure_state_equals_io():
     model, env = single_qubit_model(temperature=0.5)
     times = np.linspace(0.0, 0.6, 9)
-    io = fidelity_curve_io(model, ground_ket(1), env, times)
-    ent = fidelity_curve_ent(model, ground_ket(1).projector(), env, times)
+    io = fidelity_curve(model, "io", ground_ket(1), env, times)
+    ent = fidelity_curve(model, "entanglement", ground_ket(1).projector(), env, times)
     assert np.abs(io.values - ent.values).max() < 1e-12
 
 
@@ -100,11 +98,11 @@ def test_entanglement_curve_purification_invariance():
     model, env = single_qubit_model(temperature=0.5)
     rho_s = maximally_mixed_density(1)
     times = np.linspace(0.0, 0.6, 9)
-    base = fidelity_curve_ent(model, rho_s, env, times)
+    base = fidelity_curve(model, "entanglement", rho_s, env, times)
     rng = Xoshiro256pp(2024)
     for _ in range(20):
         u = random_unitary_matrix(rng, 2)
-        rotated = fidelity_curve_ent(model, rho_s, env, times, ancilla_unitary=u)
+        rotated = fidelity_curve(model, "entanglement", rho_s, env, times, ancilla_unitary=u)
         assert np.abs(rotated.values - base.values).max() < 1e-10
 
 
@@ -120,8 +118,8 @@ def test_average_curve_singleton_equals_io():
     model, env = single_qubit_model(temperature=0.5)
     times = np.linspace(0.0, 0.6, 9)
     psi = plus_all_ket(1)
-    avg = fidelity_curve_avg(model, Ensemble(((1.0, psi),)), env, times)
-    io = fidelity_curve_io(model, psi, env, times)
+    avg = fidelity_curve(model, "average", Ensemble(((1.0, psi),)), env, times)
+    io = fidelity_curve(model, "io", psi, env, times)
     assert np.abs(avg.values - io.values).max() < 1e-14
 
 
@@ -134,6 +132,18 @@ def test_average_curve_eigenstate_mixture_flat_to_quartic():
     rep = verify_expansion(sc)
     assert rep.passed
     assert abs(rep.c2_fitted) < 1e-4 * (2 * G * G)
+
+
+@pytest.mark.parametrize("kind, state", [
+    ("io", maximally_mixed_density(1)),
+    ("average", ground_ket(1)),
+    ("entanglement", Ensemble(((1.0, ground_ket(1)),))),
+])
+def test_scenario_rejects_a_state_its_kind_cannot_take(kind, state):
+    lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
+    modes = BathModeSet((BathMode(0.0, 1.0, G),), 0.0)
+    with pytest.raises(ValueError, match=f"the {kind} fidelity needs"):
+        Scenario("mismatch", kind, lattice, modes, state)
 
 
 def test_fitted_ordering_entanglement_vs_average():
@@ -310,7 +320,7 @@ def test_entanglement_curve_matches_dense_evolution(rank):
     u = random_unitary_matrix(rng, 4)
     times = np.linspace(0.0, 2.5, 6)
     for unitary in (None, u):
-        curve = fidelity_curve_ent(model, rho_s, env, times, ancilla_unitary=unitary)
+        curve = fidelity_curve(model, "entanglement", rho_s, env, times, ancilla_unitary=unitary)
         ref = [_reference_entanglement(model, env, rho_s, t, unitary) for t in times]
         assert np.abs(curve.values - ref).max() < 1e-12
     assert curve.values[-1] < 0.99  # the dynamics is far from trivial on this window
@@ -326,13 +336,13 @@ def test_io_and_average_curves_match_dense_evolution():
     amp = rng.complex_normals(4)
     psi = Ket(space, amp / np.linalg.norm(amp))
     for ket in (psi, ghz_ket(2)):  # full support, and support on 2 of 4 basis entries
-        io = fidelity_curve_io(model, ket, env, times)
+        io = fidelity_curve(model, "io", ket, env, times)
         assert np.abs(io.values - [_reference_io(model, env, ket, t) for t in times]).max() < 1e-12
-        ent = fidelity_curve_ent(model, ket.projector(), env, times)
+        ent = fidelity_curve(model, "entanglement", ket.projector(), env, times)
         assert np.abs(ent.values - io.values).max() < 1e-12
     members = tuple((p, Ket(space, amp))
                     for p, amp in random_decomposition(rng, random_density_matrix(rng, 4, rank=3), 5))
-    avg = fidelity_curve_avg(model, Ensemble(members), env, times)
+    avg = fidelity_curve(model, "average", Ensemble(members), env, times)
     ref = [sum(p * _reference_io(model, env, m, t) for p, m in members) for t in times]
     assert np.abs(avg.values - ref).max() < 1e-12
 
@@ -391,9 +401,9 @@ def test_time_batches_agree_with_single_time_steps(monkeypatch):
     model, env = _two_qubit_thermal_model()
     rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(Xoshiro256pp(5), 4))
     times = np.linspace(0.0, 2.5, 9)
-    batched = fidelity_curve_ent(model, rho_s, env, times)
+    batched = fidelity_curve(model, "entanglement", rho_s, env, times)
     monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 1)  # one time per dense product
-    single = fidelity_curve_ent(model, rho_s, env, times)
+    single = fidelity_curve(model, "entanglement", rho_s, env, times)
     assert np.abs(batched.values - single.values).max() < 1e-14
 
 
@@ -464,16 +474,16 @@ def test_sector_curves_match_dense_evolution_on_mirror_modes():
     single = ghz_ket(2)
     mixed = (plus_all_ket(2), pair_encode(ground_ket(1), model.lattice))
     for ket in (single, *mixed):
-        io = fidelity_curve_io(model, ket, env, times)
+        io = fidelity_curve(model, "io", ket, env, times)
         assert np.abs(io.values - [_reference_io(model, env, ket, t) for t in times]).max() < 1e-12
     rng = Xoshiro256pp(11)
     rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(rng, 4, rank=4))
     for unitary in (None, random_unitary_matrix(rng, 4)):
-        ent = fidelity_curve_ent(model, rho_s, env, times, ancilla_unitary=unitary)
+        ent = fidelity_curve(model, "entanglement", rho_s, env, times, ancilla_unitary=unitary)
         ref = [_reference_entanglement(model, env, rho_s, t, unitary) for t in times]
         assert np.abs(ent.values - ref).max() < 1e-12
     ensemble = computational_ensemble(2)
-    avg = fidelity_curve_avg(model, ensemble, env, times)
+    avg = fidelity_curve(model, "average", ensemble, env, times)
     ref = [sum(p * _reference_io(model, env, m, t) for p, m in ensemble.members) for t in times]
     assert np.abs(avg.values - ref).max() < 1e-12
     assert avg.values[-1] < 0.999  # the window sees real decay
