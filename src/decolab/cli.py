@@ -20,7 +20,7 @@ import sys
 from .config import (
     ScenarioConfig,
     SweepSpec,
-    dimension_cap,
+    dimension_cap,  # noqa: F401  (perfbench's set-up child reads the cap as cli.dimension_cap)
     load_config,
     parse_config,
     set_config_path,
@@ -28,7 +28,7 @@ from .config import (
 from .errors import ConfigError, ConvergenceError
 from .fidelity import C2_ZERO_FLOOR, closed_form_c2, factorized_c2, kind_state
 from .model import build_hamiltonian, correlation_fn_discrete
-from .oracle import ModelMemo, Scenario, resolve_n_max, verify_expansion
+from .oracle import Scenario, resolve_n_max
 from .spectral import (
     classify_regime,
     gaussian_correlation,
@@ -38,7 +38,7 @@ from .spectral import (
     ohmic_spectrum_moments,
     spectrum_moments,
 )
-from .suites import SUITE_NAMES, _verify_row, suite_tasks
+from .suites import SUITE_NAMES, _verify_tasks, suite_tasks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,7 +118,7 @@ def _kind_state(cfg: ScenarioConfig, kind: str):
 
 def _closed_form_c2(cfg: ScenarioConfig, kind: str) -> float:
     """Variance-form coefficient on the explicitly built discrete model."""
-    n_max = resolve_n_max(cfg.modes, cfg.lattice.n_qubits, cfg.n_max, dimension_cap())
+    n_max = resolve_n_max(cfg.modes, cfg.lattice.n_qubits, cfg.n_max)
     model = build_hamiltonian(cfg.lattice, cfg.modes, n_max)
     return closed_form_c2(kind, _kind_state(cfg, kind), model.h_i, model.thermal_env_state())
 
@@ -168,14 +168,12 @@ def cmd_regime(cfg: ScenarioConfig, d_values: list[float]) -> list[dict]:
 
 def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> list[dict]:
     if suite is not None:
-        return [run() for _, run in suite_tasks(suite, seed, dimension_cap())]
+        return [run() for _, run in suite_tasks(suite, seed)]
     if cfg.bath_kind != "discrete":
         raise ConfigError("bath", "verify needs a discrete bath (the oracle evolves explicit modes)")
-    scenarios = [Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.modes,
-                          _kind_state(cfg, kind), cfg.n_max, dimension_cap())
+    scenarios = [Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.modes, _kind_state(cfg, kind), cfg.n_max)
                  for kind in cfg.fidelity_kinds]
-    memo = ModelMemo(scenarios)
-    return [_verify_row(verify_expansion(scenario, memo=memo)) for scenario in scenarios]
+    return [run() for _, run in _verify_tasks(scenarios)]
 
 
 def _sweep_point_config(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> tuple[ScenarioConfig, float | None]:
@@ -184,11 +182,11 @@ def _sweep_point_config(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> t
         raw = dict(cfg.raw)
         raw["qubits"] = [{"position": i * value} for i in range(cfg.lattice.n_qubits)]
         return parse_config(raw), value
-    if spec.parameter == "temperature":
-        path = f"bath.{cfg.bath_kind}.temperature"
+    if spec.parameter == "temperature":  # the key is optional: set it whether or not it is present
+        bath = {cfg.bath_kind: {**cfg.raw["bath"][cfg.bath_kind], "temperature": value}}
+        point = parse_config({**cfg.raw, "bath": bath})
     else:
-        path = spec.parameter
-    point = parse_config(set_config_path(cfg.raw, path, value))
+        point = parse_config(set_config_path(cfg.raw, spec.parameter, value))
     spacing = None
     if point.lattice.n_qubits >= 2:
         spacing = point.lattice.positions[1] - point.lattice.positions[0]
@@ -222,6 +220,8 @@ def cmd_sweep(cfg: ScenarioConfig) -> tuple[list[dict], tuple[str, ...]]:
     if cfg.sweep is None:
         raise ConfigError("sweep", "missing sweep specification")
     spec = cfg.sweep
+    if spec.parameter == "temperature" and cfg.bath_kind == "gaussian":
+        raise ConfigError("sweep.parameter", "a gaussian bath has no temperature to sweep")
     if spec.parameter not in ("d", "temperature"):
         set_config_path(cfg.raw, spec.parameter, 0.0)  # validate the path exists up front
     columns = (spec.parameter, *spec.columns, "error")

@@ -185,11 +185,7 @@ class ModelHamiltonian:
 
     def h0_system_diagonal(self) -> np.ndarray:
         """Diagonal of the free qubit Hamiltonian on the system space alone."""
-        diag = np.zeros(2 ** self.lattice.n_qubits)
-        for l, w0 in enumerate(self.lattice.h0_splittings):
-            sz = embed(pauli("z"), l, self.lattice.qubit_space())
-            diag += 0.5 * w0 * np.diagonal(sz.matrix).real
-        return diag
+        return np.diagonal(self.h0.matrix).real[::self.env_space().dim].copy()
 
     def parity(self) -> np.ndarray:
         """(popcount(s) + sum_k n_k) mod 2 for each basis index (s, e) of ``space``.

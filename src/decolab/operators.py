@@ -242,11 +242,11 @@ def gibbs_tail_weight(omega: float, temperature: float, n_max: int) -> float:
     return r ** (n_max + 1)
 
 
-def n_max_for_tail(omega: float, temperature: float, tail: float = TAIL_WEIGHT_TARGET) -> int:
-    """Smallest truncation level, at least N_MAX_FLOOR, whose untruncated tail weight is below ``tail``."""
+def n_max_for_tail(omega: float, temperature: float) -> int:
+    """Smallest level, at least N_MAX_FLOOR, whose untruncated tail weight is below TAIL_WEIGHT_TARGET."""
     if temperature == 0.0:
         return N_MAX_FLOOR
-    n = math.ceil(math.log(tail) / (-omega / temperature)) - 1
+    n = math.ceil(math.log(TAIL_WEIGHT_TARGET) / (-omega / temperature)) - 1
     return max(N_MAX_FLOOR, n)
 
 

@@ -4,6 +4,8 @@ The full system x environment state is evolved exactly, the three fidelity
 definitions are evaluated directly (``fidelity_curve``), and a short-time
 quartic fit extracts the numerical (c1, c2) for comparison against the closed
 forms.  What depends on the kind comes from the kind table in ``fidelity``.
+``resolve_n_max`` is the truncation rule for every model: a requested level,
+or else the tail-weight policy ``tail_n_max``, guarded by the dimension cap.
 
 All three fidelities go through one core.  Each input is a weighted set of
 purifications (the kind's members: io one ancilla row; entanglement the
@@ -29,12 +31,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_DIM_CAP, FIDELITY_KINDS
+from .config import FIDELITY_KINDS, dimension_cap
 from .errors import ConvergenceError
 from .fidelity import closed_form_c2, coupling_moments, kind_members, kind_state
 from .model import (
@@ -394,7 +396,6 @@ class Scenario:
     modes: BathModeSet
     state: object  # Ket | DenseOperator | Ensemble, matching the kind
     n_max: int | None = None
-    dim_cap: int = DEFAULT_DIM_CAP
 
     VALID_KINDS = FIDELITY_KINDS + ("factorized-rate",)
 
@@ -422,18 +423,20 @@ class VerifyReport:
     passed: bool
 
 
-def resolve_n_max(modes: BathModeSet, n_qubits: int, requested: int | None,
-                  dim_cap: int = DEFAULT_DIM_CAP) -> int:
-    """Truncation level from the tail-weight policy, guarded by the dimension cap.
+def tail_n_max(modes: BathModeSet) -> int:
+    """The tail-weight policy's level: every mode's Gibbs tail beyond it is below TAIL_WEIGHT_TARGET."""
+    return max(n_max_for_tail(m.omega, modes.temperature) for m in modes.modes)
+
+
+def resolve_n_max(modes: BathModeSet, n_qubits: int, requested: int | None) -> int:
+    """The truncation rule: the requested level, or else ``tail_n_max``, guarded by ``dimension_cap()``.
 
     An explicit request is honored as long as it fits.  A policy-derived level
     that does not fit is an error rather than a silent under-truncation: the
     closed forms are only tail-converged at the policy level.
     """
-    if requested is not None:
-        n = int(requested)
-    else:
-        n = max(n_max_for_tail(m.omega, modes.temperature) for m in modes.modes)
+    dim_cap = dimension_cap()
+    n = tail_n_max(modes) if requested is None else int(requested)
     dim = (2 ** n_qubits) * (n + 1) ** modes.n_modes
     if dim > dim_cap:
         what = f"requested n_max={n}" if requested is not None else \
@@ -473,7 +476,7 @@ class ModelMemo:
     """
 
     def __init__(self, scenarios: Sequence[Scenario] = ()):
-        self._uses = Counter((s.lattice, s.modes, resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max, s.dim_cap))
+        self._uses = Counter((s.lattice, s.modes, resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max))
                              for s in scenarios)
         self._runs: dict[tuple, tuple] = {}
 
@@ -510,11 +513,7 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False,
         memo = ModelMemo()
     result = _verify_once(scenario, memo)
     if check_convergence:
-        doubled = Scenario(
-            scenario.name, scenario.kind, scenario.lattice, scenario.modes,
-            scenario.state, n_max=2 * result.n_max, dim_cap=scenario.dim_cap,
-        )
-        again = _verify_once(doubled, memo)
+        again = _verify_once(replace(scenario, n_max=2 * result.n_max), memo)
         denom = max(abs(result.c2_fitted), abs(again.c2_fitted), 1e-14)
         shift = abs(again.c2_fitted - result.c2_fitted) / denom
         if shift > 1e-8:
@@ -525,7 +524,7 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False,
 
 
 def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
-    n_max = resolve_n_max(scenario.modes, scenario.lattice.n_qubits, scenario.n_max, scenario.dim_cap)
+    n_max = resolve_n_max(scenario.modes, scenario.lattice.n_qubits, scenario.n_max)
     model, rho_env, scale, prop = memo.get(scenario.lattice, scenario.modes, n_max)
     tail = _worst_tail(scenario.modes, n_max)
     c2_model = float(closed_form_c2(scenario.kind, scenario.state, model.h_i, rho_env))

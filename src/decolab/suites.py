@@ -5,7 +5,9 @@ Each suite is a list of named zero-argument tasks returning one report row
 deterministically from the seed up front, so they can run in any order and
 still produce identical rows in the listed order.  The tasks of one ``quick``
 or ``full`` list share a ``ModelMemo``, so scenarios on the same truncated
-model reuse its Hamiltonian and eigendecomposition.
+model reuse its Hamiltonian and eigendecomposition.  Every truncation level
+comes from ``oracle.resolve_n_max``; the grid only lowers the tail policy's
+level further through ``GRID_NMAX_CAP``.
 
 Row semantics per suite:
 
@@ -20,7 +22,6 @@ Row semantics per suite:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +45,8 @@ from .operators import (
     n_max_for_tail,
     thermal_boson_state,
 )
-from .oracle import FACTORIZATION_REL_TOL, ModelMemo, Scenario, VerifyReport, verify_expansion
+from .oracle import (FACTORIZATION_REL_TOL, ModelMemo, Scenario, VerifyReport, resolve_n_max, tail_n_max,
+                     verify_expansion)
 from .rng import Xoshiro256pp, random_decomposition, random_density_matrix, random_hermitian_matrix
 from .states import (
     computational_ensemble,
@@ -86,9 +88,8 @@ def _grid_modes(K: int, temperature: float) -> BathModeSet:
     return BathModeSet.symmetric(pairs, temperature)
 
 
-def _grid_n_max(modes: BathModeSet, K: int) -> int:
-    policy = max(n_max_for_tail(m.omega, modes.temperature) for m in modes.modes)
-    return min(policy, GRID_NMAX_CAP[K])
+def _grid_n_max(modes: BathModeSet) -> int:
+    return min(tail_n_max(modes), GRID_NMAX_CAP[modes.n_modes])
 
 
 def _verify_row(report: VerifyReport) -> dict:
@@ -101,39 +102,38 @@ def _verify_row(report: VerifyReport) -> dict:
     }
 
 
-def _verify_tasks(scenarios: list[Scenario], dim_cap: int, checked: tuple[str, ...] = ()) -> list[Task]:
-    """One task per scenario at the run's dimension cap, all sharing one ModelMemo.
+def _verify_tasks(scenarios: list[Scenario], checked: tuple[str, ...] = ()) -> list[Task]:
+    """One task per scenario, all sharing one ModelMemo.
 
     Scenarios named in ``checked`` also re-run the fit at doubled n_max.
     """
-    capped = [replace(s, dim_cap=dim_cap) for s in scenarios]
-    memo = ModelMemo(capped)
+    memo = ModelMemo(scenarios)
 
     def task(sc: Scenario) -> Task:
         return sc.name, lambda: _verify_row(verify_expansion(sc, sc.name in checked, memo))
 
-    return [task(sc) for sc in capped]
+    return [task(sc) for sc in scenarios]
 
 
-def _grid_scenarios(dim_cap: int) -> list[Scenario]:
+def _grid_scenarios() -> list[Scenario]:
     scenarios = []
     for L in GRID_L:
         lattice = _grid_lattice(L)
         for K in GRID_K:
             for t_ratio in GRID_T:
                 modes = _grid_modes(K, t_ratio)
-                n_max = _grid_n_max(modes, K)
+                n_max = _grid_n_max(modes)
                 tag = f"grid-L{L}-K{K}-T{t_ratio:g}"
                 pure = [("ground", ground_ket(L)), ("plus_all", plus_all_ket(L))]
                 if L >= 2:
                     pure.append(("ghz", ghz_ket(L)))
                     pure.append(("encoded", pair_encode(ground_ket(L // 2), lattice)))
                 for label, ket in pure:
-                    scenarios.append(Scenario(f"{tag}-{label}", "io", lattice, modes, ket, n_max, dim_cap))
+                    scenarios.append(Scenario(f"{tag}-{label}", "io", lattice, modes, ket, n_max))
                 scenarios.append(Scenario(f"{tag}-maximally_mixed", "entanglement", lattice, modes,
-                                          maximally_mixed_density(L), n_max, dim_cap))
+                                          maximally_mixed_density(L), n_max))
                 scenarios.append(Scenario(f"{tag}-average", "average", lattice, modes,
-                                          computational_ensemble(L), n_max, dim_cap))
+                                          computational_ensemble(L), n_max))
     return scenarios
 
 
@@ -153,8 +153,7 @@ def _factorization_task(L: int, K: int, t_ratio: float) -> Task:
     def run() -> dict:
         lattice = _grid_lattice(L)
         modes = _grid_modes(K, t_ratio)
-        n_max = max(n_max_for_tail(m.omega, modes.temperature) for m in modes.modes)
-        model = build_hamiltonian(lattice, modes, n_max)
+        model = build_hamiltonian(lattice, modes, resolve_n_max(modes, L, None))
         rho_s = maximally_mixed_density(L) if L == 1 else ghz_ket(L).projector()
         rate = decoherence_rate(lattice, modes, rho_s)
         vf = entanglement_c2(rho_s, model.h_i, model.thermal_env_state()).c2
@@ -165,7 +164,7 @@ def _factorization_task(L: int, K: int, t_ratio: float) -> Task:
     return name, run
 
 
-def quick_tasks(seed: int, dim_cap: int) -> list[Task]:
+def quick_tasks() -> list[Task]:
     lat1 = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
     lat2 = _grid_lattice(2)
     vacuum1 = BathModeSet((BathMode(0.0, 1.0, 0.05),), 0.0)
@@ -182,22 +181,22 @@ def quick_tasks(seed: int, dim_cap: int) -> list[Task]:
         Scenario("quick-avg-eigenstates", "average", lat1, vacuum1,
                  Ensemble(((0.5, plus), (0.5, minus)))),
         Scenario("quick-avg-basis-thermal", "average", lat1, warm1, computational_ensemble(1)),
-        Scenario("quick-io-ghz", "io", lat2, cold2, ghz_ket(2), _grid_n_max(cold2, 2)),
+        Scenario("quick-io-ghz", "io", lat2, cold2, ghz_ket(2), _grid_n_max(cold2)),
         Scenario("quick-factorized-hot", "factorized-rate", lat2, hot1, maximally_mixed_density(2)),
         Scenario("quick-io-encoded", "io", lat2, vacuum1, pair_encode(ground_ket(1), lat2)),
     ]
-    return _verify_tasks(scenarios, dim_cap)
+    return _verify_tasks(scenarios)
 
 
-def full_tasks(seed: int, dim_cap: int) -> list[Task]:
-    grid = _grid_scenarios(dim_cap)
+def full_tasks() -> list[Task]:
+    grid = _grid_scenarios()
     # thermal K=4 corner: full-stack factorized-rate at fit tolerance
     stack = Scenario("full-stack-L2-K4-thermal", "factorized-rate", _grid_lattice(2), _grid_modes(4, 0.5),
                      ghz_ket(2).projector(), n_max=3)
     # truncation convergence gate on a tail-converged scenario
     gate = Scenario("convergence-gate-L1-K1-warm", "entanglement", QubitLattice((0.0,), 1.0, 0.5, (1.0,)),
                     BathModeSet((BathMode(0.0, 1.0, 0.05),), 0.5), maximally_mixed_density(1))
-    verify = _verify_tasks(grid + [stack, gate], dim_cap, checked=(gate.name,))
+    verify = _verify_tasks(grid + [stack, gate], checked=(gate.name,))
     factorization = [_factorization_task(L, K, t) for L, K, t in FACTORIZATION_COMBOS]
     return verify[:len(grid)] + factorization + verify[len(grid):]
 
@@ -231,7 +230,7 @@ def _inequality_instance(rng: Xoshiro256pp, index: int) -> Task:
     return name, run
 
 
-def inequality_tasks(seed: int, dim_cap: int) -> list[Task]:
+def inequality_tasks(seed: int) -> list[Task]:
     g = 0.05
     space = HilbertSpace((2,))
     plus = Ket(space, np.array([1.0, 1.0]) / math.sqrt(2.0))
@@ -256,7 +255,7 @@ def inequality_tasks(seed: int, dim_cap: int) -> list[Task]:
     return tasks
 
 
-def encoding_tasks(seed: int, dim_cap: int) -> list[Task]:
+def encoding_tasks() -> list[Task]:
     lam = (1.0, 0.5)
     a2 = lam[0] ** 2 + lam[1] ** 2
     x = 1.0
@@ -332,13 +331,13 @@ def encoding_tasks(seed: int, dim_cap: int) -> list[Task]:
     ]
 
 
-def suite_tasks(name: str, seed: int, dim_cap: int) -> list[Task]:
+def suite_tasks(name: str, seed: int) -> list[Task]:
     if name == "quick":
-        return quick_tasks(seed, dim_cap)
+        return quick_tasks()
     if name == "full":
-        return full_tasks(seed, dim_cap)
+        return full_tasks()
     if name == "inequality":
-        return inequality_tasks(seed, dim_cap)
+        return inequality_tasks(seed)
     if name == "encoding":
-        return encoding_tasks(seed, dim_cap)
+        return encoding_tasks()
     raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")

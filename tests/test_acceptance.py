@@ -43,8 +43,6 @@ from decolab.suites import (
 )
 from decolab.oracle import fidelity_curve
 
-DIM_CAP = 4096
-
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
     print(f"ACCEPTANCE {num:02d} {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
@@ -53,7 +51,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def grid_reports():
-    return [verify_expansion(s) for s in _grid_scenarios(DIM_CAP)]
+    return [verify_expansion(s) for s in _grid_scenarios()]
 
 
 def test_criterion_01_first_order_vanishes(grid_reports):
@@ -85,7 +83,7 @@ def test_criterion_02_second_order_closed_form(grid_reports):
             worst = max(worst, rep.rel_err)
             assert rep.rel_err < 1e-2, rep.scenario
     start = time.monotonic()
-    quick_rows = [run() for _, run in quick_tasks(0, DIM_CAP)]
+    quick_rows = [run() for _, run in quick_tasks()]
     elapsed = time.monotonic() - start
     assert all(r["pass"] for r in quick_rows)
     _report(2, "second-order closed form", elapsed < 60.0,
@@ -110,7 +108,7 @@ def test_criterion_03_factorization_identity():
 
 
 def test_criterion_04_rate_inequality():
-    rows = [run() for _, run in inequality_tasks(0, DIM_CAP)]
+    rows = [run() for _, run in inequality_tasks(0)]
     holds = all(r["pass"] for r in rows)
     strict = any(r["c2_analytic"] > 0 and r["c2_analytic"] >= 10 * r["c2_fitted"] for r in rows)
     _report(4, "rate inequality", holds and strict,
@@ -118,7 +116,7 @@ def test_criterion_04_rate_inequality():
 
 
 def test_criterion_05_subdecoherent_encoding():
-    rows = {r["scenario"]: r for r in (run() for _, run in encoding_tasks(0, DIM_CAP))}
+    rows = {r["scenario"]: r for r in (run() for _, run in encoding_tasks())}
     encoded_ok = (rows["encoding-encoded-constant"]["c2_fitted"] < 1e-12
                   and rows["encoding-encoded-pair-rate"]["c2_fitted"] < 1e-12)
     floor_row = rows["encoding-unencoded-floor"]

@@ -267,7 +267,7 @@ def test_cli_verify_single_config(tmp_path):
 def test_cli_verify_failure_exit_code(monkeypatch, tmp_path):
     import decolab.suites as suites
 
-    def fake_tasks(name, seed, cap):
+    def fake_tasks(name, seed):
         return [("boom", lambda: {"scenario": "boom", "c2_analytic": 1.0,
                                   "c2_fitted": 2.0, "rel_err": 1.0, "pass": False})]
 
@@ -281,6 +281,12 @@ def test_cli_nmax_cap_env(monkeypatch, tmp_path):
     cfg = base_config(n_max=12)
     path = write_config(tmp_path, cfg)
     assert main(["rates", "--config", path]) == 4  # 13 levels > cap 8
+
+
+def test_cli_malformed_nmax_cap_is_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("DECOLAB_NMAX_CAP", "abc")
+    assert main(["verify", "--suite", "quick"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: DECOLAB_NMAX_CAP: not an integer: 'abc'\n"
 
 
 def test_sweep_lorentzian_profile():
@@ -313,6 +319,32 @@ def test_sweep_temperature_regime_constant_rate_linear():
     c2s = [r["c2"] for r in rows]
     assert abs(c2s[1] / c2s[0] - 2.0) < 1e-9
     assert abs(c2s[2] / c2s[0] - 4.0) < 1e-9
+
+
+@pytest.mark.parametrize("bath", [
+    {"discrete": {"modes": [{"k": 0.0, "omega": 1.0, "g": 0.05}]}},
+    {"ohmic": {"omega_c": 1.0, "v": 1.0, "form": "highT"}},
+])
+def test_sweep_temperature_shorthand_without_temperature_key(bath):
+    cfg = base_config(bath=bath, state="plus_all", fidelity_kind="entanglement",
+                      sweep={"parameter": "temperature", "values": [0.5, 1.0], "columns": ["c2"]})
+    rows, _ = cmd_sweep(parse_config(cfg))
+    assert [r["error"] for r in rows] == ["", ""]
+    kind = next(iter(bath))
+    for row, t in zip(rows, (0.5, 1.0)):
+        body = {**bath[kind], "temperature": t}
+        assert row["c2"] == cmd_rates(parse_config(base_config(bath={kind: body}, state="plus_all",
+                                                                fidelity_kind="entanglement")))[0]["c2"]
+
+
+def test_sweep_temperature_shorthand_rejected_for_gaussian(tmp_path, capsys):
+    cfg = base_config(bath={"gaussian": {"k_bar": 1.0, "delta_k": 1.0, "x": 1.0}},
+                      sweep={"parameter": "temperature", "values": [0.5], "columns": ["c2"]})
+    with pytest.raises(ConfigError) as err:
+        cmd_sweep(parse_config(cfg))
+    assert err.value.field == "sweep.parameter"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_empty_values_header_only(tmp_path):
@@ -394,7 +426,7 @@ def test_inequality_suite_builds_at_every_seed():
     from decolab.suites import inequality_tasks
 
     for seed in range(20):
-        assert len(inequality_tasks(seed, 4096)) == 1001
+        assert len(inequality_tasks(seed)) == 1001
 
 
 def test_rates_rejects_unconverged_auto_truncation(tmp_path):

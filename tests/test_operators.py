@@ -141,7 +141,7 @@ def test_thermal_state_geometric_populations_and_tail():
     r = math.exp(-omega / temperature)
     tail_direct = sum((1 - r) * r ** n for n in range(n_max + 1, 400))
     assert abs(gibbs_tail_weight(omega, temperature, n_max) - tail_direct) < 1e-13
-    n_policy = n_max_for_tail(omega, temperature, tail=1e-10)
+    n_policy = n_max_for_tail(omega, temperature)
     assert gibbs_tail_weight(omega, temperature, n_policy) < 1e-10
     assert gibbs_tail_weight(omega, temperature, n_policy - 1) >= 1e-10
 
@@ -151,7 +151,7 @@ def test_tail_policy_survives_cold_limit():
     omega = 1.7
     for ratio in np.logspace(-4, 0, 41):
         temperature = ratio * omega
-        n = n_max_for_tail(omega, temperature, tail=1e-10)
+        n = n_max_for_tail(omega, temperature)
         assert n >= 2
         assert gibbs_tail_weight(omega, temperature, n) < 1e-10
         if n > 2:

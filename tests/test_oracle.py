@@ -242,7 +242,15 @@ def test_resolve_dimension_cap_enforced():
     modes = BathModeSet.symmetric([(0.9, 1.0, 0.04), (1.6, 1.2, 0.03)], 0.5)
     with pytest.raises(ConvergenceError):
         verify_expansion(Scenario("too-big", "entanglement", lattice, modes,
-                                  maximally_mixed_density(2), n_max=12, dim_cap=4096))
+                                  maximally_mixed_density(2), n_max=12))
+
+
+def test_library_scenario_honours_env_dimension_cap(monkeypatch):
+    monkeypatch.setenv("DECOLAB_NMAX_CAP", "8")
+    lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
+    modes = BathModeSet((BathMode(0.0, 1.0, G),), 0.0)
+    with pytest.raises(ConvergenceError, match="total dimension 10 exceeds the cap 8"):
+        verify_expansion(Scenario("capped", "io", lattice, modes, ground_ket(1), n_max=4))
 
 
 def test_curve_validation():

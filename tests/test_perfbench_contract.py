@@ -1,0 +1,51 @@
+"""The names the benchmark harness binds in the package stay in place.
+
+perfbench (``perfbench/run.py`` and its tracer) drives the package through
+``decolab.cli`` and wraps functions and methods by name, so renaming or
+deleting one of them breaks the benchmark while every other test still
+passes.  These tests run the harness's set-up child statements and one
+traced ``verify --suite quick`` pass in this process.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up
+    spec.loader.exec_module(run)
+    return run
+
+
+@pytest.mark.parametrize("name", ["oracle-full", "inequality", "ohmic-sweep"])
+def test_setup_child_runs_in_process(perfbench, name, monkeypatch, capsys):
+    argv = perfbench.workload(name, 0).argv
+    monkeypatch.setattr(sys, "argv", ["-c", str(perfbench.SRC), *argv])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the child prepends the source tree
+    exec(perfbench.SETUP_CHILD, {"__name__": "__main__"})
+    assert float(capsys.readouterr().out.split()[-1]) >= 0.0
+
+
+def test_traced_quick_suite_records_benchmark_spans(perfbench, capsys):
+    import tracer
+
+    from decolab import cli
+
+    rec = tracer.Recorder()
+    inst = tracer.Instrumentation(rec).install()
+    try:
+        assert cli.main(["verify", "--suite", "quick"]) == 0
+    finally:
+        inst.uninstall()
+    names = {span[1] for span in rec.spans}
+    assert {"oracle.eigh", "oracle.advance", "oracle.verify_expansion", "suites.task"} <= names
+    assert capsys.readouterr().out.startswith("scenario,c2_analytic,")
