@@ -95,7 +95,10 @@ def _tau2(c2: float) -> float:
 
 
 def _correlation_fn(cfg: ScenarioConfig):
-    """The config's spatial correlation; the returned function evaluates each separation once."""
+    """The config's spatial correlation; the returned function evaluates each |separation| once.
+
+    Every form is even in the separation, bit for bit, so the memo keys on its magnitude.
+    """
     if cfg.bath_kind == "discrete":
         fn = lambda d: correlation_fn_discrete(cfg.modes, d)
     elif cfg.bath_kind == "gaussian":
@@ -104,7 +107,8 @@ def _correlation_fn(cfg: ScenarioConfig):
         form = {"quad": ohmic_correlation_quad, "highT": ohmic_correlation_highT,
                 "lowT": ohmic_correlation_lowT}[cfg.ohmic_form]
         fn = lambda d: form(cfg.ohmic, d)
-    return functools.cache(fn)
+    memo = functools.cache(fn)
+    return lambda d: memo(abs(d))
 
 
 def _kind_state(cfg: ScenarioConfig, kind: str):
@@ -123,8 +127,10 @@ def _closed_form_c2(cfg: ScenarioConfig, kind: str) -> float:
     return closed_form_c2(kind, _kind_state(cfg, kind), model.h_i, model.thermal_env_state())
 
 
-def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
-    omega2 = _correlation_fn(cfg)
+def cmd_rates(cfg: ScenarioConfig, omega2=None) -> list[dict]:
+    """One row per fidelity kind; ``omega2`` defaults to a fresh ``_correlation_fn(cfg)``."""
+    if omega2 is None:
+        omega2 = _correlation_fn(cfg)
     rows = []
     for kind in cfg.fidelity_kinds:
         if cfg.bath_kind == "discrete":
@@ -138,12 +144,14 @@ def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
     return rows
 
 
-def cmd_correlation(cfg: ScenarioConfig, delta_r: list[float]) -> list[dict]:
-    fn = _correlation_fn(cfg)
-    omega0 = fn(0.0)
+def cmd_correlation(cfg: ScenarioConfig, delta_r: list[float], omega2=None) -> list[dict]:
+    """One row per separation; ``omega2`` defaults to a fresh ``_correlation_fn(cfg)``."""
+    if omega2 is None:
+        omega2 = _correlation_fn(cfg)
+    omega0 = omega2(0.0)
     rows = []
     for d in delta_r:
-        val = fn(float(d))
+        val = omega2(float(d))
         rows.append({"delta_r": float(d), "omega2": val,
                      "normalized": val / omega0 if omega0 != 0.0 else math.nan})
     return rows
@@ -202,11 +210,12 @@ def _sweep_row(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> dict:
         wants_distance = any(c in spec.columns for c in ("omega2", "normalized", "regime", "kbar_d", "dk_d"))
         if wants_distance and spacing is None:
             raise ConfigError("sweep.columns", "distance columns need >= 2 qubits or parameter 'd'")
+        omega2 = _correlation_fn(point)  # one memo for the point's rates and correlation
         if "c2" in spec.columns or "tau2" in spec.columns or "method" in spec.columns:
-            rates = cmd_rates(point)[0]
+            rates = cmd_rates(point, omega2)[0]
             row["c2"], row["tau2"], row["method"] = rates["c2"], rates["tau2"], rates["method"]
         if "omega2" in spec.columns or "normalized" in spec.columns:
-            corr = cmd_correlation(point, [spacing])[0]
+            corr = cmd_correlation(point, [spacing], omega2)[0]
             row["omega2"], row["normalized"] = corr["omega2"], corr["normalized"]
         if any(c in spec.columns for c in ("regime", "kbar_d", "dk_d")):
             reg = cmd_regime(point, [spacing])[0]
@@ -264,9 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_float_list(raw: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(flag, f"expected comma-separated numbers, got {raw!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(flag, f"expected finite numbers, got {raw!r}")
+    return values
 
 
 def main(argv=None) -> int:

@@ -220,13 +220,15 @@ def _parse_bath(cfg: dict):
     return kind, None, None, "quad", spec
 
 
-def _parse_number_list(cfg: dict, key: str) -> tuple[float, ...]:
+def _parse_number_list(cfg: dict, key: str, path: str | None = None) -> tuple[float, ...]:
+    path = path or key
     raw = cfg.get(key, [])
-    _expect(isinstance(raw, list), key, "expected a list of numbers")
+    _expect(isinstance(raw, list), path, "expected a list of numbers")
     out = []
     for i, v in enumerate(raw):
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{key}[{i}]",
+        _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{path}[{i}]",
                 f"expected a number, got {v!r}")
+        _expect(math.isfinite(float(v)), f"{path}[{i}]", "must be finite")
         out.append(float(v))
     return tuple(out)
 
@@ -243,7 +245,7 @@ def _parse_sweep(cfg: dict) -> SweepSpec | None:
     has_range = "range" in raw
     _expect(has_values != has_range, "sweep", "exactly one of 'values' or 'range' required")
     if has_values:
-        values = _parse_number_list(raw, "values")
+        values = _parse_number_list(raw, "values", "sweep.values")
     else:
         rng = raw["range"]
         _expect(isinstance(rng, dict), "sweep.range", "expected an object")

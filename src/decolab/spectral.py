@@ -12,7 +12,13 @@ collectively.
 The Ohmic bath has spectral weight ``w exp(-w / omega_c)`` with linear
 dispersion ``w = v k``; its correlation admits closed forms in the high- and
 low-temperature limits and is evaluated by quadrature in between.  The
-quadrature's Gauss-Legendre rule is built once per process, on first use.
+quadrature's Gauss-Legendre rule is built once per process, on first use;
+its tolerance, which depends on the bath, is computed once per ``OhmicBath``
+object.  A pass never holds more than ``_QUAD_MAX_PANELS`` panels: a
+separation that needs more raises ``ConvergenceError`` instead of building it.
+
+Every correlation here is even in the separation, bit for bit, so a memo may
+key on ``|delta_r|``.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ COLLECTIVE_THRESHOLD = 0.1
 QUAD_REL_TOL = 1e-9
 _QUAD_NODES = 24
 _QUAD_MAX_HALVINGS = 10
+# a pass materializes every node: 24 * 2^18 floats is 50 MB per temporary
+_QUAD_MAX_PANELS = 1 << 18
 # exp(-w/omega_c) below ~1e-12 contributes nothing at double precision
 _CUTOFF_IN_OMEGA_C = math.log(1e12) + 8.0
 
@@ -80,6 +88,11 @@ class OhmicBath:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.amplitude <= 0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+
+    @functools.cached_property
+    def _quad_atol(self) -> float:
+        """QUAD_REL_TOL of the zero-separation integral, whose first refinement pass fixes the scale."""
+        return QUAD_REL_TOL * abs(_refine(self, 0.0, atol=math.inf))
 
 
 @dataclass(frozen=True)
@@ -137,7 +150,12 @@ def classify_regime(d: float, spec: GaussianSpectrum) -> RegimeReport:
 
 
 def ohmic_correlation_highT(bath: OhmicBath, delta_r: float) -> float:
-    """High-temperature closed form: (4T/omega_c) omega_c^2 / (1 + u^2)."""
+    """High-temperature closed form: (4T/omega_c) omega_c^2 / (1 + u^2).
+
+    Accurate only for T >> omega_c; at T = 0 it would vanish identically.
+    """
+    if bath.temperature == 0.0:
+        raise ValueError("the highT form needs temperature > 0 (it holds for T >> omega_c)")
     u = bath.omega_c * delta_r / bath.v
     return bath.amplitude * (4.0 * bath.temperature / bath.omega_c) * bath.omega_c ** 2 / (1.0 + u * u)
 
@@ -201,19 +219,19 @@ def _panel_count(bath: OhmicBath, delta_r: float) -> int:
 
 def _refine(bath: OhmicBath, delta_r: float, atol: float, extra_power: int = 0) -> float:
     n = _panel_count(bath, delta_r)
-    prev = _ohmic_panel_integral(bath, delta_r, n, extra_power)
-    for _ in range(_QUAD_MAX_HALVINGS):
-        n *= 2
+    prev = err = None
+    for _ in range(_QUAD_MAX_HALVINGS + 1):
+        if n > _QUAD_MAX_PANELS:
+            raise ConvergenceError(f"quadrature at separation {delta_r!r} needs more than "
+                                   f"{_QUAD_MAX_PANELS} panels", achieved=err)
         cur = _ohmic_panel_integral(bath, delta_r, n, extra_power)
-        if abs(cur - prev) <= atol:
-            return cur
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= atol:
+                return cur
         prev = cur
-    raise ConvergenceError("quadrature did not converge", achieved=abs(cur - prev))
-
-
-def _quad_atol(bath: OhmicBath) -> float:
-    """QUAD_REL_TOL of the zero-separation integral, whose first refinement pass fixes the scale."""
-    return QUAD_REL_TOL * abs(_refine(bath, 0.0, atol=math.inf))
+        n *= 2
+    raise ConvergenceError("quadrature did not converge", achieved=err)
 
 
 def ohmic_correlation_quad(bath: OhmicBath, delta_r: float) -> float:
@@ -222,7 +240,7 @@ def ohmic_correlation_quad(bath: OhmicBath, delta_r: float) -> float:
     Adaptive panel quadrature with oscillation-aware panel widths; converged
     to 1e-9 relative to the zero-separation value.
     """
-    return bath.amplitude * 2.0 * _refine(bath, delta_r, _quad_atol(bath))
+    return bath.amplitude * 2.0 * _refine(bath, delta_r, bath._quad_atol)
 
 
 def ohmic_spectrum_moments(bath: OhmicBath) -> GaussianSpectrum:
@@ -231,7 +249,7 @@ def ohmic_spectrum_moments(bath: OhmicBath) -> GaussianSpectrum:
     Moments are taken in frequency and mapped to wavevectors through the
     linear dispersion: k_bar = <w>/v, delta_k = std(w)/v.
     """
-    atol = _quad_atol(bath)
+    atol = bath._quad_atol
     m0 = _refine(bath, 0.0, atol)
     m1 = _refine(bath, 0.0, atol * bath.omega_c, extra_power=1)
     m2 = _refine(bath, 0.0, atol * bath.omega_c ** 2, extra_power=2)

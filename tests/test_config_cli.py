@@ -165,13 +165,116 @@ def test_rates_quad_evaluates_each_separation_once(monkeypatch):
         state="plus_all",
         fidelity_kind=["io", "entanglement", "average"],
     )
-    separations = {ri - rj for ri in positions for rj in positions}
+    separations = {abs(ri - rj) for ri in positions for rj in positions}
     rows = cmd_rates(parse_config(cfg))
     assert [r["kind"] for r in rows] == ["io", "entanglement", "average"]
-    assert sorted(calls) == sorted(separations)  # 7 calls; 48 without the memo
+    assert sorted(calls) == sorted(separations)  # 4 calls; 48 without the memo
     # a freshly parsed config starts with an empty memo
     assert cmd_rates(parse_config(cfg)) == rows
     assert len(calls) == 2 * len(separations)
+
+
+def test_sweep_point_evaluates_each_separation_once(monkeypatch):
+    import decolab.cli
+
+    calls = []
+    quad = decolab.cli.ohmic_correlation_quad
+
+    def counting(bath, delta_r):
+        calls.append(delta_r)
+        return quad(bath, delta_r)
+
+    monkeypatch.setattr(decolab.cli, "ohmic_correlation_quad", counting)
+    cfg = base_config(
+        qubits=[{"position": r} for r in (0.0, 1.0, 2.0)],
+        h0_splittings=[],
+        bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3, "form": "quad"}},
+        state="ghz",
+        fidelity_kind="entanglement",
+        sweep={"parameter": "d", "values": [0.5], "columns": ["c2", "omega2"]},
+    )
+    rows, _ = cmd_sweep(parse_config(cfg))
+    assert rows[0]["error"] == "" and rows[0]["omega2"] > 0.0
+    # rates and correlation share the point's memo: 0, d and 2d once each
+    assert sorted(calls) == [0.0, 0.5, 1.0]
+
+
+# --- non-finite inputs ---------------------------------------------------------
+
+@pytest.mark.parametrize("mutate,path", [
+    (lambda c: c.update(delta_r=[0.0, math.inf]), "delta_r[1]"),
+    (lambda c: c.update(delta_r=[math.nan]), "delta_r[0]"),
+    (lambda c: c.update(d=[1.0, -math.inf]), "d[1]"),
+    (lambda c: c.update(sweep={"parameter": "d", "values": [math.nan], "columns": ["c2"]}),
+     "sweep.values[0]"),
+])
+def test_config_rejects_non_finite_list_values(mutate, path):
+    cfg = base_config()
+    mutate(cfg)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert err.value.field == path
+
+
+@pytest.mark.parametrize("command,flag,raw", [
+    ("correlation", "--delta-r", "0,inf"),
+    ("correlation", "--delta-r", "nan"),
+    ("regime", "--d", "nan"),
+    ("regime", "--d", "1,-inf"),
+])
+def test_cli_rejects_non_finite_flag_values(tmp_path, capsys, command, flag, raw):
+    path = write_config(tmp_path, base_config(bath={"gaussian": {"k_bar": 1.0, "delta_k": 1.0, "x": 1.0}}))
+    assert main([command, "--config", path, f"{flag}={raw}"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {flag}: expected finite numbers, got {raw!r}\n"
+
+
+def test_cli_correlation_rejects_infinite_config_separation(tmp_path, capsys):
+    cfg = base_config(bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}},
+                      delta_r=[math.inf])  # written as the JSON token Infinity
+    assert main(["correlation", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: delta_r[0]: must be finite\n"
+
+
+def test_cli_correlation_beyond_panel_budget_exits_4(monkeypatch, tmp_path, capsys):
+    import decolab.spectral as spectral
+
+    integral = spectral._ohmic_panel_integral
+
+    def guarded(bath, delta_r, n_panels, extra_power=0):
+        assert n_panels <= spectral._QUAD_MAX_PANELS
+        return integral(bath, delta_r, n_panels, extra_power)
+
+    monkeypatch.setattr(spectral, "_ohmic_panel_integral", guarded)
+    cfg = base_config(bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}})
+    path = write_config(tmp_path, cfg)
+    assert main(["correlation", "--config", path, "--delta-r", "1e8"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical non-convergence: quadrature at separation 100000000.0 needs more")
+
+
+# --- highT at zero temperature -------------------------------------------------
+
+def test_highT_at_zero_temperature_is_rejected(tmp_path, capsys):
+    cfg = base_config(
+        qubits=[{"position": 0.0}, {"position": 1.0}],
+        h0_splittings=[],
+        bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "form": "highT"}},  # temperature defaults to 0
+        state="ghz",
+        fidelity_kind="entanglement",
+        delta_r=[0.0, 1.0],
+        sweep={"parameter": "d", "values": [1.0], "columns": ["c2", "normalized"]},
+    )
+    path = write_config(tmp_path, cfg)
+    message = "error: the highT form needs temperature > 0 (it holds for T >> omega_c)\n"
+    for command in ("rates", "correlation"):
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", message)
+    rows, _ = cmd_sweep(parse_config(cfg))
+    assert rows[0]["c2"] is None and rows[0]["normalized"] is None
+    assert rows[0]["error"] == "the highT form needs temperature > 0 (it holds for T >> omega_c)"
 
 
 # --- correlation / regime ----------------------------------------------------

@@ -3,8 +3,9 @@
 perfbench (``perfbench/run.py`` and its tracer) drives the package through
 ``decolab.cli`` and wraps functions and methods by name, so renaming or
 deleting one of them breaks the benchmark while every other test still
-passes.  These tests run the harness's set-up child statements and one
-traced ``verify --suite quick`` pass in this process.
+passes.  These tests run the harness's set-up child statements, one traced
+``verify --suite quick`` pass and one traced ``ohmic-sweep`` pass in this
+process.
 """
 
 import importlib.util
@@ -49,3 +50,22 @@ def test_traced_quick_suite_records_benchmark_spans(perfbench, capsys):
     names = {span[1] for span in rec.spans}
     assert {"oracle.eigh", "oracle.advance", "oracle.verify_expansion", "suites.task"} <= names
     assert capsys.readouterr().out.startswith("scenario,c2_analytic,")
+
+
+def test_traced_ohmic_sweep_matches_reference(perfbench):
+    import tracer
+
+    wl = perfbench.workload("ohmic-sweep", 0)
+    rec = tracer.Recorder()
+    inst = tracer.Instrumentation(rec).install()
+    try:
+        p = perfbench.run_pass(wl.argv)  # cli.main under captured stdout and stderr
+    finally:
+        inst.uninstall()
+    checker = perfbench.Checker(wl)
+    checker.check(p, "traced pass")
+    assert p.exit_code == 0 and p.stderr == ""
+    assert checker.correct, checker.problems
+    assert checker.failed == 0
+    names = {span[1] for span in rec.spans}
+    assert {"spectral.ohmic_correlation_quad", "cli.sweep_row"} <= names

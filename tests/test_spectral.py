@@ -125,6 +125,68 @@ def test_quad_even_in_separation_and_rule_read_only():
             arr[0] = 0.0
 
 
+_EVEN_FORMS = {
+    "quad": lambda d: ohmic_correlation_quad(OhmicBath(1.0, 1.0, 0.3), d),
+    "highT": lambda d: ohmic_correlation_highT(OhmicBath(2.0, 0.7, 80.0), d),
+    "lowT": lambda d: ohmic_correlation_lowT(OhmicBath(1.5, 2.0, 0.0, amplitude=0.8), d),
+    "gaussian": lambda d: gaussian_correlation(GaussianSpectrum(1.7, 0.4, 2.0), d),
+    "discrete": lambda d: correlation_fn_discrete(
+        BathModeSet.symmetric([(0.9, 1.0, 0.05), (2.3, 1.4, 0.02)], 0.3), d),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_EVEN_FORMS))
+def test_correlation_even_in_separation_bit_for_bit(form):
+    # what lets a correlation memo key on |delta_r|
+    fn = _EVEN_FORMS[form]
+    for d in (0.0, 1e-3, 0.5, 0.7, 1.0 / 3.0, 3.0, 40.0, 123.456):
+        assert fn(-d) == fn(d)
+
+
+def test_quad_scale_pass_runs_once_per_bath(monkeypatch):
+    import decolab.spectral as spectral
+
+    scale_passes = []
+    refine = spectral._refine
+
+    def counting(bath, delta_r, atol, extra_power=0):
+        if atol == math.inf:
+            scale_passes.append(bath)
+        return refine(bath, delta_r, atol, extra_power)
+
+    monkeypatch.setattr(spectral, "_refine", counting)
+    bath = OhmicBath(1.0, 1.0, 0.3)
+    first = [ohmic_correlation_quad(bath, d) for d in (0.0, 0.5, 3.0, 0.5)]
+    ohmic_spectrum_moments(bath)
+    assert len(scale_passes) == 1
+    # the tolerance belongs to the object: an equal bath computes its own, to the same values
+    twin = OhmicBath(1.0, 1.0, 0.3)
+    assert [ohmic_correlation_quad(twin, d) for d in (0.0, 0.5, 3.0, 0.5)] == first
+    assert len(scale_passes) == 2 and scale_passes[1] is twin
+
+
+def test_quad_panel_budget_fails_before_any_pass(monkeypatch):
+    import decolab.spectral as spectral
+    from decolab.errors import ConvergenceError
+
+    bath = OhmicBath(1.0, 1.0, 0.3)
+    # ~1.1e9 panels (27e9 nodes) from the start: no pass of that size may be built
+    assert spectral._panel_count(bath, 1e8) > spectral._QUAD_MAX_PANELS
+    sizes = []
+    integral = spectral._ohmic_panel_integral
+
+    def guarded(bath_, delta_r, n_panels, extra_power=0):
+        assert n_panels <= spectral._QUAD_MAX_PANELS
+        sizes.append(n_panels)
+        return integral(bath_, delta_r, n_panels, extra_power)
+
+    monkeypatch.setattr(spectral, "_ohmic_panel_integral", guarded)
+    for d in (1e8, -1e8):
+        with pytest.raises(ConvergenceError, match="panels"):
+            ohmic_correlation_quad(bath, d)
+    assert max(sizes) < 100  # only the zero-separation scale pass ran
+
+
 def test_quad_matches_lowT_closed_form_at_zero_temperature():
     bath = OhmicBath(2.0, 1.5, 0.0, amplitude=0.7)
     for u in (0.0, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0):
