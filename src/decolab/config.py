@@ -57,15 +57,26 @@ def _expect(cond: bool, path: str, message: str):
         raise ConfigError(path, message)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _finite(v, path: str) -> float:
+    """A JSON number as a finite float; NaN, infinities and integers beyond the float range are errors."""
+    _expect(_is_number(v), path, f"expected a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    _expect(math.isfinite(x), path, "must be finite")
+    return x
+
+
 def _get_number(obj: dict, key: str, path: str, default=None, required: bool = False) -> float | None:
     if key not in obj:
         _expect(not required, f"{path}.{key}", "missing required field")
         return default
-    v = obj[key]
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{path}.{key}",
-            f"expected a number, got {v!r}")
-    _expect(math.isfinite(float(v)), f"{path}.{key}", "must be finite")
-    return float(v)
+    return _finite(obj[key], f"{path}.{key}")
 
 
 def _get_int(obj: dict, key: str, path: str, default=None) -> int | None:
@@ -140,10 +151,10 @@ def _build_state(spec, lattice: QubitLattice, path: str):
     # explicit amplitudes: numbers or [re, im] pairs
     values = []
     for i, entry in enumerate(spec):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            values.append(complex(entry))
+        if _is_number(entry):
+            values.append(complex(_finite(entry, f"{path}[{i}]")))
         elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            values.append(complex(entry[0], entry[1]))
+            values.append(complex(_finite(entry[0], f"{path}[{i}][0]"), _finite(entry[1], f"{path}[{i}][1]")))
         else:
             raise ConfigError(f"{path}[{i}]", f"expected a number or [re, im] pair, got {entry!r}")
     try:
@@ -163,11 +174,9 @@ def _parse_lattice(cfg: dict) -> QubitLattice:
     lambda2 = _get_number(cfg, "lambda2", "", default=0.0)
     splits = cfg.get("h0_splittings", [])
     _expect(isinstance(splits, list), "h0_splittings", "expected a list of numbers")
-    for i, w in enumerate(splits):
-        _expect(isinstance(w, (int, float)) and not isinstance(w, bool),
-                f"h0_splittings[{i}]", f"expected a number, got {w!r}")
+    splittings = tuple(_finite(w, f"h0_splittings[{i}]") for i, w in enumerate(splits))
     try:
-        return QubitLattice(tuple(positions), lambda1, lambda2, tuple(float(w) for w in splits))
+        return QubitLattice(tuple(positions), lambda1, lambda2, splittings)
     except ValueError as exc:
         raise ConfigError("qubits", str(exc)) from exc
 
@@ -224,13 +233,7 @@ def _parse_number_list(cfg: dict, key: str, path: str | None = None) -> tuple[fl
     path = path or key
     raw = cfg.get(key, [])
     _expect(isinstance(raw, list), path, "expected a list of numbers")
-    out = []
-    for i, v in enumerate(raw):
-        _expect(isinstance(v, (int, float)) and not isinstance(v, bool), f"{path}[{i}]",
-                f"expected a number, got {v!r}")
-        _expect(math.isfinite(float(v)), f"{path}[{i}]", "must be finite")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_finite(v, f"{path}[{i}]") for i, v in enumerate(raw))
 
 
 def _parse_sweep(cfg: dict) -> SweepSpec | None:

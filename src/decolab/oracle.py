@@ -24,7 +24,10 @@ input reaches in it: a single-parity input against a diagonal environment
 does a quarter of the dense product's work.  The eigenvector rows are
 projected onto <psi_r(t)| x <e| before the product, the sectors' amplitudes
 are summed before |.|^2 is taken, and all times of a curve are propagated
-in one batched call.
+in one batched call.  A row's fit evaluates each F(t) sample once: the curve
+keeps the values it has propagated, and the window search revisits its
+times, because its last probe is the first grid's endpoint and each halved
+grid's even points are the previous grid's first half, bit for bit.
 """
 
 from __future__ import annotations
@@ -215,6 +218,9 @@ class _Curve:
     the sector and the environment-ensemble columns whose kets are not zero
     there: a single-parity class against a diagonal environment keeps half
     of each, so its two parts do a quarter of the dense product's work.
+
+    ``fidelity`` and ``curve`` read F from a per-curve memo keyed by the float
+    time, so each time is propagated once while the curve lives.
     """
 
     def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator,
@@ -228,6 +234,7 @@ class _Curve:
         self.env_cols = env_cols.shape[1]
         self.width = 0
         self.members = []
+        self._seen: dict[float, float] = {}  # F(t) per time already propagated on this curve
         system_parity = prop.parity[:, 0]  # environment index 0 is the boson vacuum
         for weight, psi in kind_members(kind, state):
             if psi.space != system:
@@ -254,11 +261,18 @@ class _Curve:
         return self.prop.vec.shape[0], self.width
 
     def fidelity(self, t: float) -> float:
-        return float(self.prop.advance(self, t)[0])
+        return float(self._samples([t])[0])
 
     def curve(self, times) -> FidelityCurve:
         times = np.asarray(times, float)
-        return FidelityCurve(times, self.prop.advance(self, times))
+        return FidelityCurve(times, self._samples(times))
+
+    def _samples(self, times) -> np.ndarray:
+        """F at ``times``: the unseen times go through one ``advance`` call, in first-seen order."""
+        missing = [t for t in dict.fromkeys(map(float, times)) if t not in self._seen]
+        if missing:
+            self._seen.update(zip(missing, self.prop.advance(self, np.array(missing)).tolist()))
+        return np.array([self._seen[float(t)] for t in times])
 
 
 def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_cols: np.ndarray) -> list[_Part]:
@@ -369,6 +383,11 @@ def _fit_with_refinement(evaluator, c2_rough: float, scale: float) -> ExpansionE
     it directly.  Shrinking stops at the cancellation floor (infidelity
     ~1e-6), below which 1 - F loses precision faster than the bias shrinks.
     Running out of halvings raises ConvergenceError.
+
+    The grids share samples: ``linspace(0, t, 9)`` ends on the last probe
+    ``t``, and halving is exact in binary floating point, so the even points
+    of ``linspace(0, t/2, 9)`` equal the first five of ``linspace(0, t, 9)``.
+    An evaluator that keeps its values (``_Curve``) propagates each once.
     """
     t_max = _select_t_max(evaluator.fidelity, c2_rough, scale)
     prev = None

@@ -216,6 +216,36 @@ def test_config_rejects_non_finite_list_values(mutate, path):
     assert err.value.field == path
 
 
+@pytest.mark.parametrize("mutate,path", [
+    (lambda c: c.update(delta_r=[10 ** 400]), "delta_r[0]"),  # _parse_number_list
+    (lambda c: c["qubits"][0].update(position=-10 ** 400), "qubits[0].position"),  # _get_number
+    (lambda c: c.update(h0_splittings=[math.nan]), "h0_splittings[0]"),
+    (lambda c: c.update(state=[1.0, 10 ** 400]), "state[1]"),  # explicit amplitudes
+    (lambda c: c.update(state=[[1.0, math.inf], 0.0]), "state[0][1]"),
+])
+def test_config_rejects_numbers_beyond_the_float_range(mutate, path):
+    cfg = base_config()
+    mutate(cfg)
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    assert err.value.field == path
+
+
+@pytest.mark.parametrize("command", ["rates", "verify"])
+def test_cli_rejects_a_nan_splitting(tmp_path, capsys, command):
+    path = write_config(tmp_path, base_config(h0_splittings=[math.nan]))  # the JSON token NaN
+    assert main([command, "--config", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: h0_splittings[0]: must be finite\n"
+
+
+def test_cli_correlation_rejects_an_integer_separation_beyond_the_float_range(tmp_path, capsys):
+    cfg = base_config(bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}}, delta_r=[10 ** 400])
+    assert main(["correlation", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: delta_r[0]: must be finite\n"
+
+
 @pytest.mark.parametrize("command,flag,raw", [
     ("correlation", "--delta-r", "0,inf"),
     ("correlation", "--delta-r", "nan"),

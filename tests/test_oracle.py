@@ -512,3 +512,61 @@ def test_sector_parts_keep_half_of_a_single_parity_input():
         assert (rows, kept_cols) == (128, 128)  # of 256 environment rows and 256 ensemble columns
     (_, parts), = _Curve(prop, model, "io", plus_all_ket(2), env).members
     assert [part.rows.shape[1] for part in parts] == [256, 256]
+
+
+# --- one evaluation per sample --------------------------------------------------
+
+def test_quick_suite_evaluates_each_sample_once(monkeypatch, tmp_path):
+    from decolab import oracle
+    from decolab.cli import main
+
+    curves, samples = [], []
+    advance = oracle._Propagated.advance
+
+    def recording(self, curve, t):
+        curves.append(curve)  # held, so a later row's curve cannot reuse this one's id()
+        samples.extend((id(curve), float(x)) for x in np.atleast_1d(t))
+        return advance(self, curve, t)
+
+    monkeypatch.setattr(oracle._Propagated, "advance", recording)
+    assert main(["verify", "--suite", "quick", "--out", str(tmp_path / "quick.csv")]) == 0
+    assert len(samples) == len(set(samples))
+    assert len(samples) <= 160
+
+
+def test_halved_grid_shares_its_even_points_bit_for_bit():
+    from decolab.oracle import FIT_POINTS
+
+    for t in np.logspace(-6, 6, 2001):
+        grid = np.linspace(0.0, t, FIT_POINTS)
+        assert grid[-1] == t  # the probe's last time is the first grid's endpoint
+        assert np.array_equal(np.linspace(0.0, t * 0.5, FIT_POINTS)[::2], grid[:FIT_POINTS // 2 + 1])
+
+
+@pytest.mark.parametrize("kind", ["io", "entanglement"])
+def test_fit_estimate_is_the_same_without_the_sample_memo(monkeypatch, kind):
+    from decolab import oracle
+    from decolab.fidelity import closed_form_c2
+
+    model, env = _two_qubit_thermal_model()
+    state = plus_all_ket(2) if kind == "io" else maximally_mixed_density(2)
+    prop = oracle._Propagated(model)
+    c2 = float(closed_form_c2(kind, state, model.h_i, env))
+    scale = oracle._scale_moment(model, env)
+
+    counted = []
+    advance = oracle._Propagated.advance
+
+    def counting(self, curve, t):
+        counted.append(np.atleast_1d(t).size)
+        return advance(self, curve, t)
+
+    monkeypatch.setattr(oracle._Propagated, "advance", counting)
+    memo = oracle._fit_with_refinement(oracle._Curve(prop, model, kind, state, env), c2, scale)
+    with_memo = sum(counted)
+    counted.clear()
+    monkeypatch.setattr(oracle._Curve, "_samples",
+                        lambda self, times: self.prop.advance(self, np.asarray(times, float)))
+    plain = oracle._fit_with_refinement(oracle._Curve(prop, model, kind, state, env), c2, scale)
+    assert memo == plain
+    assert with_memo < sum(counted)

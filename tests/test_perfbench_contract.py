@@ -4,8 +4,8 @@ perfbench (``perfbench/run.py`` and its tracer) drives the package through
 ``decolab.cli`` and wraps functions and methods by name, so renaming or
 deleting one of them breaks the benchmark while every other test still
 passes.  These tests run the harness's set-up child statements, one traced
-``verify --suite quick`` pass and one traced ``ohmic-sweep`` pass in this
-process.
+``verify --suite quick`` pass, one traced ``ohmic-sweep`` pass and one
+untraced ``oracle-full`` pass in this process.
 """
 
 import importlib.util
@@ -69,3 +69,13 @@ def test_traced_ohmic_sweep_matches_reference(perfbench):
     assert checker.failed == 0
     names = {span[1] for span in rec.spans}
     assert {"spectral.ohmic_correlation_quad", "cli.sweep_row"} <= names
+
+
+def test_oracle_full_pass_matches_reference(perfbench):
+    wl = perfbench.workload("oracle-full", 0)
+    p = perfbench.run_pass(wl.argv)  # verify --suite full, as a timed pass runs it
+    checker = perfbench.Checker(wl)
+    checker.check(p, "oracle-full pass")
+    assert p.exit_code == 0 and p.stderr == ""
+    assert checker.correct, checker.problems
+    assert checker.failed == 0
