@@ -5,6 +5,9 @@ shortest round-trip float formatting, "inf" for infinite damping times, LF
 line endings and a header row even when there are no data rows.  Reruns with
 the same config and seed are byte-identical.
 
+Beyond "does it have explicit modes", the bath's kind is left to ``spectral``:
+its correlation comes from ``ScenarioConfig.omega2``, its spectrum from ``spectrum``.
+
 Exit codes: 0 success, 2 config error, 3 verification failure,
 4 numerical non-convergence.
 """
@@ -12,12 +15,12 @@ Exit codes: 0 success, 2 config error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 
 from .config import (
+    BATH_KINDS,
     ScenarioConfig,
     SweepSpec,
     dimension_cap,  # noqa: F401  (perfbench's set-up child reads the cap as cli.dimension_cap)
@@ -27,17 +30,9 @@ from .config import (
 )
 from .errors import ConfigError, ConvergenceError
 from .fidelity import C2_ZERO_FLOOR, closed_form_c2, factorized_c2, kind_state
-from .model import build_hamiltonian, correlation_fn_discrete
+from .model import BathModeSet, build_hamiltonian
 from .oracle import Scenario, resolve_n_max
-from .spectral import (
-    classify_regime,
-    gaussian_correlation,
-    ohmic_correlation_highT,
-    ohmic_correlation_lowT,
-    ohmic_correlation_quad,
-    ohmic_spectrum_moments,
-    spectrum_moments,
-)
+from .spectral import classify_regime, spectrum
 from .suites import SUITE_NAMES, _verify_tasks, suite_tasks
 
 EXIT_OK = 0
@@ -94,23 +89,6 @@ def _tau2(c2: float) -> float:
     return math.inf if c2 < C2_ZERO_FLOOR else c2 ** -0.5
 
 
-def _correlation_fn(cfg: ScenarioConfig):
-    """The config's spatial correlation; the returned function evaluates each |separation| once.
-
-    Every form is even in the separation, bit for bit, so the memo keys on its magnitude.
-    """
-    if cfg.bath_kind == "discrete":
-        fn = lambda d: correlation_fn_discrete(cfg.modes, d)
-    elif cfg.bath_kind == "gaussian":
-        fn = lambda d: gaussian_correlation(cfg.gaussian, d)
-    else:
-        form = {"quad": ohmic_correlation_quad, "highT": ohmic_correlation_highT,
-                "lowT": ohmic_correlation_lowT}[cfg.ohmic_form]
-        fn = lambda d: form(cfg.ohmic, d)
-    memo = functools.cache(fn)
-    return lambda d: memo(abs(d))
-
-
 def _kind_state(cfg: ScenarioConfig, kind: str):
     """The config's state for one fidelity kind, as ``kind_state`` takes it."""
     state = cfg.ensemble() if kind == "average" else cfg.state()
@@ -122,51 +100,39 @@ def _kind_state(cfg: ScenarioConfig, kind: str):
 
 def _closed_form_c2(cfg: ScenarioConfig, kind: str) -> float:
     """Variance-form coefficient on the explicitly built discrete model."""
-    n_max = resolve_n_max(cfg.modes, cfg.lattice.n_qubits, cfg.n_max)
-    model = build_hamiltonian(cfg.lattice, cfg.modes, n_max)
+    n_max = resolve_n_max(cfg.bath, cfg.lattice.n_qubits, cfg.n_max)
+    model = build_hamiltonian(cfg.lattice, cfg.bath, n_max)
     return closed_form_c2(kind, _kind_state(cfg, kind), model.h_i, model.thermal_env_state())
 
 
-def cmd_rates(cfg: ScenarioConfig, omega2=None) -> list[dict]:
-    """One row per fidelity kind; ``omega2`` defaults to a fresh ``_correlation_fn(cfg)``."""
-    if omega2 is None:
-        omega2 = _correlation_fn(cfg)
+def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
+    """One row per fidelity kind."""
     rows = []
     for kind in cfg.fidelity_kinds:
-        if cfg.bath_kind == "discrete":
+        if isinstance(cfg.bath, BathModeSet):
             c2 = _closed_form_c2(cfg, kind)
             method = "closed-form"
         else:
-            c2 = factorized_c2(kind, _kind_state(cfg, kind), cfg.lattice, omega2)
+            c2 = factorized_c2(kind, _kind_state(cfg, kind), cfg.lattice, cfg.omega2)
             method = "factorized"
         rows.append({"scenario_id": cfg.name, "kind": kind, "c2": c2,
                      "tau2": _tau2(c2), "method": method})
     return rows
 
 
-def cmd_correlation(cfg: ScenarioConfig, delta_r: list[float], omega2=None) -> list[dict]:
-    """One row per separation; ``omega2`` defaults to a fresh ``_correlation_fn(cfg)``."""
-    if omega2 is None:
-        omega2 = _correlation_fn(cfg)
-    omega0 = omega2(0.0)
+def cmd_correlation(cfg: ScenarioConfig, delta_r: list[float]) -> list[dict]:
+    """One row per separation."""
+    omega0 = cfg.omega2(0.0)
     rows = []
     for d in delta_r:
-        val = omega2(float(d))
+        val = cfg.omega2(float(d))
         rows.append({"delta_r": float(d), "omega2": val,
                      "normalized": val / omega0 if omega0 != 0.0 else math.nan})
     return rows
 
 
-def _spectrum_for(cfg: ScenarioConfig):
-    if cfg.bath_kind == "gaussian":
-        return cfg.gaussian
-    if cfg.bath_kind == "discrete":
-        return spectrum_moments(cfg.modes)
-    return ohmic_spectrum_moments(cfg.ohmic)
-
-
 def cmd_regime(cfg: ScenarioConfig, d_values: list[float]) -> list[dict]:
-    spec = _spectrum_for(cfg)
+    spec = spectrum(cfg.bath)
     rows = []
     for d in d_values:
         rep = classify_regime(float(d), spec)
@@ -177,9 +143,9 @@ def cmd_regime(cfg: ScenarioConfig, d_values: list[float]) -> list[dict]:
 def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> list[dict]:
     if suite is not None:
         return [run() for _, run in suite_tasks(suite, seed)]
-    if cfg.bath_kind != "discrete":
+    if not isinstance(cfg.bath, BathModeSet):
         raise ConfigError("bath", "verify needs a discrete bath (the oracle evolves explicit modes)")
-    scenarios = [Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.modes, _kind_state(cfg, kind), cfg.n_max)
+    scenarios = [Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.bath, _kind_state(cfg, kind), cfg.n_max)
                  for kind in cfg.fidelity_kinds]
     return [run() for _, run in _verify_tasks(scenarios)]
 
@@ -187,11 +153,9 @@ def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> list
 def _sweep_point_config(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> tuple[ScenarioConfig, float | None]:
     """Apply one sweep value; returns the point config and the active spacing."""
     if spec.parameter == "d":
-        raw = dict(cfg.raw)
-        raw["qubits"] = [{"position": i * value} for i in range(cfg.lattice.n_qubits)]
-        return parse_config(raw), value
+        return cfg.with_spacing(value), value
     if spec.parameter == "temperature":  # the key is optional: set it whether or not it is present
-        bath = {cfg.bath_kind: {**cfg.raw["bath"][cfg.bath_kind], "temperature": value}}
+        bath = {k: {**body, "temperature": value} for k, body in cfg.raw["bath"].items() if k in BATH_KINDS}
         point = parse_config({**cfg.raw, "bath": bath})
     else:
         point = parse_config(set_config_path(cfg.raw, spec.parameter, value))
@@ -210,12 +174,11 @@ def _sweep_row(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> dict:
         wants_distance = any(c in spec.columns for c in ("omega2", "normalized", "regime", "kbar_d", "dk_d"))
         if wants_distance and spacing is None:
             raise ConfigError("sweep.columns", "distance columns need >= 2 qubits or parameter 'd'")
-        omega2 = _correlation_fn(point)  # one memo for the point's rates and correlation
         if "c2" in spec.columns or "tau2" in spec.columns or "method" in spec.columns:
-            rates = cmd_rates(point, omega2)[0]
+            rates = cmd_rates(point)[0]
             row["c2"], row["tau2"], row["method"] = rates["c2"], rates["tau2"], rates["method"]
         if "omega2" in spec.columns or "normalized" in spec.columns:
-            corr = cmd_correlation(point, [spacing], omega2)[0]
+            corr = cmd_correlation(point, [spacing])[0]
             row["omega2"], row["normalized"] = corr["omega2"], corr["normalized"]
         if any(c in spec.columns for c in ("regime", "kbar_d", "dk_d")):
             reg = cmd_regime(point, [spacing])[0]
@@ -229,7 +192,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> tuple[list[dict], tuple[str, ...]]:
     if cfg.sweep is None:
         raise ConfigError("sweep", "missing sweep specification")
     spec = cfg.sweep
-    if spec.parameter == "temperature" and cfg.bath_kind == "gaussian":
+    if spec.parameter == "temperature" and not hasattr(cfg.bath, "temperature"):
         raise ConfigError("sweep.parameter", "a gaussian bath has no temperature to sweep")
     if spec.parameter not in ("d", "temperature"):
         set_config_path(cfg.raw, spec.parameter, 0.0)  # validate the path exists up front
@@ -287,8 +250,6 @@ def main(argv=None) -> int:
         cfg = None
         if args.config:
             cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg = parse_config({**cfg.raw, "seed": args.seed})
         seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
 
         verify_failed = False

@@ -15,27 +15,29 @@ schema is documented in the README; the short version:
       "seed": 0
     }
 
-``bath`` takes exactly one of ``discrete``, ``ohmic`` or ``gaussian``.
+``bath`` takes exactly one of ``discrete``, ``ohmic`` or ``gaussian``; the parsed
+config holds it as one object, ``ScenarioConfig.bath``, whose kinds ``spectral`` knows.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .fidelity import Ensemble
 from .model import BathMode, BathModeSet, QubitLattice
 from .operators import DenseOperator, Ket
-from .spectral import GaussianSpectrum, OhmicBath
+from .spectral import OHMIC_FORMS, GaussianSpectrum, OhmicBath, correlation
 from .states import PRESET_NAMES, build_preset, computational_ensemble, ket_from_amplitudes
 
 DEFAULT_DIM_CAP = 4096
 FIDELITY_KINDS = ("io", "entanglement", "average")
-OHMIC_FORMS = ("quad", "highT", "lowT")
+BATH_KINDS = ("discrete", "ohmic", "gaussian")
 
 
 def dimension_cap() -> int:
@@ -94,11 +96,7 @@ class ScenarioConfig:
 
     name: str
     lattice: QubitLattice
-    bath_kind: str  # discrete | ohmic | gaussian
-    modes: BathModeSet | None
-    ohmic: OhmicBath | None
-    ohmic_form: str
-    gaussian: GaussianSpectrum | None
+    bath: BathModeSet | OhmicBath | GaussianSpectrum
     state_spec: object  # preset name or amplitude list
     fidelity_kinds: tuple[str, ...]
     ensemble_spec: tuple | None
@@ -108,6 +106,20 @@ class ScenarioConfig:
     d_values: tuple[float, ...]
     sweep: "SweepSpec | None"
     raw: dict = field(repr=False, default_factory=dict)
+
+    @functools.cached_property
+    def omega2(self):
+        """The bath's correlation, evaluating each |separation| once (every form is even, bit for bit)."""
+        memo = functools.cache(lambda d: correlation(self.bath, d))
+        return lambda d: memo(abs(d))
+
+    def with_spacing(self, d: float) -> "ScenarioConfig":
+        """This config with qubit i at i * d; the bath object (and its caches) is shared, ``raw`` kept."""
+        positions = tuple(_finite(i * d, f"qubits[{i}].position") for i in range(self.lattice.n_qubits))
+        try:
+            return replace(self, lattice=replace(self.lattice, positions=positions))
+        except ValueError as exc:
+            raise ConfigError("qubits", str(exc)) from exc
 
     def state(self) -> Ket | DenseOperator:
         return _build_state(self.state_spec, self.lattice, "state")
@@ -184,7 +196,7 @@ def _parse_lattice(cfg: dict) -> QubitLattice:
 def _parse_bath(cfg: dict):
     bath = cfg.get("bath")
     _expect(isinstance(bath, dict), "bath", "expected an object")
-    variants = [k for k in ("discrete", "ohmic", "gaussian") if k in bath]
+    variants = [k for k in BATH_KINDS if k in bath]
     _expect(len(variants) == 1, "bath", f"exactly one of discrete/ohmic/gaussian required, got {sorted(bath)}")
     kind = variants[0]
     body = bath[kind]
@@ -202,7 +214,7 @@ def _parse_bath(cfg: dict):
             g = _get_number(m, "g", f"bath.discrete.modes[{i}]", required=True)
             modes.append(BathMode(k, omega, g))
         try:
-            return kind, BathModeSet(tuple(modes), temperature), None, "quad", None
+            return BathModeSet(tuple(modes), temperature)
         except ValueError as exc:
             raise ConfigError("bath.discrete.modes", str(exc)) from exc
 
@@ -214,19 +226,17 @@ def _parse_bath(cfg: dict):
         temperature = _get_number(body, "temperature", "bath.ohmic", default=0.0)
         amplitude = _get_number(body, "amplitude", "bath.ohmic", default=1.0)
         try:
-            bathobj = OhmicBath(omega_c, v, temperature, amplitude)
+            return OhmicBath(omega_c, v, temperature, amplitude, form)
         except ValueError as exc:
             raise ConfigError("bath.ohmic", str(exc)) from exc
-        return kind, None, bathobj, form, None
 
     k_bar = _get_number(body, "k_bar", "bath.gaussian", required=True)
     delta_k = _get_number(body, "delta_k", "bath.gaussian", required=True)
     x = _get_number(body, "x", "bath.gaussian", required=True)
     try:
-        spec = GaussianSpectrum(k_bar, delta_k, x)
+        return GaussianSpectrum(k_bar, delta_k, x)
     except ValueError as exc:
         raise ConfigError("bath.gaussian", str(exc)) from exc
-    return kind, None, None, "quad", spec
 
 
 def _parse_number_list(cfg: dict, key: str, path: str | None = None) -> tuple[float, ...]:
@@ -286,7 +296,7 @@ def parse_config(cfg: dict) -> ScenarioConfig:
     _expect("," not in name and "\n" not in name, "name", "must not contain commas or newlines")
 
     lattice = _parse_lattice(cfg)
-    bath_kind, modes, ohmic, ohmic_form, gaussian = _parse_bath(cfg)
+    bath = _parse_bath(cfg)
 
     state_spec = cfg.get("state", "ground")
     if not isinstance(state_spec, str):
@@ -324,11 +334,7 @@ def parse_config(cfg: dict) -> ScenarioConfig:
     config = ScenarioConfig(
         name=name,
         lattice=lattice,
-        bath_kind=bath_kind,
-        modes=modes,
-        ohmic=ohmic,
-        ohmic_form=ohmic_form,
-        gaussian=gaussian,
+        bath=bath,
         state_spec=state_spec if isinstance(state_spec, str) else tuple(map(tuple_or_scalar, state_spec)),
         fidelity_kinds=tuple(kinds_raw),
         ensemble_spec=ensemble_spec,

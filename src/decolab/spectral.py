@@ -1,4 +1,8 @@
-"""Continuum spectral descriptions of the bath and regime classification.
+"""Continuum spectral descriptions of the bath, the bath table and regime classification.
+
+The bath table, :func:`correlation` and :func:`spectrum`, answers for a
+``BathModeSet``, ``GaussianSpectrum`` or ``OhmicBath``: it is the only code
+that chooses by bath kind, and ``OHMIC_FORMS`` the only list of Ohmic forms.
 
 A bath's spatial correlation is a cosine transform of its (thermally
 weighted) spectral distribution.  When that distribution is Gaussian with
@@ -30,12 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import BathModeSet, thermal_occupation_factor
+from .model import BathModeSet, correlation_fn_discrete, thermal_occupation_factor
 
 # "much greater / much smaller than one" thresholds for the regime ratios;
 # at 10 the Gaussian envelope is ~2e-22 (delta-like), at 0.1 it is >= 0.995
 INDEPENDENT_THRESHOLD = 10.0
 COLLECTIVE_THRESHOLD = 0.1
+
+# each name selects ohmic_correlation_<form>
+OHMIC_FORMS = ("quad", "highT", "lowT")
 
 QUAD_REL_TOL = 1e-9
 _QUAD_NODES = 24
@@ -72,14 +79,17 @@ class GaussianSpectrum:
 
 @dataclass(frozen=True)
 class OhmicBath:
-    """Ohmic spectral weight with exponential cutoff and linear dispersion."""
+    """Ohmic spectral weight with exponential cutoff and linear dispersion, evaluated by ``form``."""
 
     omega_c: float
     v: float
     temperature: float
     amplitude: float = 1.0
+    form: str = "quad"
 
     def __post_init__(self):
+        if self.form not in OHMIC_FORMS:
+            raise ValueError(f"form must be one of {OHMIC_FORMS}, got {self.form!r}")
         if self.omega_c <= 0:
             raise ValueError(f"omega_c must be positive, got {self.omega_c}")
         if self.v <= 0:
@@ -256,3 +266,22 @@ def ohmic_spectrum_moments(bath: OhmicBath) -> GaussianSpectrum:
     mean = m1 / m0
     var = max(m2 / m0 - mean * mean, 0.0)
     return GaussianSpectrum(mean / bath.v, math.sqrt(var) / bath.v, bath.amplitude * 2.0 * m0)
+
+
+def correlation(bath, delta_r: float) -> float:
+    """The spatial correlation Omega^2(delta_r) of any bath."""
+    if isinstance(bath, BathModeSet):
+        return correlation_fn_discrete(bath, delta_r)
+    if isinstance(bath, GaussianSpectrum):
+        return gaussian_correlation(bath, delta_r)
+    # looked up at call time, so a rebound module attribute is the one called
+    return globals()[f"ohmic_correlation_{bath.form}"](bath, delta_r)
+
+
+def spectrum(bath) -> GaussianSpectrum:
+    """Weight, carrier and width of any bath's spectrum, as the regime classifier takes them."""
+    if isinstance(bath, BathModeSet):
+        return spectrum_moments(bath)
+    if isinstance(bath, GaussianSpectrum):
+        return bath
+    return ohmic_spectrum_moments(bath)

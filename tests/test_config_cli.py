@@ -147,16 +147,16 @@ def test_rates_ohmic_factorized():
 
 
 def test_rates_quad_evaluates_each_separation_once(monkeypatch):
-    import decolab.cli
+    import decolab.spectral
 
     calls = []
-    quad = decolab.cli.ohmic_correlation_quad
+    quad = decolab.spectral.ohmic_correlation_quad
 
     def counting(bath, delta_r):
         calls.append(delta_r)
         return quad(bath, delta_r)
 
-    monkeypatch.setattr(decolab.cli, "ohmic_correlation_quad", counting)
+    monkeypatch.setattr(decolab.spectral, "ohmic_correlation_quad", counting)
     positions = [0.0, 1.0, 2.0, 3.0]
     cfg = base_config(
         qubits=[{"position": r} for r in positions],
@@ -175,16 +175,16 @@ def test_rates_quad_evaluates_each_separation_once(monkeypatch):
 
 
 def test_sweep_point_evaluates_each_separation_once(monkeypatch):
-    import decolab.cli
+    import decolab.spectral
 
     calls = []
-    quad = decolab.cli.ohmic_correlation_quad
+    quad = decolab.spectral.ohmic_correlation_quad
 
     def counting(bath, delta_r):
         calls.append(delta_r)
         return quad(bath, delta_r)
 
-    monkeypatch.setattr(decolab.cli, "ohmic_correlation_quad", counting)
+    monkeypatch.setattr(decolab.spectral, "ohmic_correlation_quad", counting)
     cfg = base_config(
         qubits=[{"position": r} for r in (0.0, 1.0, 2.0)],
         h0_splittings=[],
@@ -197,6 +197,57 @@ def test_sweep_point_evaluates_each_separation_once(monkeypatch):
     assert rows[0]["error"] == "" and rows[0]["omega2"] > 0.0
     # rates and correlation share the point's memo: 0, d and 2d once each
     assert sorted(calls) == [0.0, 0.5, 1.0]
+
+
+def _d_sweep_config(values):
+    return base_config(
+        qubits=[{"position": r} for r in (0.0, 1.0, 2.0)],
+        h0_splittings=[],
+        bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3, "form": "quad"}},
+        state="ghz",
+        fidelity_kind="entanglement",
+        sweep={"parameter": "d", "values": values, "columns": ["c2", "omega2", "regime"]},
+    )
+
+
+def test_d_sweep_reuses_the_parsed_config(monkeypatch):
+    import decolab.cli
+    import decolab.spectral as spectral
+
+    parses = []
+    parse = decolab.cli.parse_config
+    monkeypatch.setattr(decolab.cli, "parse_config", lambda raw: parses.append(raw) or parse(raw))
+    scale_passes = []
+    refine = spectral._refine
+
+    def counting(bath, delta_r, atol, extra_power=0):
+        if atol == math.inf:
+            scale_passes.append(bath)
+        return refine(bath, delta_r, atol, extra_power)
+
+    monkeypatch.setattr(spectral, "_refine", counting)
+    cfg = parse_config(_d_sweep_config([0.5, 1.0, 2.0]))
+    rows, _ = cmd_sweep(cfg)
+    assert [r["error"] for r in rows] == ["", "", ""]
+    assert parses == []  # each point replaces the lattice of the parsed config
+    # the points share the parsed bath object and its quadrature tolerance
+    assert len(scale_passes) == 1 and scale_passes[0] is cfg.bath
+    # the same rows as configs parsed point by point
+    for row, d in zip(rows, (0.5, 1.0, 2.0)):
+        point = parse_config(_d_sweep_config([d]) | {"qubits": [{"position": i * d} for i in range(3)]})
+        assert row["c2"] == cmd_rates(point)[0]["c2"]
+        assert row["omega2"] == cmd_correlation(point, [d])[0]["omega2"]
+
+
+def test_d_sweep_invalid_spacing_is_a_row_error():
+    rows, _ = cmd_sweep(parse_config(_d_sweep_config([0.0, -1.0, 1e308, 1.0])))
+    assert [r["error"] for r in rows] == [
+        "qubits: positions must be strictly increasing; got (0.0; 0.0; 0.0)",
+        "qubits: positions must be strictly increasing; got (-0.0; -1.0; -2.0)",  # 0 * -1.0
+        "qubits[2].position: must be finite",  # 2 * 1e308 overflows
+        "",
+    ]
+    assert rows[0]["c2"] is None and rows[3]["c2"] > 0.0
 
 
 # --- non-finite inputs ---------------------------------------------------------

@@ -10,6 +10,7 @@ from decolab.spectral import (
     GaussianSpectrum,
     OhmicBath,
     classify_regime,
+    correlation,
     gaussian_correlation,
     ohmic_correlation_highT,
     ohmic_correlation_lowT,
@@ -126,21 +127,27 @@ def test_quad_even_in_separation_and_rule_read_only():
 
 
 _EVEN_FORMS = {
-    "quad": lambda d: ohmic_correlation_quad(OhmicBath(1.0, 1.0, 0.3), d),
-    "highT": lambda d: ohmic_correlation_highT(OhmicBath(2.0, 0.7, 80.0), d),
-    "lowT": lambda d: ohmic_correlation_lowT(OhmicBath(1.5, 2.0, 0.0, amplitude=0.8), d),
-    "gaussian": lambda d: gaussian_correlation(GaussianSpectrum(1.7, 0.4, 2.0), d),
-    "discrete": lambda d: correlation_fn_discrete(
-        BathModeSet.symmetric([(0.9, 1.0, 0.05), (2.3, 1.4, 0.02)], 0.3), d),
+    "quad": (ohmic_correlation_quad, OhmicBath(1.0, 1.0, 0.3)),
+    "highT": (ohmic_correlation_highT, OhmicBath(2.0, 0.7, 80.0, form="highT")),
+    "lowT": (ohmic_correlation_lowT, OhmicBath(1.5, 2.0, 0.0, amplitude=0.8, form="lowT")),
+    "gaussian": (gaussian_correlation, GaussianSpectrum(1.7, 0.4, 2.0)),
+    "discrete": (correlation_fn_discrete, BathModeSet.symmetric([(0.9, 1.0, 0.05), (2.3, 1.4, 0.02)], 0.3)),
 }
 
 
 @pytest.mark.parametrize("form", sorted(_EVEN_FORMS))
 def test_correlation_even_in_separation_bit_for_bit(form):
     # what lets a correlation memo key on |delta_r|
-    fn = _EVEN_FORMS[form]
+    fn, bath = _EVEN_FORMS[form]
     for d in (0.0, 1e-3, 0.5, 0.7, 1.0 / 3.0, 3.0, 40.0, 123.456):
-        assert fn(-d) == fn(d)
+        assert fn(bath, -d) == fn(bath, d)
+        # the bath table dispatches to exactly this form
+        assert correlation(bath, d) == fn(bath, d) and correlation(bath, -d) == fn(bath, -d)
+
+
+def test_ohmic_bath_rejects_an_unknown_form():
+    with pytest.raises(ValueError, match="form"):
+        OhmicBath(1, 1, 0.3, form="bogus")
 
 
 def test_quad_scale_pass_runs_once_per_bath(monkeypatch):
