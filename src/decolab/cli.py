@@ -6,7 +6,7 @@ line endings and a header row even when there are no data rows.  Reruns with
 the same config and seed are byte-identical.
 
 Beyond "does it have explicit modes", the bath's kind is left to ``spectral``:
-its correlation comes from ``ScenarioConfig.omega2``, its spectrum from ``spectrum``.
+its correlation comes from ``correlation``, its spectrum from ``spectrum``.
 
 Exit codes: 0 success, 2 config error, 3 verification failure,
 4 numerical non-convergence.
@@ -32,7 +32,7 @@ from .errors import ConfigError, ConvergenceError
 from .fidelity import C2_ZERO_FLOOR, closed_form_c2, factorized_c2, kind_state
 from .model import BathModeSet, build_hamiltonian
 from .oracle import Scenario, resolve_n_max
-from .spectral import classify_regime, spectrum
+from .spectral import classify_regime, correlation, spectrum
 from .suites import SUITE_NAMES, _verify_tasks, suite_tasks
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
             c2 = _closed_form_c2(cfg, kind)
             method = "closed-form"
         else:
-            c2 = factorized_c2(kind, _kind_state(cfg, kind), cfg.lattice, cfg.omega2)
+            c2 = factorized_c2(kind, _kind_state(cfg, kind), cfg.lattice, lambda d: correlation(cfg.bath, d))
             method = "factorized"
         rows.append({"scenario_id": cfg.name, "kind": kind, "c2": c2,
                      "tau2": _tau2(c2), "method": method})
@@ -122,10 +122,10 @@ def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
 
 def cmd_correlation(cfg: ScenarioConfig, delta_r: list[float]) -> list[dict]:
     """One row per separation."""
-    omega0 = cfg.omega2(0.0)
+    omega0 = correlation(cfg.bath, 0.0)
     rows = []
     for d in delta_r:
-        val = cfg.omega2(float(d))
+        val = correlation(cfg.bath, float(d))
         rows.append({"delta_r": float(d), "omega2": val,
                      "normalized": val / omega0 if omega0 != 0.0 else math.nan})
     return rows

@@ -22,7 +22,6 @@ config holds it as one object, ``ScenarioConfig.bath``, whose kinds ``spectral``
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
 import os
@@ -32,7 +31,7 @@ from .errors import ConfigError
 from .fidelity import Ensemble
 from .model import BathMode, BathModeSet, QubitLattice
 from .operators import DenseOperator, Ket
-from .spectral import OHMIC_FORMS, GaussianSpectrum, OhmicBath, correlation
+from .spectral import OHMIC_FORMS, GaussianSpectrum, OhmicBath
 from .states import PRESET_NAMES, build_preset, computational_ensemble, ket_from_amplitudes
 
 DEFAULT_DIM_CAP = 4096
@@ -107,14 +106,8 @@ class ScenarioConfig:
     sweep: "SweepSpec | None"
     raw: dict = field(repr=False, default_factory=dict)
 
-    @functools.cached_property
-    def omega2(self):
-        """The bath's correlation, evaluating each |separation| once (every form is even, bit for bit)."""
-        memo = functools.cache(lambda d: correlation(self.bath, d))
-        return lambda d: memo(abs(d))
-
     def with_spacing(self, d: float) -> "ScenarioConfig":
-        """This config with qubit i at i * d; the bath object (and its caches) is shared, ``raw`` kept."""
+        """This config with qubit i at i * d; the bath object (and its memos) is shared, ``raw`` kept."""
         positions = tuple(_finite(i * d, f"qubits[{i}].position") for i in range(self.lattice.n_qubits))
         try:
             return replace(self, lattice=replace(self.lattice, positions=positions))

@@ -24,15 +24,15 @@ input reaches in it: a single-parity input against a diagonal environment
 does a quarter of the dense product's work.  The eigenvector rows are
 projected onto <psi_r(t)| x <e| before the product, the sectors' amplitudes
 are summed before |.|^2 is taken, and all times of a curve are propagated
-in one batched call.  A row's fit evaluates each F(t) sample once: the curve
-keeps the values it has propagated, and the window search revisits its
-times, because its last probe is the first grid's endpoint and each halved
-grid's even points are the previous grid's first half, bit for bit.
+in one batched call.  A row is fitted once: the same eigenpairs give the
+exact Taylor coefficients c1..c6 of 1 - F(t), and ``t_max`` minimises the
+fitted c2's error bound (the t^5 and t^6 bias plus sample rounding), which
+must stay below the row's pass tolerance or raise ConvergenceError.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -62,17 +62,16 @@ from .operators import (
 
 FIT_POINTS = 9
 FIT_RESIDUAL_TARGET = 1e-10
-INFIDELITY_WINDOW = (1e-6, 1e-3)
-# quartic-dominated (c2 = 0) curves may shrink below the window's lower edge;
-# 1 - F keeps ~8 significant digits at this depth, still far above the bias
-INFIDELITY_FLOOR = 1e-7
+TAYLOR_ORDER = 6  # c5 and c6 bias the quartic fit's c2
+# rounding of one 1 - F sample: F sums |amplitude|^2 terms of order one
+SAMPLE_ROUNDING = 1e-15
 FIT_REL_TOL = 1e-2
 FACTORIZATION_REL_TOL = 1e-6
 FLAT_C2_FRACTION = 1e-12
 FLAT_PASS_FRACTION = 1e-4
 C1_PASS_FRACTION = 1e-4
 ENV_WEIGHT_CUTOFF = 1e-15
-BATCH_ELEMENTS = 1 << 20  # complex entries per batched propagation intermediate (16 MiB)
+BATCH_ELEMENTS = 1 << 19  # complex entries per batched propagation intermediate (8 MiB)
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,20 @@ class ExpansionEstimate:
     c1_hat: float
     c2_hat: float
     residual: float
-    window: tuple[float, int]
+
+
+def _fit_design(s: np.ndarray) -> np.ndarray:
+    """The fit's columns s, s^2, s^3, s^4; F(0) = 1 exactly, so there is no constant."""
+    return np.column_stack([s, s ** 2, s ** 3, s ** 4])
+
+
+@functools.cache
+def _c2_row_weights() -> tuple[float, float, float]:
+    """(beta5, beta6, gamma): the fitted s^2 coefficient's weights on s^5 and s^6, and its L1 gain on sample
+    errors.  Made on first use, since a LAPACK call at import would cost every command its buffers."""
+    s = np.linspace(0.0, 1.0, FIT_POINTS)
+    row = np.linalg.pinv(_fit_design(s))[1]
+    return float(row @ s ** 5), float(row @ s ** 6), float(np.abs(row).sum())
 
 
 def evolve_exact(model: ModelHamiltonian, rho0: DenseOperator, t: float) -> DenseOperator:
@@ -176,6 +188,36 @@ class _Propagated:
         out[times == 0.0] = 1.0  # exact, as the fit's first sample assumes
         return out
 
+    def taylor(self, curve: _Curve) -> np.ndarray:
+        """c_0..c_TAYLOR_ORDER with 1 - F(t) = sum_k c_k t^k, from the parts ``advance`` propagates.
+
+        Expanding both exponentials of ``advance``'s amplitude gives w_k = sum_{j+l=k} [bra (i h0)^j / j!]
+        rows [(-i lam)^l / l! kets], then F_k = sum_a <w_a, w_{k-a}> over the weighted members, c_0 = 1 - F_0
+        and c_k = -F_k, one order l at a time.
+        """
+        k = np.arange(TAYLOR_ORDER + 1)
+        inv_fact = 1.0 / np.cumprod(np.maximum(k, 1))
+        f = np.zeros(len(k))
+        de, m = self.rows.shape[1], curve.env_cols
+        for weight, parts in curve.members:
+            w = np.zeros((len(k), de, m), dtype=np.complex128)
+            for part in parts:
+                r, n, mp = part.kets.shape
+                s, e = part.rows.shape[:2]
+                bra = ((1j * part.h0) ** k[:, None] * inv_fact[:, None])[:, None, :] * part.bra  # (j, r, s)
+                lam = (-1j * self.lam[part.cols]) ** k[:, None] * inv_fact[:, None]  # (l, n)
+                rows = part.rows.reshape(s * e, n)
+                kets = part.kets.transpose(1, 0, 2)  # (n, r, mp)
+                wp = np.zeros((len(k), e, mp), dtype=np.complex128)
+                for l in k:
+                    x = (rows @ (lam[l, :, None, None] * kets).reshape(n, -1)).reshape(s, e, r, mp)
+                    wp[l:] += np.tensordot(bra[:len(k) - l], x, axes=([1, 2], [2, 0]))
+                w[part.block] += wp
+            v = w.reshape(len(k), -1).view(np.float64)  # Re <w_a, w_b> is a dot product of (re, im) pairs
+            gram = v @ v.T
+            f += weight * np.bincount(np.add.outer(k, k).ravel(), gram.ravel())[:len(k)]
+        return (k == 0) - f
+
 
 def _env_ensemble(rho_env: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """(weights, eigenvector columns) of the environment state, pruned."""
@@ -218,9 +260,6 @@ class _Curve:
     the sector and the environment-ensemble columns whose kets are not zero
     there: a single-parity class against a diagonal environment keeps half
     of each, so its two parts do a quarter of the dense product's work.
-
-    ``fidelity`` and ``curve`` read F from a per-curve memo keyed by the float
-    time, so each time is propagated once while the curve lives.
     """
 
     def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator,
@@ -234,7 +273,6 @@ class _Curve:
         self.env_cols = env_cols.shape[1]
         self.width = 0
         self.members = []
-        self._seen: dict[float, float] = {}  # F(t) per time already propagated on this curve
         system_parity = prop.parity[:, 0]  # environment index 0 is the boson vacuum
         for weight, psi in kind_members(kind, state):
             if psi.space != system:
@@ -260,19 +298,9 @@ class _Curve:
         """(n, propagated ket columns); perfbench's tracer reads it as ``advance``'s width."""
         return self.prop.vec.shape[0], self.width
 
-    def fidelity(self, t: float) -> float:
-        return float(self._samples([t])[0])
-
     def curve(self, times) -> FidelityCurve:
         times = np.asarray(times, float)
-        return FidelityCurve(times, self._samples(times))
-
-    def _samples(self, times) -> np.ndarray:
-        """F at ``times``: the unseen times go through one ``advance`` call, in first-seen order."""
-        missing = [t for t in dict.fromkeys(map(float, times)) if t not in self._seen]
-        if missing:
-            self._seen.update(zip(missing, self.prop.advance(self, np.array(missing)).tolist()))
-        return np.array([self._seen[float(t)] for t in times])
+        return FidelityCurve(times, self.prop.advance(self, times))
 
 
 def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_cols: np.ndarray) -> list[_Part]:
@@ -326,8 +354,7 @@ def estimate_c2(curve: FidelityCurve) -> ExpansionEstimate:
     if np.abs(steps - steps[0]).max() > 1e-9 * steps[0]:
         raise ValueError("fit requires a uniform time grid")
     t_max = float(t[-1])
-    s = t / t_max
-    design = np.column_stack([s, s ** 2, s ** 3, s ** 4])
+    design = _fit_design(t / t_max)
     y = 1.0 - curve.values
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     residual = float(np.abs(design @ sol - y).max())
@@ -335,74 +362,24 @@ def estimate_c2(curve: FidelityCurve) -> ExpansionEstimate:
         c1_hat=float(sol[0] / t_max),
         c2_hat=float(sol[1] / t_max ** 2),
         residual=residual,
-        window=(t_max, len(t)),
     )
 
 
-def _select_t_max(fidelity, c2_rough: float, scale: float) -> float:
-    """Find a window whose largest infidelity sits in [1e-6, 1e-3].
+def _fit_window(c: np.ndarray) -> tuple[float, float]:
+    """(t_max, E): the minimiser and minimum of the fitted c2's error bound, from Taylor coefficients ``c``.
 
-    Starts from the closed-form rate when it is available, otherwise from the
-    coupling's second moment; identically flat curves cap out and return the
-    probe time unchanged.  Running out of probes raises ConvergenceError.
+    E(t) = a t^3 + b t^4 + gamma SAMPLE_ROUNDING / t^2 with a = |beta5 c5| and
+    b = |beta6 c6|; E' = 0 at the positive root of 4b t^6 + 3a t^5 - 2 gamma SAMPLE_ROUNDING.
     """
-    lo, hi = INFIDELITY_WINDOW
-    if c2_rough > FLAT_C2_FRACTION * max(scale, 1.0):
-        t = 0.3 / math.sqrt(c2_rough)
-    elif scale > 0.0:
-        t = 0.3 / math.sqrt(scale)
-    else:
-        return 1.0
-    growths = 0
-    for _ in range(200):
-        y = 1.0 - fidelity(t)
-        if y > hi:
-            t *= 0.5
-        elif y < lo:
-            growths += 1
-            if growths > 60:
-                break  # flat curve: no window reaches the target infidelity
-            t *= 2.0
-        else:
-            break
-    else:
-        raise ConvergenceError(f"no fit window in 200 probes (last t = {t:.3e}, 1 - F = {y:.3e})")
-    return t
-
-
-FIT_HALVING_REL_TOL = 3e-5
-
-
-def _fit_with_refinement(evaluator, c2_rough: float, scale: float) -> ExpansionEstimate:
-    """Halve the window until the fitted c2 stops moving.
-
-    The residual alone cannot bound the coefficient bias: an order-t^5
-    remainder lies almost inside the quartic span on the grid, so it shifts
-    c2 while fitting the samples well.  Successive window halvings shrink
-    that bias by 8x per step, so agreement between consecutive fits certifies
-    it directly.  Shrinking stops at the cancellation floor (infidelity
-    ~1e-6), below which 1 - F loses precision faster than the bias shrinks.
-    Running out of halvings raises ConvergenceError.
-
-    The grids share samples: ``linspace(0, t, 9)`` ends on the last probe
-    ``t``, and halving is exact in binary floating point, so the even points
-    of ``linspace(0, t/2, 9)`` equal the first five of ``linspace(0, t, 9)``.
-    An evaluator that keeps its values (``_Curve``) propagates each once.
-    """
-    t_max = _select_t_max(evaluator.fidelity, c2_rough, scale)
-    prev = None
-    for _ in range(60):
-        curve = evaluator.curve(np.linspace(0.0, t_max, FIT_POINTS))
-        est = estimate_c2(curve)
-        if prev is not None:
-            shift = abs(est.c2_hat - prev.c2_hat) / max(abs(est.c2_hat), abs(prev.c2_hat), 1e-2 * scale, 1e-300)
-            if shift < FIT_HALVING_REL_TOL and est.residual <= FIT_RESIDUAL_TARGET:
-                return est
-        if 1.0 - curve.values[-1] < 3.0 * INFIDELITY_FLOOR:
-            return est
-        prev = est
-        t_max *= 0.5
-    raise ConvergenceError("fitted c2 did not settle in 60 window halvings", achieved=shift)
+    beta5, beta6, gamma = _c2_row_weights()
+    a, b = abs(beta5 * c[5]), abs(beta6 * c[6])
+    noise = gamma * SAMPLE_ROUNDING
+    roots = np.roots([4.0 * b, 3.0 * a, 0.0, 0.0, 0.0, 0.0, -2.0 * noise])
+    real = roots.real[(roots.real > 0.0) & (np.abs(roots.imag) <= 1e-9 * np.abs(roots))]
+    if len(real) == 0:
+        raise ConvergenceError("c5 = c6 = 0: no fit window minimises the c2 error bound")
+    t = float(real.max())
+    return t, a * t ** 3 + b * t ** 4 + noise / t ** 2
 
 
 @dataclass(frozen=True)
@@ -433,6 +410,7 @@ class VerifyReport:
     c2_fitted: float
     c1_fitted: float
     rel_err: float
+    bound: float  # B: the fit's c2 error bound, in rel_err's units
     residual: float
     t_max: float
     n_max: int
@@ -558,16 +536,27 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
     else:
         c2_analytic = c2_model
 
-    evaluator = _Curve(prop, model, scenario.kind, scenario.state, rho_env)
-    est = _fit_with_refinement(evaluator, c2_model, scale)
-    t_max = est.window[0]
-
+    # flat rows are judged against the coupling scale (or absolutely, without coupling)
     flat = c2_analytic <= FLAT_C2_FRACTION * max(scale, 1.0)
+    denom, fit_tol = (scale or 1.0, FLAT_PASS_FRACTION) if flat else (c2_analytic, FIT_REL_TOL)
+    curve = _Curve(prop, model, scenario.kind, scenario.state, rho_env)
+    if scale == 0.0:  # no coupling: F is flat to rounding, and only rounding biases c2
+        t_max, error = 1.0, _c2_row_weights()[2] * SAMPLE_ROUNDING
+    else:
+        t_max, error = _fit_window(prop.taylor(curve))
+    bound = error / denom
+    if not bound < fit_tol:
+        raise ConvergenceError(f"{scenario.name}: c2 error bound B = {bound:.3e} at t_max = {t_max:.3e} "
+                               f"is not below the pass tolerance {fit_tol:g}", achieved=bound)
+    est = estimate_c2(curve.curve(np.linspace(0.0, t_max, FIT_POINTS)))
+    if est.residual > FIT_RESIDUAL_TARGET:
+        raise ConvergenceError(f"{scenario.name}: quartic fit residual exceeds {FIT_RESIDUAL_TARGET:g} "
+                               f"at t_max = {t_max:.3e}", achieved=est.residual)
+
+    rel_err = abs(est.c2_hat - c2_analytic) / denom
     if flat:
-        rel_err = abs(est.c2_hat - c2_analytic) if scale == 0.0 else abs(est.c2_hat - c2_analytic) / scale
         passed = abs(est.c2_hat) <= FLAT_PASS_FRACTION * scale + 1e-10
     else:
-        rel_err = abs(est.c2_hat - c2_analytic) / c2_analytic
         passed = rel_err < FIT_REL_TOL
         if est.c2_hat > 0:
             passed = passed and abs(est.c1_hat) * t_max <= C1_PASS_FRACTION * est.c2_hat * t_max ** 2
@@ -583,6 +572,7 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
         c2_fitted=est.c2_hat,
         c1_fitted=est.c1_hat,
         rel_err=rel_err,
+        bound=bound,
         residual=est.residual,
         t_max=t_max,
         n_max=n_max,

@@ -17,9 +17,11 @@ The Ohmic bath has spectral weight ``w exp(-w / omega_c)`` with linear
 dispersion ``w = v k``; its correlation admits closed forms in the high- and
 low-temperature limits and is evaluated by quadrature in between.  The
 quadrature's Gauss-Legendre rule is built once per process, on first use;
-its tolerance, which depends on the bath, is computed once per ``OhmicBath``
-object.  A pass never holds more than ``_QUAD_MAX_PANELS`` panels: a
-separation that needs more raises ``ConvergenceError`` instead of building it.
+the quadrature tolerance, the spectrum moments and the correlation at each
+``|delta_r|`` are computed once per ``OhmicBath`` object, which the points
+of a ``d`` sweep share.  A pass never holds more than ``_QUAD_MAX_PANELS``
+panels: a separation that needs more raises ``ConvergenceError`` instead of
+building it.
 
 Every correlation here is even in the separation, bit for bit, so a memo may
 key on ``|delta_r|``.
@@ -103,6 +105,15 @@ class OhmicBath:
     def _quad_atol(self) -> float:
         """QUAD_REL_TOL of the zero-separation integral, whose first refinement pass fixes the scale."""
         return QUAD_REL_TOL * abs(_refine(self, 0.0, atol=math.inf))
+
+    @functools.cached_property
+    def _correlation(self):
+        """The form's correlation once per |delta_r|, looked up at call time so a rebound name is the one called."""
+        return functools.cache(lambda d: globals()[f"ohmic_correlation_{self.form}"](self, d))
+
+    @functools.cached_property
+    def _spectrum(self) -> GaussianSpectrum:
+        return ohmic_spectrum_moments(self)
 
 
 @dataclass(frozen=True)
@@ -269,13 +280,13 @@ def ohmic_spectrum_moments(bath: OhmicBath) -> GaussianSpectrum:
 
 
 def correlation(bath, delta_r: float) -> float:
-    """The spatial correlation Omega^2(delta_r) of any bath."""
+    """The spatial correlation Omega^2(delta_r) of any bath, evaluated at |delta_r|."""
+    d = abs(delta_r)
     if isinstance(bath, BathModeSet):
-        return correlation_fn_discrete(bath, delta_r)
+        return correlation_fn_discrete(bath, d)
     if isinstance(bath, GaussianSpectrum):
-        return gaussian_correlation(bath, delta_r)
-    # looked up at call time, so a rebound module attribute is the one called
-    return globals()[f"ohmic_correlation_{bath.form}"](bath, delta_r)
+        return gaussian_correlation(bath, d)
+    return bath._correlation(d)
 
 
 def spectrum(bath) -> GaussianSpectrum:
@@ -284,4 +295,4 @@ def spectrum(bath) -> GaussianSpectrum:
         return spectrum_moments(bath)
     if isinstance(bath, GaussianSpectrum):
         return bath
-    return ohmic_spectrum_moments(bath)
+    return bath._spectrum

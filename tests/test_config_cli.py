@@ -239,6 +239,29 @@ def test_d_sweep_reuses_the_parsed_config(monkeypatch):
         assert row["omega2"] == cmd_correlation(point, [d])[0]["omega2"]
 
 
+def test_d_sweep_evaluates_the_bath_memos_once(monkeypatch):
+    import decolab.spectral as spectral
+
+    moments, zero = [], []
+    spectrum_moments, quad = spectral.ohmic_spectrum_moments, spectral.ohmic_correlation_quad
+    monkeypatch.setattr(spectral, "ohmic_spectrum_moments", lambda bath: moments.append(bath) or spectrum_moments(bath))
+
+    def counting(bath, delta_r):
+        if delta_r == 0.0:
+            zero.append(bath)
+        return quad(bath, delta_r)
+
+    monkeypatch.setattr(spectral, "ohmic_correlation_quad", counting)
+    cfg = parse_config(_d_sweep_config([0.5, 1.0, 2.0]))
+    rows, _ = cmd_sweep(cfg)
+    assert [r["error"] for r in rows] == ["", "", ""]
+    # the points share the parsed bath, and with it Omega^2(0) and the spectrum: once per sweep
+    assert len(moments) == 1 and moments[0] is cfg.bath
+    assert len(zero) == 1 and zero[0] is cfg.bath
+    assert [r["regime"] for r in rows] == [cmd_regime(parse_config(_d_sweep_config([d])), [d])[0]["regime"]
+                                           for d in (0.5, 1.0, 2.0)]
+
+
 def test_d_sweep_invalid_spacing_is_a_row_error():
     rows, _ = cmd_sweep(parse_config(_d_sweep_config([0.0, -1.0, 1e308, 1.0])))
     assert [r["error"] for r in rows] == [

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -355,36 +354,6 @@ def test_io_and_average_curves_match_dense_evolution():
     assert np.abs(avg.values - ref).max() < 1e-12
 
 
-def test_window_search_fails_loudly_when_probes_run_out():
-    from decolab.oracle import _fit_with_refinement
-
-    never_in_window = SimpleNamespace(fidelity=lambda t: 0.0)  # 1 - F = 1 at every probe time
-    with pytest.raises(ConvergenceError, match="200 probes"):
-        _fit_with_refinement(never_in_window, 1.0, 1.0)
-
-
-def test_window_halving_fails_loudly_when_c2_never_settles():
-    from decolab.oracle import _fit_with_refinement
-
-    calls = []
-
-    def curve(times):
-        # the fitted c2 jumps by 2x between consecutive windows at any depth
-        calls.append(len(calls))
-        return FidelityCurve(times, 1.0 - 1e-4 * (1 + len(calls) % 2) * (times / times[-1]) ** 2)
-
-    stub = SimpleNamespace(fidelity=lambda t: 1.0 - 1e-4, curve=curve)
-    with pytest.raises(ConvergenceError, match="60 window halvings"):
-        _fit_with_refinement(stub, 1.0, 1.0)
-    assert len(calls) == 60
-
-
-def test_window_search_flat_curve_still_returns():
-    from decolab.oracle import _select_t_max
-
-    assert _select_t_max(lambda t: 1.0, 0.0, 1.0) == 0.3 * 2.0 ** 60
-
-
 def test_quick_suite_diagonalises_each_model_once(monkeypatch, tmp_path):
     from decolab import oracle
     from decolab.cli import main
@@ -409,10 +378,13 @@ def test_time_batches_agree_with_single_time_steps(monkeypatch):
     model, env = _two_qubit_thermal_model()
     rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(Xoshiro256pp(5), 4))
     times = np.linspace(0.0, 2.5, 9)
-    batched = fidelity_curve(model, "entanglement", rho_s, env, times)
-    monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 1)  # one time per dense product
-    single = fidelity_curve(model, "entanglement", rho_s, env, times)
+    prop = oracle._Propagated(model)
+    curve = oracle._Curve(prop, model, "entanglement", rho_s, env)
+    batched, taylor = curve.curve(times), prop.taylor(curve)
+    monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 1)  # one time (or one order) per dense product
+    single = curve.curve(times)
     assert np.abs(batched.values - single.values).max() < 1e-14
+    assert np.abs(prop.taylor(curve) - taylor).max() < 1e-14
 
 
 def test_model_memo_builds_each_model_once_interleaved(monkeypatch):
@@ -514,59 +486,129 @@ def test_sector_parts_keep_half_of_a_single_parity_input():
     assert [part.rows.shape[1] for part in parts] == [256, 256]
 
 
-# --- one evaluation per sample --------------------------------------------------
+# --- one certified fit per row -------------------------------------------------
 
 def test_quick_suite_evaluates_each_sample_once(monkeypatch, tmp_path):
     from decolab import oracle
     from decolab.cli import main
 
-    curves, samples = [], []
+    calls = []
     advance = oracle._Propagated.advance
 
     def recording(self, curve, t):
-        curves.append(curve)  # held, so a later row's curve cannot reuse this one's id()
-        samples.extend((id(curve), float(x)) for x in np.atleast_1d(t))
+        calls.append(np.atleast_1d(t).size)
         return advance(self, curve, t)
 
     monkeypatch.setattr(oracle._Propagated, "advance", recording)
-    assert main(["verify", "--suite", "quick", "--out", str(tmp_path / "quick.csv")]) == 0
-    assert len(samples) == len(set(samples))
-    assert len(samples) <= 160
+    out = tmp_path / "quick.csv"
+    assert main(["verify", "--suite", "quick", "--out", str(out)]) == 0
+    rows = len(out.read_text().splitlines()) - 1  # every quick row is fitted
+    assert calls == [oracle.FIT_POINTS] * rows  # one advance call of one grid per row
 
 
-def test_halved_grid_shares_its_even_points_bit_for_bit():
-    from decolab.oracle import FIT_POINTS
+@pytest.mark.parametrize("kd", [0.01, 0.02, 0.04])
+def test_encoded_pair_fit_is_certified_at_small_kd(kd):
+    # one +-k pair at k d = kd: on the encoded input 1 - F saturates near 2e-6
+    # and the short-time regime ends near t ~ 1
+    from decolab.model import pair_encode
 
-    for t in np.logspace(-6, 6, 2001):
-        grid = np.linspace(0.0, t, FIT_POINTS)
-        assert grid[-1] == t  # the probe's last time is the first grid's endpoint
-        assert np.array_equal(np.linspace(0.0, t * 0.5, FIT_POINTS)[::2], grid[:FIT_POINTS // 2 + 1])
+    lattice = QubitLattice((0.0, 1.0), 1.0, 0.5)
+    modes = BathModeSet.symmetric([(kd, 1.0, 0.05)], 0.0)
+    rep = verify_expansion(Scenario(f"kd-{kd}", "io", lattice, modes, pair_encode(ground_ket(1), lattice), 2))
+    assert rep.passed
+    assert rep.rel_err <= 1e-5
 
 
-@pytest.mark.parametrize("kind", ["io", "entanglement"])
-def test_fit_estimate_is_the_same_without_the_sample_memo(monkeypatch, kind):
+@pytest.fixture(scope="module")
+def fitted_rows():
+    """Per fitted quick/full row: scenario, report, scale, Taylor coefficients, model closed form."""
     from decolab import oracle
     from decolab.fidelity import closed_form_c2
+    from decolab.suites import suite_tasks
 
-    model, env = _two_qubit_thermal_model()
-    state = plus_all_ket(2) if kind == "io" else maximally_mixed_density(2)
-    prop = oracle._Propagated(model)
-    c2 = float(closed_form_c2(kind, state, model.h_i, env))
-    scale = oracle._scale_moment(model, env)
+    rows = []
+    verify_once, get, taylor = oracle._verify_once, oracle.ModelMemo.get, oracle._Propagated.taylor
 
-    counted = []
-    advance = oracle._Propagated.advance
+    def recording_verify(scenario, memo):
+        row = {"scenario": scenario}
+        rows.append(row)
+        row["report"] = verify_once(scenario, memo)
+        model, rho_env, row["scale"], _ = row.pop("run")
+        row["c2_model"] = float(closed_form_c2(scenario.kind, scenario.state, model.h_i, rho_env))
+        return row["report"]
 
-    def counting(self, curve, t):
-        counted.append(np.atleast_1d(t).size)
-        return advance(self, curve, t)
+    def recording_get(self, *key):
+        rows[-1]["run"] = get(self, *key)
+        return rows[-1]["run"]
 
-    monkeypatch.setattr(oracle._Propagated, "advance", counting)
-    memo = oracle._fit_with_refinement(oracle._Curve(prop, model, kind, state, env), c2, scale)
-    with_memo = sum(counted)
-    counted.clear()
-    monkeypatch.setattr(oracle._Curve, "_samples",
-                        lambda self, times: self.prop.advance(self, np.asarray(times, float)))
-    plain = oracle._fit_with_refinement(oracle._Curve(prop, model, kind, state, env), c2, scale)
-    assert memo == plain
-    assert with_memo < sum(counted)
+    def recording_taylor(self, curve):
+        rows[-1]["c"] = taylor(self, curve)
+        return rows[-1]["c"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_verify_once", recording_verify)
+        mp.setattr(oracle.ModelMemo, "get", recording_get)
+        mp.setattr(oracle._Propagated, "taylor", recording_taylor)
+        for suite in ("quick", "full"):
+            for _, run in suite_tasks(suite, 0):
+                run()
+    return rows
+
+
+def test_taylor_coefficients_match_the_closed_form(fitted_rows):
+    # a second oracle, independent of the fit: c2 from the exact Taylor terms
+    checked = 0
+    for row in fitted_rows:
+        if row["scale"] == 0.0:
+            continue  # no coupling: the fit runs without coefficients
+        c, scale, c2 = row["c"], row["scale"], row["c2_model"]
+        assert abs(c[2] - c2) <= 1e-10 * max(abs(c2), scale), row["scenario"].name
+        assert abs(c[1]) <= 1e-12 * scale, row["scenario"].name
+        checked += 1
+    assert checked >= 95
+
+
+def test_fit_error_stays_within_its_bound(fitted_rows):
+    closed_form = [row for row in fitted_rows if row["scenario"].kind != "factorized-rate"]
+    assert len(closed_form) >= 95
+    for row in closed_form:
+        rep = row["report"]
+        assert rep.rel_err <= rep.bound, rep.scenario
+
+
+def test_fit_window_is_the_error_bound_minimiser():
+    from decolab import oracle
+
+    # the 9-point quartic design's s^2 row
+    beta5, beta6, gamma = oracle._c2_row_weights()
+    assert (round(beta5, 4), round(beta6, 4), round(gamma, 2)) == (0.7412, 1.8199, 155.45)
+    noise = gamma * oracle.SAMPLE_ROUNDING
+    c6_only = np.array([0, 0, 1e-3, 0, 0, 0, 2e-4])
+    t, err = oracle._fit_window(c6_only)
+    b = beta6 * 2e-4
+    assert t == pytest.approx((noise / (2 * b)) ** (1 / 6), rel=1e-12)
+    assert err == pytest.approx(b * t ** 4 + noise / t ** 2, rel=1e-12)
+    c5_only = np.array([0, 0, 1e-3, 0, 0, -3e-4, 0])
+    t, _ = oracle._fit_window(c5_only)
+    assert t == pytest.approx((2 * noise / (3 * beta5 * 3e-4)) ** (1 / 5), rel=1e-12)
+    both = np.array([0, 0, 1e-3, 5e-4, 1e-4, 3e-4, -2e-4])
+    t, err = oracle._fit_window(both)
+    a, b = beta5 * 3e-4, beta6 * 2e-4
+    assert 4 * b * t ** 6 + 3 * a * t ** 5 == pytest.approx(2 * noise, rel=1e-12)
+    for off in (0.99, 1.01):
+        assert a * (off * t) ** 3 + b * (off * t) ** 4 + noise / (off * t) ** 2 > err
+    with pytest.raises(ConvergenceError, match="c5 = c6 = 0"):
+        oracle._fit_window(np.array([0, 0, 1e-3, 0, 1e-4, 0, 0]))
+
+
+def test_uncertified_window_fails_loudly(monkeypatch):
+    from decolab import oracle
+
+    advanced = []
+    monkeypatch.setattr(oracle._Propagated, "advance", lambda self, curve, t: advanced.append(t))
+    # t^5 and t^6 terms this large leave no window whose bias and rounding stay under 1e-2 of c2
+    monkeypatch.setattr(oracle._Propagated, "taylor", lambda self, curve: np.array([0, 0, G * G, 0, 0, 1e9, 1e9]))
+    model, _ = single_qubit_model()
+    with pytest.raises(ConvergenceError, match=r"B = .* is not below the pass tolerance 0\.01"):
+        verify_expansion(Scenario("uncertified", "io", model.lattice, model.modes, ground_ket(1)))
+    assert advanced == []  # refused before any sample is propagated
