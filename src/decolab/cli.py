@@ -29,7 +29,7 @@ from .config import (
     set_config_path,
 )
 from .errors import ConfigError, ConvergenceError
-from .fidelity import C2_ZERO_FLOOR, closed_form_c2, factorized_c2, kind_state
+from .fidelity import closed_form_c2, damping_time, factorized_c2, kind_state
 from .model import BathModeSet, build_hamiltonian
 from .oracle import Scenario, resolve_n_max
 from .spectral import classify_regime, correlation, spectrum
@@ -85,38 +85,30 @@ def rows_to_json(rows: list[dict], columns) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _tau2(c2: float) -> float:
-    return math.inf if c2 < C2_ZERO_FLOOR else c2 ** -0.5
-
-
 def _kind_state(cfg: ScenarioConfig, kind: str):
     """The config's state for one fidelity kind, as ``kind_state`` takes it."""
-    state = cfg.ensemble() if kind == "average" else cfg.state()
+    state = cfg.ensemble if kind == "average" else cfg.state
     try:
         return kind_state(kind, state)
     except ValueError as exc:
         raise ConfigError("fidelity_kind", str(exc)) from exc
 
 
-def _closed_form_c2(cfg: ScenarioConfig, kind: str) -> float:
-    """Variance-form coefficient on the explicitly built discrete model."""
-    n_max = resolve_n_max(cfg.bath, cfg.lattice.n_qubits, cfg.n_max)
-    model = build_hamiltonian(cfg.lattice, cfg.bath, n_max)
-    return closed_form_c2(kind, _kind_state(cfg, kind), model.h_i, model.thermal_env_state())
-
-
 def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
-    """One row per fidelity kind."""
+    """One row per fidelity kind; a discrete bath's model is built once for all of them."""
+    if isinstance(cfg.bath, BathModeSet):
+        model = build_hamiltonian(cfg.lattice, cfg.bath, resolve_n_max(cfg.bath, cfg.lattice.n_qubits, cfg.n_max))
+        rho_env = model.thermal_env_state()
+        method = "closed-form"
+        c2_of = lambda kind, state: closed_form_c2(kind, state, model.h_i, rho_env)
+    else:
+        method = "factorized"
+        c2_of = lambda kind, state: factorized_c2(kind, state, cfg.lattice, lambda d: correlation(cfg.bath, d))
     rows = []
     for kind in cfg.fidelity_kinds:
-        if isinstance(cfg.bath, BathModeSet):
-            c2 = _closed_form_c2(cfg, kind)
-            method = "closed-form"
-        else:
-            c2 = factorized_c2(kind, _kind_state(cfg, kind), cfg.lattice, lambda d: correlation(cfg.bath, d))
-            method = "factorized"
+        c2 = c2_of(kind, _kind_state(cfg, kind))
         rows.append({"scenario_id": cfg.name, "kind": kind, "c2": c2,
-                     "tau2": _tau2(c2), "method": method})
+                     "tau2": damping_time(c2), "method": method})
     return rows
 
 
@@ -140,14 +132,23 @@ def cmd_regime(cfg: ScenarioConfig, d_values: list[float]) -> list[dict]:
     return rows
 
 
-def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> list[dict]:
+def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> tuple[list[dict], list[str]]:
+    """Every task's row, and one message per row that did not converge; such a row has empty cells and fails."""
     if suite is not None:
-        return [run() for _, run in suite_tasks(suite, seed)]
-    if not isinstance(cfg.bath, BathModeSet):
-        raise ConfigError("bath", "verify needs a discrete bath (the oracle evolves explicit modes)")
-    scenarios = [Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.bath, _kind_state(cfg, kind), cfg.n_max)
-                 for kind in cfg.fidelity_kinds]
-    return [run() for _, run in _verify_tasks(scenarios)]
+        tasks = suite_tasks(suite, seed)
+    else:
+        if not isinstance(cfg.bath, BathModeSet):
+            raise ConfigError("bath", "verify needs a discrete bath (the oracle evolves explicit modes)")
+        tasks = _verify_tasks([Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.bath, _kind_state(cfg, kind),
+                                        cfg.n_max) for kind in cfg.fidelity_kinds])
+    rows, failures = [], []
+    for name, run in tasks:
+        try:
+            rows.append(run())
+        except ConvergenceError as exc:
+            rows.append({"scenario": name, "pass": False})
+            failures.append(f"{name}: {exc}")
+    return rows, failures
 
 
 def _sweep_point_config(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> tuple[ScenarioConfig, float | None]:
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
 
-        verify_failed = False
+        verify_failed, failures = False, []
         if args.command == "rates":
             rows, columns = cmd_rates(cfg), RATES_COLUMNS
         elif args.command == "correlation":
@@ -268,13 +269,17 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             if (args.suite is None) == (cfg is None):
                 raise ConfigError("verify", "exactly one of --suite or --config is required")
-            rows, columns = cmd_verify(cfg, args.suite, seed), VERIFY_COLUMNS
+            (rows, failures), columns = cmd_verify(cfg, args.suite, seed), VERIFY_COLUMNS
             verify_failed = any(not r["pass"] for r in rows)
         else:
             rows, columns = cmd_sweep(cfg)
 
         text = rows_to_csv(rows, columns) if args.format == "csv" else rows_to_json(rows, columns)
         _emit(text, args.out)
+        for message in failures:
+            print(f"numerical non-convergence: {message}", file=sys.stderr)
+        if failures:
+            return EXIT_NUMERIC
         return EXIT_VERIFY if verify_failed else EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

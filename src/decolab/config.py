@@ -22,6 +22,7 @@ config holds it as one object, ``ScenarioConfig.bath``, whose kinds ``spectral``
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import os
@@ -96,7 +97,7 @@ class ScenarioConfig:
     name: str
     lattice: QubitLattice
     bath: BathModeSet | OhmicBath | GaussianSpectrum
-    state_spec: object  # preset name or amplitude list
+    state: Ket | DenseOperator = field(compare=False)  # reads no qubit position, so a d sweep shares it
     fidelity_kinds: tuple[str, ...]
     ensemble_spec: tuple | None
     n_max: int | None
@@ -107,34 +108,29 @@ class ScenarioConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
     def with_spacing(self, d: float) -> "ScenarioConfig":
-        """This config with qubit i at i * d; the bath object (and its memos) is shared, ``raw`` kept."""
+        """This config with qubit i at i * d, sharing the bath (with its memos), the state and ``raw``."""
         positions = tuple(_finite(i * d, f"qubits[{i}].position") for i in range(self.lattice.n_qubits))
         try:
             return replace(self, lattice=replace(self.lattice, positions=positions))
         except ValueError as exc:
             raise ConfigError("qubits", str(exc)) from exc
 
-    def state(self) -> Ket | DenseOperator:
-        return _build_state(self.state_spec, self.lattice, "state")
-
+    @functools.cached_property
     def ensemble(self) -> Ensemble:
-        """The configured ensemble, or one derived from the state."""
-        if self.ensemble_spec is not None:
-            members = []
-            for i, (p, spec) in enumerate(self.ensemble_spec):
-                st = _build_state(spec, self.lattice, f"ensemble[{i}].state")
-                _expect(isinstance(st, Ket), f"ensemble[{i}].state", "ensemble members must be pure states")
-                members.append((p, st))
-            try:
-                return Ensemble(tuple(members))
-            except ValueError as exc:
-                raise ConfigError("ensemble", str(exc)) from exc
-        st = self.state()
-        if isinstance(st, Ket):
-            return Ensemble(((1.0, st),))
-        if self.state_spec == "maximally_mixed":
-            return computational_ensemble(self.lattice.n_qubits)
-        raise ConfigError("ensemble", "an explicit ensemble is required for this mixed state")
+        """The configured ensemble, or one derived from the state; built on first use."""
+        if self.ensemble_spec is None:
+            if isinstance(self.state, Ket):
+                return Ensemble(((1.0, self.state),))
+            return computational_ensemble(self.lattice.n_qubits)  # maximally_mixed, the one mixed preset
+        members = []
+        for i, (p, spec) in enumerate(self.ensemble_spec):
+            st = _build_state(spec, self.lattice, f"ensemble[{i}].state")
+            _expect(isinstance(st, Ket), f"ensemble[{i}].state", "ensemble members must be pure states")
+            members.append((p, st))
+        try:
+            return Ensemble(tuple(members))
+        except ValueError as exc:
+            raise ConfigError("ensemble", str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -324,11 +320,10 @@ def parse_config(cfg: dict) -> ScenarioConfig:
         _expect(n_max >= 1, "n_max", f"must be >= 1, got {n_max}")
     seed = _get_int(cfg, "seed", "", default=0)
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         name=name,
         lattice=lattice,
         bath=bath,
-        state_spec=state_spec if isinstance(state_spec, str) else tuple(map(tuple_or_scalar, state_spec)),
         fidelity_kinds=tuple(kinds_raw),
         ensemble_spec=ensemble_spec,
         n_max=n_max,
@@ -336,15 +331,9 @@ def parse_config(cfg: dict) -> ScenarioConfig:
         delta_r=_parse_number_list(cfg, "delta_r"),
         d_values=_parse_number_list(cfg, "d"),
         sweep=_parse_sweep(cfg),
+        state=_build_state(state_spec, lattice, "state"),  # after the other fields, whose errors come first
         raw=copy.deepcopy(cfg),
     )
-    # force state construction so bad amplitude lists fail at parse time
-    config.state()
-    return config
-
-
-def tuple_or_scalar(entry):
-    return tuple(entry) if isinstance(entry, list) else entry
 
 
 def load_config(path: str) -> ScenarioConfig:

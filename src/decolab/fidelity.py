@@ -46,10 +46,12 @@ class ExpansionCoefficients:
 
     @property
     def tau2(self) -> float:
-        """Quadratic damping time; infinite when the rate vanishes."""
-        if self.c2 < C2_ZERO_FLOOR:
-            return math.inf
-        return self.c2 ** -0.5
+        return damping_time(self.c2)
+
+
+def damping_time(c2: float) -> float:
+    """Quadratic damping time c2**-0.5; infinite when the rate vanishes."""
+    return math.inf if c2 < C2_ZERO_FLOOR else c2 ** -0.5
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,9 @@ class Ensemble:
         return DenseOperator.density_op(self.space, m, check_spectrum=False)
 
 
-def _clamped_c2(value: float) -> float:
-    if value < VARIANCE_NEGATIVE_ERROR:
-        raise ValueError(f"damping coefficient is negative beyond rounding noise: {value:.3e}")
-    return max(value, 0.0)
-
-
 def input_output_c2(psi0: Ket, h_i: DenseOperator, rho_env: DenseOperator) -> ExpansionCoefficients:
     """Quadratic damping of the pure-input fidelity: c2 = variance form."""
-    return ExpansionCoefficients(0.0, _clamped_c2(variance_form(h_i, psi0.projector(), rho_env)))
+    return ExpansionCoefficients(0.0, variance_form(h_i, psi0.projector(), rho_env))
 
 
 def entanglement_c2(rho_s: DenseOperator, h_i: DenseOperator, rho_env: DenseOperator) -> ExpansionCoefficients:
@@ -98,7 +94,7 @@ def entanglement_c2(rho_s: DenseOperator, h_i: DenseOperator, rho_env: DenseOper
     Intrinsic to ``rho_s``: the system mean in the variance form is taken
     against the density itself, so no purification enters.
     """
-    return ExpansionCoefficients(0.0, _clamped_c2(variance_form(h_i, rho_s, rho_env)))
+    return ExpansionCoefficients(0.0, variance_form(h_i, rho_s, rho_env))
 
 
 def average_c2(ensemble: Ensemble, h_i: DenseOperator, rho_env: DenseOperator) -> ExpansionCoefficients:
@@ -117,7 +113,10 @@ def average_c2(ensemble: Ensemble, h_i: DenseOperator, rho_env: DenseOperator) -
         amp = psi.amplitudes
         b = np.einsum("u,uesf,s->ef", amp.conj(), h4, amp)
         msq += p * float(np.sum((rho_env.matrix @ b) * b.T).real)
-    return ExpansionCoefficients(0.0, _clamped_c2(m2 - msq))
+    c2 = m2 - msq
+    if c2 < VARIANCE_NEGATIVE_ERROR:
+        raise ValueError(f"damping coefficient is negative beyond rounding noise: {c2:.3e}")
+    return ExpansionCoefficients(0.0, max(c2, 0.0))
 
 
 def _density(state) -> DenseOperator:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import FIDELITY_KINDS, dimension_cap
 from .errors import ConvergenceError
-from .fidelity import closed_form_c2, coupling_moments, kind_members, kind_state
+from .fidelity import C2_ZERO_FLOOR, closed_form_c2, coupling_moments, kind_members, kind_state
 from .model import (
     BathModeSet,
     ModelHamiltonian,
@@ -188,36 +188,6 @@ class _Propagated:
         out[times == 0.0] = 1.0  # exact, as the fit's first sample assumes
         return out
 
-    def taylor(self, curve: _Curve) -> np.ndarray:
-        """c_0..c_TAYLOR_ORDER with 1 - F(t) = sum_k c_k t^k, from the parts ``advance`` propagates.
-
-        Expanding both exponentials of ``advance``'s amplitude gives w_k = sum_{j+l=k} [bra (i h0)^j / j!]
-        rows [(-i lam)^l / l! kets], then F_k = sum_a <w_a, w_{k-a}> over the weighted members, c_0 = 1 - F_0
-        and c_k = -F_k, one order l at a time.
-        """
-        k = np.arange(TAYLOR_ORDER + 1)
-        inv_fact = 1.0 / np.cumprod(np.maximum(k, 1))
-        f = np.zeros(len(k))
-        de, m = self.rows.shape[1], curve.env_cols
-        for weight, parts in curve.members:
-            w = np.zeros((len(k), de, m), dtype=np.complex128)
-            for part in parts:
-                r, n, mp = part.kets.shape
-                s, e = part.rows.shape[:2]
-                bra = ((1j * part.h0) ** k[:, None] * inv_fact[:, None])[:, None, :] * part.bra  # (j, r, s)
-                lam = (-1j * self.lam[part.cols]) ** k[:, None] * inv_fact[:, None]  # (l, n)
-                rows = part.rows.reshape(s * e, n)
-                kets = part.kets.transpose(1, 0, 2)  # (n, r, mp)
-                wp = np.zeros((len(k), e, mp), dtype=np.complex128)
-                for l in k:
-                    x = (rows @ (lam[l, :, None, None] * kets).reshape(n, -1)).reshape(s, e, r, mp)
-                    wp[l:] += np.tensordot(bra[:len(k) - l], x, axes=([1, 2], [2, 0]))
-                w[part.block] += wp
-            v = w.reshape(len(k), -1).view(np.float64)  # Re <w_a, w_b> is a dot product of (re, im) pairs
-            gram = v @ v.T
-            f += weight * np.bincount(np.add.outer(k, k).ravel(), gram.ravel())[:len(k)]
-        return (k == 0) - f
-
 
 def _env_ensemble(rho_env: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
     """(weights, eigenvector columns) of the environment state, pruned."""
@@ -328,6 +298,37 @@ def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_
         parts.append(_Part(prop.h0_diag[support], amps.conj(), cols, rows,
                            kets[:, :, ket_cols].transpose(1, 0, 2).copy(), block))
     return parts
+
+
+def taylor_coefficients(prop: _Propagated, curve: _Curve) -> np.ndarray:
+    """c_0..c_TAYLOR_ORDER with 1 - F(t) = sum_k c_k t^k, from the parts ``prop.advance`` propagates.
+
+    Expanding both exponentials of ``advance``'s amplitude gives w_k = sum_{j+l=k} [bra (i h0)^j / j!]
+    rows [(-i lam)^l / l! kets], then F_k = sum_a <w_a, w_{k-a}> over the weighted members, c_0 = 1 - F_0
+    and c_k = -F_k, one order l at a time.
+    """
+    k = np.arange(TAYLOR_ORDER + 1)
+    inv_fact = 1.0 / np.cumprod(np.maximum(k, 1))
+    f = np.zeros(len(k))
+    de, m = prop.rows.shape[1], curve.env_cols
+    for weight, parts in curve.members:
+        w = np.zeros((len(k), de, m), dtype=np.complex128)
+        for part in parts:
+            r, n, mp = part.kets.shape
+            s, e = part.rows.shape[:2]
+            bra = ((1j * part.h0) ** k[:, None] * inv_fact[:, None])[:, None, :] * part.bra  # (j, r, s)
+            lam = (-1j * prop.lam[part.cols]) ** k[:, None] * inv_fact[:, None]  # (l, n)
+            rows = part.rows.reshape(s * e, n)
+            kets = part.kets.transpose(1, 0, 2)  # (n, r, mp)
+            wp = np.zeros((len(k), e, mp), dtype=np.complex128)
+            for l in k:
+                x = (rows @ (lam[l, :, None, None] * kets).reshape(n, -1)).reshape(s, e, r, mp)
+                wp[l:] += np.tensordot(bra[:len(k) - l], x, axes=([1, 2], [2, 0]))
+            w[part.block] += wp
+        v = w.reshape(len(k), -1).view(np.float64)  # Re <w_a, w_b> is a dot product of (re, im) pairs
+        gram = v @ v.T
+        f += weight * np.bincount(np.add.outer(k, k).ravel(), gram.ravel())[:len(k)]
+    return (k == 0) - f
 
 
 def fidelity_curve(model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator, times,
@@ -511,7 +512,7 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False,
     result = _verify_once(scenario, memo)
     if check_convergence:
         again = _verify_once(replace(scenario, n_max=2 * result.n_max), memo)
-        denom = max(abs(result.c2_fitted), abs(again.c2_fitted), 1e-14)
+        denom = max(abs(result.c2_fitted), abs(again.c2_fitted), C2_ZERO_FLOOR)
         shift = abs(again.c2_fitted - result.c2_fitted) / denom
         if shift > 1e-8:
             raise ConvergenceError(
@@ -531,7 +532,7 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
     if scenario.kind == "factorized-rate":
         rho_s = kind_state(scenario.kind, scenario.state)
         c2_factorized = float(decoherence_rate(scenario.lattice, scenario.modes, rho_s))
-        factorization_rel_err = float(abs(c2_factorized - c2_model) / max(c2_model, 1e-14))
+        factorization_rel_err = float(abs(c2_factorized - c2_model) / max(c2_model, C2_ZERO_FLOOR))
         c2_analytic = c2_factorized
     else:
         c2_analytic = c2_model
@@ -543,14 +544,14 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
     if scale == 0.0:  # no coupling: F is flat to rounding, and only rounding biases c2
         t_max, error = 1.0, _c2_row_weights()[2] * SAMPLE_ROUNDING
     else:
-        t_max, error = _fit_window(prop.taylor(curve))
+        t_max, error = _fit_window(taylor_coefficients(prop, curve))
     bound = error / denom
     if not bound < fit_tol:
-        raise ConvergenceError(f"{scenario.name}: c2 error bound B = {bound:.3e} at t_max = {t_max:.3e} "
+        raise ConvergenceError(f"c2 error bound B = {bound:.3e} at t_max = {t_max:.3e} "
                                f"is not below the pass tolerance {fit_tol:g}", achieved=bound)
     est = estimate_c2(curve.curve(np.linspace(0.0, t_max, FIT_POINTS)))
     if est.residual > FIT_RESIDUAL_TARGET:
-        raise ConvergenceError(f"{scenario.name}: quartic fit residual exceeds {FIT_RESIDUAL_TARGET:g} "
+        raise ConvergenceError(f"quartic fit residual exceeds {FIT_RESIDUAL_TARGET:g} "
                                f"at t_max = {t_max:.3e}", achieved=est.residual)
 
     rel_err = abs(est.c2_hat - c2_analytic) / denom

@@ -45,6 +45,8 @@ COLLECTIVE_THRESHOLD = 0.1
 
 # each name selects ohmic_correlation_<form>
 OHMIC_FORMS = ("quad", "highT", "lowT")
+# the lowT form's largest T / omega_c: there it stays within 1e-2 of quad, relative to Omega^2(0)
+LOWT_MAX_T_OVER_OMEGA_C = 0.05
 
 QUAD_REL_TOL = 1e-9
 _QUAD_NODES = 24
@@ -187,6 +189,9 @@ def ohmic_correlation_lowT(bath: OhmicBath, delta_r: float) -> float:
     Exact at T = 0 (Laplace transform of the cutoff weight); changes sign at
     u = 1, where separated sites become anti-correlated.
     """
+    if bath.temperature > LOWT_MAX_T_OVER_OMEGA_C * bath.omega_c:
+        raise ValueError(f"the lowT form needs temperature <= {LOWT_MAX_T_OVER_OMEGA_C:g} omega_c "
+                         f"(it holds for T << omega_c), got T = {bath.temperature!r}")
     u = bath.omega_c * delta_r / bath.v
     return bath.amplitude * 2.0 * bath.omega_c ** 2 * (1.0 - u * u) / (1.0 + u * u) ** 2
 

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fidelity import Ensemble, check_rate_inequality, entanglement_c2
+from .fidelity import C2_ZERO_FLOOR, Ensemble, check_rate_inequality, entanglement_c2
 from .model import (
     BathMode,
     BathModeSet,
@@ -157,7 +157,7 @@ def _factorization_task(L: int, K: int, t_ratio: float) -> Task:
         rho_s = maximally_mixed_density(L) if L == 1 else ghz_ket(L).projector()
         rate = decoherence_rate(lattice, modes, rho_s)
         vf = entanglement_c2(rho_s, model.h_i, model.thermal_env_state()).c2
-        rel = abs(rate - vf) / max(vf, 1e-14)
+        rel = abs(rate - vf) / max(vf, C2_ZERO_FLOOR)
         return {"scenario": name, "c2_analytic": rate, "c2_fitted": vf,
                 "rel_err": rel, "pass": bool(rel < FACTORIZATION_REL_TOL)}
 
@@ -222,7 +222,7 @@ def _inequality_instance(rng: Xoshiro256pp, index: int) -> Task:
 
     def run() -> dict:
         rep = check_rate_inequality(rho, ensemble, h_i, env)
-        denom = max(rep.c2_entanglement, rep.c2_average, 1e-14)
+        denom = max(rep.c2_entanglement, rep.c2_average, C2_ZERO_FLOOR)
         violation = max(0.0, rep.c2_average - rep.c2_entanglement) / denom
         return {"scenario": name, "c2_analytic": rep.c2_entanglement,
                 "c2_fitted": rep.c2_average, "rel_err": violation, "pass": bool(rep.holds)}

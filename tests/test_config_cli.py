@@ -76,7 +76,7 @@ def test_config_rejects_two_bath_variants():
 def test_config_amplitude_state_with_complex_entries():
     cfg = base_config(state=[[0.0, 1.0], 0.0])
     parsed = parse_config(cfg)
-    ket = parsed.state()
+    ket = parsed.state
     assert abs(abs(ket.amplitudes[0]) - 1.0) < 1e-12
 
 
@@ -125,6 +125,46 @@ def test_rates_average_requires_ensemble_for_generic_mixed_state():
     cfg = base_config(state="maximally_mixed", fidelity_kind="average")
     rows = cmd_rates(parse_config(cfg))
     assert abs(rows[0]["c2"] - 0.05 ** 2) < 1e-15  # computational decomposition
+
+
+def test_rates_builds_a_discrete_model_once_for_all_kinds(monkeypatch):
+    import decolab.cli
+
+    built = []
+    build = decolab.cli.build_hamiltonian
+    monkeypatch.setattr(decolab.cli, "build_hamiltonian", lambda *args: built.append(args) or build(*args))
+    rows = cmd_rates(parse_config(base_config(fidelity_kind=["io", "entanglement", "average"])))
+    assert [r["kind"] for r in rows] == ["io", "entanglement", "average"]
+    assert len(built) == 1
+
+
+def test_d_sweep_builds_the_state_once(monkeypatch):
+    import decolab.config
+
+    built = []
+    build = decolab.config.build_preset
+    monkeypatch.setattr(decolab.config, "build_preset", lambda name, lattice: built.append(name) or build(name, lattice))
+    cfg = base_config(qubits=[{"position": 0.1 * i} for i in range(4)], h0_splittings=[],
+                      bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}}, state="encoded",
+                      fidelity_kind=["io", "entanglement", "average"],
+                      sweep={"parameter": "d", "values": [0.5, 1.0, 2.0], "columns": ["c2"]})
+    rows, _ = cmd_sweep(parse_config(cfg))
+    assert [r["error"] for r in rows] == ["", "", ""]
+    assert built == ["encoded"]  # at parse time; the points share the parsed state
+
+
+def test_broken_ensemble_fails_only_the_average_kind(tmp_path, capsys):
+    cfg = base_config(ensemble=[{"p": 0.6, "state": "ground"}, {"p": 0.6, "state": "plus_all"}])
+    assert main(["rates", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("scenario_id,kind,c2,tau2,method\nt,io,")
+    cfg["fidelity_kind"] = "average"
+    assert main(["rates", "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ensemble: ensemble probabilities sum to 1.2")
+
+
+def test_parsed_configs_compare_equal():
+    cfg = base_config(state=[[0.0, 1.0], 0.5])
+    assert parse_config(cfg) == parse_config(cfg)
 
 
 def test_rates_io_rejects_mixed_state():
@@ -381,6 +421,28 @@ def test_highT_at_zero_temperature_is_rejected(tmp_path, capsys):
     assert rows[0]["error"] == "the highT form needs temperature > 0 (it holds for T >> omega_c)"
 
 
+def test_lowT_above_its_temperature_limit_is_rejected(tmp_path, capsys):
+    # the limit is 0.05 omega_c = 0.1 here
+    cfg = base_config(
+        qubits=[{"position": 0.0}, {"position": 1.0}],
+        h0_splittings=[],
+        bath={"ohmic": {"omega_c": 2.0, "v": 1.5, "temperature": 0.1, "form": "lowT"}},
+        state="ghz",
+        fidelity_kind="entanglement",
+        delta_r=[1.0],
+        sweep={"parameter": "temperature", "values": [0.1, 0.11], "columns": ["c2"]},
+    )
+    message = "the lowT form needs temperature <= 0.05 omega_c (it holds for T << omega_c), got T = 0.11"
+    rows, _ = cmd_sweep(parse_config(cfg))
+    assert rows[0]["error"] == "" and rows[0]["c2"] > 0
+    assert rows[1]["c2"] is None and rows[1]["error"] == message.replace(",", ";")
+    cfg["bath"]["ohmic"]["temperature"] = 0.11
+    path = write_config(tmp_path, cfg)
+    for command in ("rates", "correlation"):
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # --- correlation / regime ----------------------------------------------------
 
 def test_correlation_ohmic_highT_grid():
@@ -481,6 +543,38 @@ def test_cli_verify_failure_exit_code(monkeypatch, tmp_path):
     monkeypatch.setattr(suites, "suite_tasks", fake_tasks)
     monkeypatch.setattr("decolab.cli.suite_tasks", fake_tasks)
     assert main(["verify", "--suite", "quick", "--out", str(tmp_path / "v.csv")]) == EXIT_VERIFY
+
+
+def test_cli_verify_keeps_the_rows_around_a_non_converging_one(monkeypatch, tmp_path, capsys):
+    from decolab import oracle
+
+    normal = tmp_path / "normal.csv"
+    assert main(["verify", "--suite", "quick", "--out", str(normal)]) == EXIT_OK
+    calls = []
+    taylor = oracle.taylor_coefficients
+
+    def uncertified_third_row(prop, curve):
+        calls.append(curve)
+        c = taylor(prop, curve)
+        # the flat second row fits without coefficients: the second call is the third row's
+        return [0, 0, c[2], 0, 0, 1e9, 1e9] if len(calls) == 2 else c
+
+    monkeypatch.setattr(oracle, "taylor_coefficients", uncertified_third_row)
+    capsys.readouterr()
+    failed = tmp_path / "failed.csv"
+    assert main(["verify", "--suite", "quick", "--out", str(failed)]) == 4
+    expected, got = normal.read_text().splitlines(), failed.read_text().splitlines()
+    assert len(got) == 9 and got[0] == expected[0]  # the header and 8 rows
+    assert got[3] == "quick-ent-mixed-thermal,,,,false"
+    assert got[:3] + got[4:] == expected[:3] + expected[4:]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("numerical non-convergence: quick-ent-mixed-thermal: c2 error bound B = ")
+    calls.clear()
+    assert main(["verify", "--suite", "quick", "--format", "json"]) == 4
+    row = json.loads(capsys.readouterr().out)[2]
+    assert row == {"scenario": "quick-ent-mixed-thermal", "c2_analytic": None, "c2_fitted": None,
+                   "rel_err": None, "pass": False}
 
 
 def test_cli_nmax_cap_env(monkeypatch, tmp_path):

@@ -380,11 +380,11 @@ def test_time_batches_agree_with_single_time_steps(monkeypatch):
     times = np.linspace(0.0, 2.5, 9)
     prop = oracle._Propagated(model)
     curve = oracle._Curve(prop, model, "entanglement", rho_s, env)
-    batched, taylor = curve.curve(times), prop.taylor(curve)
+    batched, taylor = curve.curve(times), oracle.taylor_coefficients(prop, curve)
     monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 1)  # one time (or one order) per dense product
     single = curve.curve(times)
     assert np.abs(batched.values - single.values).max() < 1e-14
-    assert np.abs(prop.taylor(curve) - taylor).max() < 1e-14
+    assert np.abs(oracle.taylor_coefficients(prop, curve) - taylor).max() < 1e-14
 
 
 def test_model_memo_builds_each_model_once_interleaved(monkeypatch):
@@ -527,7 +527,7 @@ def fitted_rows():
     from decolab.suites import suite_tasks
 
     rows = []
-    verify_once, get, taylor = oracle._verify_once, oracle.ModelMemo.get, oracle._Propagated.taylor
+    verify_once, get, taylor = oracle._verify_once, oracle.ModelMemo.get, oracle.taylor_coefficients
 
     def recording_verify(scenario, memo):
         row = {"scenario": scenario}
@@ -541,14 +541,14 @@ def fitted_rows():
         rows[-1]["run"] = get(self, *key)
         return rows[-1]["run"]
 
-    def recording_taylor(self, curve):
-        rows[-1]["c"] = taylor(self, curve)
+    def recording_taylor(prop, curve):
+        rows[-1]["c"] = taylor(prop, curve)
         return rows[-1]["c"]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_verify_once", recording_verify)
         mp.setattr(oracle.ModelMemo, "get", recording_get)
-        mp.setattr(oracle._Propagated, "taylor", recording_taylor)
+        mp.setattr(oracle, "taylor_coefficients", recording_taylor)
         for suite in ("quick", "full"):
             for _, run in suite_tasks(suite, 0):
                 run()
@@ -607,7 +607,7 @@ def test_uncertified_window_fails_loudly(monkeypatch):
     advanced = []
     monkeypatch.setattr(oracle._Propagated, "advance", lambda self, curve, t: advanced.append(t))
     # t^5 and t^6 terms this large leave no window whose bias and rounding stay under 1e-2 of c2
-    monkeypatch.setattr(oracle._Propagated, "taylor", lambda self, curve: np.array([0, 0, G * G, 0, 0, 1e9, 1e9]))
+    monkeypatch.setattr(oracle, "taylor_coefficients", lambda prop, curve: np.array([0, 0, G * G, 0, 0, 1e9, 1e9]))
     model, _ = single_qubit_model()
     with pytest.raises(ConvergenceError, match=r"B = .* is not below the pass tolerance 0\.01"):
         verify_expansion(Scenario("uncertified", "io", model.lattice, model.modes, ground_ket(1)))

@@ -48,7 +48,8 @@ def test_traced_quick_suite_records_benchmark_spans(perfbench, capsys):
     finally:
         inst.uninstall()
     names = {span[1] for span in rec.spans}
-    assert {"oracle.eigh", "oracle.advance", "oracle.verify_expansion", "suites.task"} <= names
+    assert {"oracle.eigh", "oracle.advance", "oracle.taylor_coefficients", "oracle.verify_expansion",
+            "suites.task"} <= names
     assert capsys.readouterr().out.startswith("scenario,c2_analytic,")
 
 

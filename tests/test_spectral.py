@@ -7,6 +7,7 @@ from decolab.model import BathModeSet, correlation_fn_discrete
 from decolab.spectral import (
     COLLECTIVE_THRESHOLD,
     INDEPENDENT_THRESHOLD,
+    LOWT_MAX_T_OVER_OMEGA_C,
     GaussianSpectrum,
     OhmicBath,
     classify_regime,
@@ -201,6 +202,18 @@ def test_quad_matches_lowT_closed_form_at_zero_temperature():
         exact = ohmic_correlation_lowT(bath, d)
         quad = ohmic_correlation_quad(bath, d)
         assert abs(quad - exact) / abs(exact) < 1e-6
+
+
+def test_lowT_holds_up_to_its_temperature_limit():
+    # at the limit lowT stays within 1e-2 of quad, relative to Omega^2(0); above it the form is refused
+    limit = LOWT_MAX_T_OVER_OMEGA_C * 2.0
+    bath = OhmicBath(2.0, 1.5, limit, form="lowT")
+    scale = ohmic_correlation_quad(bath, 0.0)
+    worst = max(abs(ohmic_correlation_quad(bath, d) - ohmic_correlation_lowT(bath, d))
+                for d in np.linspace(0.0, 10.0, 101) * bath.v / bath.omega_c) / scale
+    assert worst < 1e-2
+    with pytest.raises(ValueError, match="lowT form needs temperature <= 0.05 omega_c"):
+        ohmic_correlation_lowT(OhmicBath(2.0, 1.5, 1.01 * limit, form="lowT"), 0.0)
 
 
 def test_quad_high_temperature_convergence_trend():
