@@ -164,18 +164,40 @@ def thermal_occupation_factor(omega: float, temperature: float) -> float:
 
 @dataclass(frozen=True)
 class ModelHamiltonian:
-    """The three Hamiltonian pieces on [qubit 1..L, mode 1..K] factors."""
+    """The model Hamiltonian on [qubit 1..L, mode 1..K] factors.
+
+    The coupling ``h_i`` is the only matrix stored at full size.  The free
+    parts are diagonal Kronecker products, kept as their factors:
+    ``h0_system`` on the leading (qubit) factors and ``h_env_modes`` on the
+    trailing (mode) factors of ``space``.  The ``h0`` and ``h_env``
+    properties pad them with identities to full size, rebuilding the matrix
+    on each access.
+    """
 
     space: HilbertSpace
-    h0: DenseOperator
+    h0_system: DenseOperator
     h_i: DenseOperator
-    h_env: DenseOperator
+    h_env_modes: DenseOperator
     lattice: QubitLattice
     modes: BathModeSet
     n_max: int
 
+    @property
+    def h0(self) -> DenseOperator:
+        """``h0_system`` x 1 on ``space``."""
+        pad = HilbertSpace(self.space.factor_dims[self.h0_system.space.n_factors:])
+        return kron(self.h0_system, identity(pad))
+
+    @property
+    def h_env(self) -> DenseOperator:
+        """1 x ``h_env_modes`` on ``space``."""
+        pad = HilbertSpace(self.space.factor_dims[:-self.h_env_modes.space.n_factors])
+        return kron(identity(pad), self.h_env_modes)
+
     def total(self) -> DenseOperator:
-        return DenseOperator.hermitian_op(self.space, self.h0.matrix + self.h_i.matrix + self.h_env.matrix)
+        h = self.h0.matrix + self.h_i.matrix
+        h += self.h_env.matrix  # in place: the same sum without a second full-size temporary
+        return DenseOperator.hermitian_op(self.space, h)
 
     def system_space(self) -> HilbertSpace:
         return self.lattice.qubit_space()
@@ -185,7 +207,7 @@ class ModelHamiltonian:
 
     def h0_system_diagonal(self) -> np.ndarray:
         """Diagonal of the free qubit Hamiltonian on the system space alone."""
-        return np.diagonal(self.h0.matrix).real[::self.env_space().dim].copy()
+        return np.diagonal(self.h0_system.matrix).real.copy()
 
     def parity(self) -> np.ndarray:
         """(popcount(s) + sum_k n_k) mod 2 for each basis index (s, e) of ``space``.
@@ -225,25 +247,27 @@ def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> 
     n_embedded = [embed(num1, j, mspace).matrix for j in range(K)]
 
     h_env_m = sum(m.omega * n_embedded[j] for j, m in enumerate(modes.modes))
-    h_env = kron(identity(qspace), DenseOperator.hermitian_op(mspace, h_env_m))
+    h_env_modes = DenseOperator.hermitian_op(mspace, h_env_m)
 
     h0_q = np.zeros((qspace.dim, qspace.dim), dtype=np.complex128)
     for l, w0 in enumerate(lattice.h0_splittings):
         h0_q += 0.5 * w0 * embed(pauli("z"), l, qspace).matrix
-    h0 = kron(DenseOperator.hermitian_op(qspace, h0_q), identity(mspace))
+    h0_system = DenseOperator.hermitian_op(qspace, h0_q)
 
     coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
     h_i_m = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    de = mspace.dim
     for l, r in enumerate(lattice.positions):
-        field_m = np.zeros((mspace.dim, mspace.dim), dtype=np.complex128)
+        field_m = np.zeros((de, de), dtype=np.complex128)
         for j, m in enumerate(modes.modes):
             phase = np.exp(-1j * m.k * r)
             field_m += m.g * (phase * a_embedded[j] + np.conj(phase) * a_embedded[j].conj().T)
-        a_l = embed(coupling, l, qspace)
-        h_i_m += np.kron(a_l.matrix, field_m)
+        a_l = embed(coupling, l, qspace).matrix
+        for i, j in zip(*np.nonzero(a_l)):  # np.kron(a_l, field_m) added block by block, zero blocks skipped
+            h_i_m[i * de:(i + 1) * de, j * de:(j + 1) * de] += a_l[i, j] * field_m
     h_i = DenseOperator.hermitian_op(space, h_i_m)
 
-    return ModelHamiltonian(space, h0, h_i, h_env, lattice, modes, n_max)
+    return ModelHamiltonian(space, h0_system, h_i, h_env_modes, lattice, modes, n_max)
 
 
 def correlation_fn_discrete(modes: BathModeSet, delta_r: float) -> float:

@@ -29,6 +29,8 @@ VARIANCE_NEGATIVE_ERROR = -1e-9
 TAIL_WEIGHT_TARGET = 1e-10
 N_MAX_FLOOR = 2
 CONJUGATION_TRACE_ATOL = 1e-10
+# the Hermiticity check works on row blocks of at most this many entries
+HERMITIAN_CHECK_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,26 @@ def _as_complex_matrix(m, dim: int) -> np.ndarray:
     return m
 
 
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """max |m - m^dag|, one block of rows at a time; a non-finite entry raises ValueError.
+
+    The blocks bound the temporaries to HERMITIAN_CHECK_BLOCK_ELEMENTS entries
+    each, and the maximum is the whole-matrix one.  A non-finite entry is
+    rejected up front, because NaN compares false against any tolerance.
+    """
+    n = m.shape[0]
+    step = max(1, HERMITIAN_CHECK_BLOCK_ELEMENTS // n)
+    dev = 0.0
+    for i in range(0, n, step):
+        rows = m[i:i + step]
+        finite = np.isfinite(rows)
+        if not finite.all():
+            r, c = np.argwhere(~finite)[0]
+            raise ValueError(f"matrix has a non-finite entry {rows[r, c]} at ({i + r}, {c})")
+        dev = max(dev, np.abs(rows - m[:, i:i + step].conj().T).max())
+    return dev
+
+
 @dataclass(frozen=True)
 class DenseOperator:
     """A complex square matrix bound to a :class:`HilbertSpace`.
@@ -83,7 +105,7 @@ class DenseOperator:
     @classmethod
     def hermitian_op(cls, space: HilbertSpace, matrix) -> "DenseOperator":
         m = _as_complex_matrix(matrix, space.dim)
-        dev = np.abs(m - m.conj().T).max()
+        dev = _hermitian_deviation(m)
         if dev > HERMITIAN_ATOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         return cls(space, m, hermitian=True)
@@ -91,7 +113,7 @@ class DenseOperator:
     @classmethod
     def density_op(cls, space: HilbertSpace, matrix, check_spectrum: bool | None = None) -> "DenseOperator":
         m = _as_complex_matrix(matrix, space.dim)
-        dev = np.abs(m - m.conj().T).max()
+        dev = _hermitian_deviation(m)
         if dev > HERMITIAN_ATOL:
             raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
         tr = np.trace(m)

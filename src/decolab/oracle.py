@@ -17,7 +17,11 @@ dropped).  The total Hamiltonian is diagonalised once per model
 per verify run (``ModelMemo`` shares it between scenarios), and per parity
 sector: every coupling term flips one qubit and adds or removes one boson,
 so (excited qubits + total boson number) mod 2 is conserved and the two
-sectors are diagonalised as independent half-size blocks.  Per curve,
+sectors are diagonalised as independent half-size blocks.  Memory, for a
+model of dimension n: the model keeps one n x n complex matrix (the
+coupling; its free parts are stored as their small factors), the
+diagonalisation adds H_total while the sectors are solved, and the n x n
+eigenvectors stay for as long as the model is in use.  Per curve,
 ancilla rows and system-basis entries with zero amplitude are dropped, and
 each sector keeps only the environment rows and ensemble columns that the
 input reaches in it: a single-parity input against a diagonal environment

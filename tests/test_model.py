@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from decolab.fidelity import entanglement_c2
 from decolab.model import (
     BathMode,
     BathModeSet,
+    ModelHamiltonian,
     QubitLattice,
     build_hamiltonian,
     correlation_fn_discrete,
@@ -17,7 +19,7 @@ from decolab.model import (
     rate_from_correlation,
     thermal_occupation_factor,
 )
-from decolab.operators import HilbertSpace, Ket, boson_ops, partial_trace, pauli
+from decolab.operators import DenseOperator, HilbertSpace, Ket, boson_ops, embed, partial_trace, pauli
 from decolab.states import ghz_ket, ground_ket, plus_all_ket
 
 
@@ -70,6 +72,72 @@ def test_build_hermiticity_with_symmetric_pair():
     model = build_hamiltonian(lat, modes, 3)
     for part in (model.h0, model.h_i, model.h_env):
         assert np.abs(part.matrix - part.matrix.conj().T).max() < 1e-12
+
+
+def _full_suite_models():
+    from decolab.suites import GRID_K, GRID_L, GRID_T, _grid_lattice, _grid_modes, _grid_n_max
+
+    for L in GRID_L:
+        for K in GRID_K:
+            for t_ratio in GRID_T:
+                modes = _grid_modes(K, t_ratio)
+                yield build_hamiltonian(_grid_lattice(L), modes, _grid_n_max(modes))
+    yield build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 3)  # the full-stack row
+
+
+def _dense_free_parts(model):
+    """The full-size free Hamiltonians as build_hamiltonian once stored them."""
+    ds, de = model.system_space().dim, model.env_space().dim
+    h0 = np.kron(model.h0_system.matrix, np.eye(de, dtype=np.complex128))
+    h_env = np.kron(np.eye(ds, dtype=np.complex128), model.h_env_modes.matrix)
+    return h0, h_env
+
+
+def test_model_holds_one_dense_matrix():
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 3)
+    n = model.space.dim
+    assert n == 1024
+    held = sum(getattr(model, f.name).matrix.nbytes for f in dataclasses.fields(model)
+               if isinstance(getattr(model, f.name), DenseOperator))
+    assert held < 1.1 * 16 * n * n
+
+
+def test_total_is_the_dense_sum_of_the_three_parts():
+    for model in _full_suite_models():
+        h0, h_env = _dense_free_parts(model)
+        assert model.total().matrix.tobytes() == (h0 + model.h_i.matrix + h_env).tobytes()
+        assert model.h0.matrix.tobytes() == h0.tobytes()
+        assert model.h_env.matrix.tobytes() == h_env.tobytes()
+
+
+def test_coupling_equals_the_kron_sum_over_qubits():
+    # the reference: sum_l np.kron(A_l, field_l) at full size, which build_hamiltonian adds block by block
+    for model in _full_suite_models():
+        a1, _, _ = boson_ops(model.n_max)
+        a = [embed(a1, j, model.env_space()).matrix for j in range(model.modes.n_modes)]
+        coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), model.lattice.coupling_matrix())
+        expected = np.zeros_like(model.h_i.matrix)
+        for l, r in enumerate(model.lattice.positions):
+            field = np.zeros_like(a[0])
+            for j, m in enumerate(model.modes.modes):
+                phase = np.exp(-1j * m.k * r)
+                field += m.g * (phase * a[j] + np.conj(phase) * a[j].conj().T)
+            expected += np.kron(embed(coupling, l, model.system_space()).matrix, field)
+        assert model.h_i.matrix.tobytes() == expected.tobytes()
+
+
+def test_h0_system_diagonal_reads_the_qubit_factor(monkeypatch):
+    models = list(_full_suite_models())
+    expected = [np.diagonal(_dense_free_parts(m)[0]).real[::m.env_space().dim].copy() for m in models]
+
+    def no_full_size_h0(self):
+        raise AssertionError("h0_system_diagonal built the full-size h0")
+
+    monkeypatch.setattr(ModelHamiltonian, "h0", property(no_full_size_h0))
+    for model, want in zip(models, expected):
+        assert model.h0_system_diagonal().tobytes() == want.tobytes()
 
 
 def test_decoupled_spectrum_is_sum_of_parts():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,39 @@ def test_kron_sigma_z_eigenvalue_on_first_factor():
 def test_kron_sigma_x_involution():
     xx = kron(pauli("x"), pauli("x"))
     assert np.allclose(xx.matrix @ xx.matrix, np.eye(4))
+
+
+@pytest.mark.parametrize("block, dim", [(None, 8), (None, 600), (100, 7), (100, 30), (100, 31)])
+def test_hermitian_deviation_blocks_match_the_whole_matrix(monkeypatch, block, dim):
+    from decolab import operators
+
+    # at the default 2^18 entries 8 takes one block and 600 two; 7 fits in one block
+    # of 100 entries, and 30 and 31 take 10 and 11 row blocks
+    if block is not None:
+        monkeypatch.setattr(operators, "HERMITIAN_CHECK_BLOCK_ELEMENTS", block)
+    g = np.random.default_rng(dim).normal(size=(2, dim, dim))
+    m = g[0] + 1j * g[1]
+    whole = np.abs(m - m.conj().T).max()
+    assert operators._hermitian_deviation(m) == whole
+    message = f"matrix is not Hermitian (max deviation {whole:.3e})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DenseOperator.hermitian_op(HilbertSpace((dim,)), m)
+    with pytest.raises(ValueError, match=f"^density {re.escape(message)}$"):
+        DenseOperator.density_op(HilbertSpace((dim,)), m)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: DenseOperator.hermitian_op(Q1, m),
+    lambda m: DenseOperator.density_op(Q1, m, check_spectrum=True),
+], ids=["hermitian_op", "density_op"])
+@pytest.mark.parametrize("matrix, entry", [
+    ([[0.0, math.nan], [math.nan, 0.0]], r"\(nan\+0j\) at \(0, 1\)"),
+    ([[0.5, math.nan], [math.nan, 0.5]], r"\(nan\+0j\) at \(0, 1\)"),
+    ([[math.inf, 0.0], [0.0, 1.0]], r"\(inf\+0j\) at \(0, 0\)"),
+], ids=["nan-off-diagonal", "nan-off-diagonal-unit-trace", "inf-diagonal"])
+def test_non_finite_entries_are_rejected(build, matrix, entry):
+    with pytest.raises(ValueError, match="non-finite entry " + entry):
+        build(matrix)
 
 
 def test_partial_trace_product_state():

@@ -296,8 +296,8 @@ def _reference_entanglement(model, env, rho_s, t, ancilla_unitary=None):
     from decolab.operators import identity, partial_trace, purify
 
     anc = HilbertSpace((model.system_space().dim,))
-    ext = ModelHamiltonian(anc * model.space, kron(identity(anc), model.h0), kron(identity(anc), model.h_i),
-                           kron(identity(anc), model.h_env), model.lattice, model.modes, model.n_max)
+    ext = ModelHamiltonian(anc * model.space, kron(identity(anc), model.h0_system), kron(identity(anc), model.h_i),
+                           model.h_env_modes, model.lattice, model.modes, model.n_max)
     psi = purify(rho_s).amplitudes.reshape(anc.dim, -1)
     if ancilla_unitary is not None:
         psi = ancilla_unitary @ psi
@@ -413,11 +413,12 @@ def test_propagated_rejects_a_hamiltonian_that_breaks_parity():
     from dataclasses import replace
 
     from decolab.oracle import _Propagated
-    from decolab.operators import embed, identity, pauli
+    from decolab.operators import embed, pauli
 
     model, _ = single_qubit_model(temperature=0.5, n_max=3)
-    sx = kron(embed(pauli("x"), 0, model.system_space()), identity(model.env_space()))
-    broken = replace(model, h0=DenseOperator.hermitian_op(model.space, model.h0.matrix + 0.3 * sx.matrix))
+    sx = embed(pauli("x"), 0, model.system_space())
+    broken = replace(model, h0_system=DenseOperator.hermitian_op(model.system_space(),
+                                                                 model.h0_system.matrix + 0.3 * sx.matrix))
     with pytest.raises(ValueError, match="parity"):
         _Propagated(broken)
     _Propagated(model)  # the unbroken model diagonalises
