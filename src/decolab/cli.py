@@ -23,7 +23,6 @@ from .config import (
     BATH_KINDS,
     ScenarioConfig,
     SweepSpec,
-    dimension_cap,  # noqa: F401  (perfbench's set-up child reads the cap as cli.dimension_cap)
     load_config,
     parse_config,
     set_config_path,
@@ -31,7 +30,7 @@ from .config import (
 from .errors import ConfigError, ConvergenceError
 from .fidelity import closed_form_c2, damping_time, factorized_c2, kind_state
 from .model import BathModeSet, build_hamiltonian
-from .oracle import Scenario, resolve_n_max
+from .oracle import Scenario, dimension_cap, resolve_n_max  # noqa: F401  (perfbench calls cli.dimension_cap)
 from .spectral import classify_regime, correlation, spectrum
 from .suites import SUITE_NAMES, _verify_tasks, suite_tasks
 

@@ -25,33 +25,16 @@ import copy
 import functools
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .fidelity import Ensemble
+from .fidelity import FIDELITY_KINDS, Ensemble
 from .model import BathMode, BathModeSet, QubitLattice
 from .operators import DenseOperator, Ket
 from .spectral import OHMIC_FORMS, GaussianSpectrum, OhmicBath
 from .states import PRESET_NAMES, build_preset, computational_ensemble, ket_from_amplitudes
 
-DEFAULT_DIM_CAP = 4096
-FIDELITY_KINDS = ("io", "entanglement", "average")
 BATH_KINDS = ("discrete", "ohmic", "gaussian")
-
-
-def dimension_cap() -> int:
-    """Total-dimension guard, overridable through DECOLAB_NMAX_CAP."""
-    raw = os.environ.get("DECOLAB_NMAX_CAP")
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError("DECOLAB_NMAX_CAP", f"not an integer: {raw!r}") from exc
-    if cap < 2:
-        raise ConfigError("DECOLAB_NMAX_CAP", f"must be >= 2, got {cap}")
-    return cap
 
 
 def _expect(cond: bool, path: str, message: str):

@@ -6,11 +6,10 @@ against the appropriate system mean, and plays the role of a squared damping
 rate (``tau2 = c2**-0.5``).  Coefficients are stored as damping coefficients
 rather than characteristic times so vanishing rates stay representable.
 
-The kinds (io, entanglement, average) differ only in the state they act on
-and how they average over it.  The kind table below holds those rules, and
-only it: ``kind_state``, ``kind_members``, ``closed_form_c2`` and
-``factorized_c2``.  Any other kind name, such as ``factorized-rate``, reads
-as entanglement.
+The kinds, ``FIDELITY_KINDS`` (io, entanglement, average), differ only in the
+state they act on and how they average over it.  The kind table below holds
+those rules, and only it: ``kind_state``, ``kind_members``, ``closed_form_c2``
+and ``factorized_c2``.  Each raises ValueError for any other kind name.
 """
 
 from __future__ import annotations
@@ -123,16 +122,24 @@ def _density(state) -> DenseOperator:
     return state.projector() if isinstance(state, Ket) else state
 
 
-_ACCEPTS = {"io": (Ket, "a pure state"), "average": (Ensemble, "an ensemble")}
+# per kind: the inputs it accepts, their description, and its closed form
+_KINDS = {
+    "io": (Ket, "a pure state", input_output_c2),
+    "entanglement": ((Ket, DenseOperator), "a pure state or a density", entanglement_c2),
+    "average": (Ensemble, "an ensemble", average_c2),
+}
+FIDELITY_KINDS = tuple(_KINDS)
 
 
 def kind_state(kind: str, state):
     """What a kind acts on: io a ``Ket`` and average an ``Ensemble``, as is;
     entanglement a ``Ket`` or a density, as the density.  Else ValueError."""
-    accepts, what = _ACCEPTS.get(kind, ((Ket, DenseOperator), "a pure state or a density"))
+    if kind not in _KINDS:
+        raise ValueError(f"unknown fidelity kind {kind!r}; expected one of {FIDELITY_KINDS}")
+    accepts, what, _ = _KINDS[kind]
     if not isinstance(state, accepts):
         raise ValueError(f"the {kind} fidelity needs {what}")
-    return state if kind in _ACCEPTS else _density(state)
+    return _density(state) if kind == "entanglement" else state
 
 
 def kind_members(kind: str, state) -> tuple:
@@ -143,8 +150,8 @@ def kind_members(kind: str, state) -> tuple:
 
 def closed_form_c2(kind: str, state, h_i: DenseOperator, rho_env: DenseOperator) -> float:
     """The kind's variance-form damping coefficient."""
-    c2 = {"io": input_output_c2, "average": average_c2}.get(kind, entanglement_c2)
-    return c2(kind_state(kind, state), h_i, rho_env).c2
+    state = kind_state(kind, state)
+    return _KINDS[kind][2](state, h_i, rho_env).c2
 
 
 def factorized_c2(kind: str, state, lattice: QubitLattice, omega2) -> float:

@@ -11,7 +11,9 @@ level further through ``GRID_NMAX_CAP``.
 
 Row semantics per suite:
 
-* ``quick`` / ``full``: closed-form coefficient vs oracle-fitted coefficient.
+* ``quick`` / ``full``: closed-form coefficient vs oracle-fitted coefficient;
+  ``full``'s ``factorization-*`` rows: factorized rate vs variance form, by
+  ``oracle.factorization_check``.
 * ``inequality``: entanglement coefficient (analytic column) vs a random
   decomposition's average coefficient (fitted column); rel_err is the
   normalized violation, 0 when the ordering holds.
@@ -21,12 +23,13 @@ Row semantics per suite:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
-from .fidelity import C2_ZERO_FLOOR, Ensemble, check_rate_inequality, entanglement_c2
+from .fidelity import C2_ZERO_FLOOR, Ensemble, check_rate_inequality
 from .model import (
     BathMode,
     BathModeSet,
@@ -45,8 +48,7 @@ from .operators import (
     n_max_for_tail,
     thermal_boson_state,
 )
-from .oracle import (FACTORIZATION_REL_TOL, ModelMemo, Scenario, VerifyReport, resolve_n_max, tail_n_max,
-                     verify_expansion)
+from .oracle import ModelMemo, Scenario, factorization_check, resolve_n_max, tail_n_max, verify_expansion
 from .rng import Xoshiro256pp, random_decomposition, random_density_matrix, random_hermitian_matrix
 from .states import (
     computational_ensemble,
@@ -56,10 +58,10 @@ from .states import (
     plus_all_ket,
 )
 
-SUITE_NAMES = ("quick", "full", "inequality", "encoding")
-
 GRID_L = (1, 2)
-GRID_K = (1, 2, 4)
+# per mode count K: the (k, omega, g) entries of the grid's +/-k symmetric mode set
+GRID_MODES = {1: [(0.0, 1.0, 0.05)], 2: [(1.3, 1.1, 0.04)], 4: [(0.9, 1.0, 0.04), (1.6, 1.2, 0.03)]}
+GRID_K = tuple(GRID_MODES)
 GRID_T = (0.0, 0.5, 2.0)
 # per-mode-count truncation caps keeping the grid dense-feasible; K=1 runs the
 # full tail policy, warmer multi-mode rows trade tail weight for dimension
@@ -77,29 +79,16 @@ def _grid_lattice(L: int) -> QubitLattice:
 
 
 def _grid_modes(K: int, temperature: float) -> BathModeSet:
-    if K == 1:
-        pairs = [(0.0, 1.0, 0.05)]
-    elif K == 2:
-        pairs = [(1.3, 1.1, 0.04)]
-    elif K == 4:
-        pairs = [(0.9, 1.0, 0.04), (1.6, 1.2, 0.03)]
-    else:
-        raise ValueError(f"no grid mode set for K={K}")
-    return BathModeSet.symmetric(pairs, temperature)
+    return BathModeSet.symmetric(GRID_MODES[K], temperature)
 
 
 def _grid_n_max(modes: BathModeSet) -> int:
     return min(tail_n_max(modes), GRID_NMAX_CAP[modes.n_modes])
 
 
-def _verify_row(report: VerifyReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "c2_analytic": report.c2_analytic,
-        "c2_fitted": report.c2_fitted,
-        "rel_err": report.rel_err,
-        "pass": bool(report.passed),
-    }
+def _row(scenario: str, c2_analytic: float, c2_fitted: float, rel_err: float, passed) -> dict:
+    return {"scenario": scenario, "c2_analytic": c2_analytic, "c2_fitted": c2_fitted, "rel_err": rel_err,
+            "pass": bool(passed)}
 
 
 def _verify_tasks(scenarios: list[Scenario], checked: tuple[str, ...] = ()) -> list[Task]:
@@ -109,10 +98,11 @@ def _verify_tasks(scenarios: list[Scenario], checked: tuple[str, ...] = ()) -> l
     """
     memo = ModelMemo(scenarios)
 
-    def task(sc: Scenario) -> Task:
-        return sc.name, lambda: _verify_row(verify_expansion(sc, sc.name in checked, memo))
+    def run(sc: Scenario) -> dict:
+        r = verify_expansion(sc, sc.name in checked, memo)
+        return _row(r.scenario, r.c2_analytic, r.c2_fitted, r.rel_err, r.passed)
 
-    return [task(sc) for sc in scenarios]
+    return [(sc.name, functools.partial(run, sc)) for sc in scenarios]
 
 
 def _grid_scenarios() -> list[Scenario]:
@@ -151,15 +141,10 @@ def _factorization_task(L: int, K: int, t_ratio: float) -> Task:
     name = f"factorization-L{L}-K{K}-T{t_ratio:g}"
 
     def run() -> dict:
-        lattice = _grid_lattice(L)
         modes = _grid_modes(K, t_ratio)
-        model = build_hamiltonian(lattice, modes, resolve_n_max(modes, L, None))
+        model = build_hamiltonian(_grid_lattice(L), modes, resolve_n_max(modes, L, None))
         rho_s = maximally_mixed_density(L) if L == 1 else ghz_ket(L).projector()
-        rate = decoherence_rate(lattice, modes, rho_s)
-        vf = entanglement_c2(rho_s, model.h_i, model.thermal_env_state()).c2
-        rel = abs(rate - vf) / max(vf, C2_ZERO_FLOOR)
-        return {"scenario": name, "c2_analytic": rate, "c2_fitted": vf,
-                "rel_err": rel, "pass": bool(rel < FACTORIZATION_REL_TOL)}
+        return _row(name, *factorization_check(model, model.thermal_env_state(), rho_s))
 
     return name, run
 
@@ -224,8 +209,7 @@ def _inequality_instance(rng: Xoshiro256pp, index: int) -> Task:
         rep = check_rate_inequality(rho, ensemble, h_i, env)
         denom = max(rep.c2_entanglement, rep.c2_average, C2_ZERO_FLOOR)
         violation = max(0.0, rep.c2_average - rep.c2_entanglement) / denom
-        return {"scenario": name, "c2_analytic": rep.c2_entanglement,
-                "c2_fitted": rep.c2_average, "rel_err": violation, "pass": bool(rep.holds)}
+        return _row(name, rep.c2_entanglement, rep.c2_average, violation, rep.holds)
 
     return name, run
 
@@ -245,8 +229,7 @@ def inequality_tasks(seed: int) -> list[Task]:
 
     def canonical() -> dict:
         rep = check_rate_inequality(mixed, Ensemble(((0.5, plus), (0.5, minus))), h, vac)
-        return {"scenario": "inequality-canonical-strict", "c2_analytic": rep.c2_entanglement,
-                "c2_fitted": rep.c2_average, "rel_err": 0.0, "pass": bool(rep.holds)}
+        return _row("inequality-canonical-strict", rep.c2_entanglement, rep.c2_average, 0.0, rep.holds)
 
     tasks: list[Task] = [("inequality-canonical-strict", canonical)]
     rng = Xoshiro256pp(seed)
@@ -272,29 +255,26 @@ def encoding_tasks() -> list[Task]:
 
     def encoded_constant() -> dict:
         rate = rate_from_correlation(enc_lattice, constant, encoded.projector())
-        return {"scenario": "encoding-encoded-constant", "c2_analytic": 0.0,
-                "c2_fitted": rate, "rel_err": abs(rate), "pass": bool(rate < 1e-12)}
+        return _row("encoding-encoded-constant", 0.0, rate, abs(rate), rate < 1e-12)
 
     def encoded_pair_rate() -> dict:
         rate = pair_rate(enc_lattice, pair_bath, encoded.projector())
-        return {"scenario": "encoding-encoded-pair-rate", "c2_analytic": 0.0,
-                "c2_fitted": rate, "rel_err": abs(rate), "pass": bool(rate < 1e-12)}
+        return _row("encoding-encoded-pair-rate", 0.0, rate, abs(rate), rate < 1e-12)
 
     def unencoded_floor() -> dict:
         rate = rate_from_correlation(bare_lattice, constant, logical.projector())
         bound = x * a2
         miss = max(0.0, bound - rate) / bound
-        return {"scenario": "encoding-unencoded-floor", "c2_analytic": bound,
-                "c2_fitted": rate, "rel_err": miss, "pass": bool(rate >= bound * (1 - 1e-12))}
+        return _row("encoding-unencoded-floor", bound, rate, miss, rate >= bound * (1 - 1e-12))
 
     def naive_pair_positive() -> dict:
         rate = pair_rate(bare_lattice, pair_bath, naive.projector())
         x_bath = correlation_fn_discrete(pair_bath, 0.0)
         expected = 2.0 * x_bath * a2  # variance of the pair sum is 4 a^2
         rel = abs(rate - expected) / expected
-        return {"scenario": "encoding-naive-pair-positive", "c2_analytic": expected,
-                "c2_fitted": rate, "rel_err": rel, "pass": bool(rate > 0.1 * expected)}
+        return _row("encoding-naive-pair-positive", expected, rate, rel, rate > 0.1 * expected)
 
+    @functools.cache
     def scaling_rate(kd: float) -> float:
         d = 1.0
         lattice = QubitLattice((0.0, d), *lam)
@@ -302,21 +282,14 @@ def encoding_tasks() -> list[Task]:
         state = pair_encode(ground_ket(1), lattice)
         return decoherence_rate(lattice, bath, state.projector())
 
-    rates = {}
-
     def scaling_row(kd: float) -> dict:
-        rates[kd] = scaling_rate(kd)
-        return {"scenario": f"encoding-scaling-kd-{kd:g}", "c2_analytic": 0.0,
-                "c2_fitted": rates[kd], "rel_err": 0.0, "pass": bool(rates[kd] > 0.0)}
+        rate = scaling_rate(kd)
+        return _row(f"encoding-scaling-kd-{kd:g}", 0.0, rate, 0.0, rate > 0.0)
 
     def scaling_ratio(kd: float, base: float, expected: float) -> dict:
-        for v in (base, kd):
-            if v not in rates:
-                rates[v] = scaling_rate(v)
-        ratio = rates[kd] / rates[base]
+        ratio = scaling_rate(kd) / scaling_rate(base)
         rel = abs(ratio - expected) / expected
-        return {"scenario": f"encoding-scaling-ratio-{kd:g}", "c2_analytic": expected,
-                "c2_fitted": ratio, "rel_err": rel, "pass": bool(rel <= 0.1)}
+        return _row(f"encoding-scaling-ratio-{kd:g}", expected, ratio, rel, rel <= 0.1)
 
     return [
         ("encoding-encoded-constant", encoded_constant),
@@ -331,13 +304,13 @@ def encoding_tasks() -> list[Task]:
     ]
 
 
+# per suite name: its task list, built from the seed
+_SUITES = {"quick": lambda seed: quick_tasks(), "full": lambda seed: full_tasks(),
+           "inequality": lambda seed: inequality_tasks(seed), "encoding": lambda seed: encoding_tasks()}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def suite_tasks(name: str, seed: int) -> list[Task]:
-    if name == "quick":
-        return quick_tasks()
-    if name == "full":
-        return full_tasks()
-    if name == "inequality":
-        return inequality_tasks(seed)
-    if name == "encoding":
-        return encoding_tasks()
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    return _SUITES[name](seed)

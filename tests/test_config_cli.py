@@ -730,6 +730,15 @@ def test_inequality_suite_builds_at_every_seed():
         assert len(inequality_tasks(seed)) == 1001
 
 
+def test_encoding_rows_do_not_depend_on_run_order():
+    # the kd-scaling ratio rows share the scaling rows' rates, whichever runs first
+    from decolab.suites import encoding_tasks
+
+    forward = [run() for _, run in encoding_tasks()]
+    backward = [run() for _, run in reversed(encoding_tasks())]
+    assert forward == backward[::-1]
+
+
 def test_rates_rejects_unconverged_auto_truncation(tmp_path):
     # 4 warm modes: the tail policy needs a space beyond the cap, and silently
     # under-truncating the closed form would be wrong

@@ -1,15 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from decolab.fidelity import (
+    FIDELITY_KINDS,
     Ensemble,
     ExpansionCoefficients,
     average_c2,
     check_rate_inequality,
+    closed_form_c2,
     entanglement_c2,
+    factorized_c2,
     input_output_c2,
+    kind_members,
+    kind_state,
 )
 from decolab.operators import (
     DenseOperator,
@@ -179,3 +185,24 @@ def test_ensemble_validation():
 def test_tau2_reporting():
     assert ExpansionCoefficients(0.0, 0.0).tau2 == math.inf
     assert ExpansionCoefficients(0.0, 4.0).tau2 == 0.5
+
+
+@pytest.mark.parametrize("kind", ["entangelment", "factorized-rate"])
+def test_kind_table_rejects_other_kind_names(kind):
+    # such names used to read as entanglement: on the L2-K1-T0 grid model the
+    # misspelt kind gave the GHZ input's entanglement c2, 0.01
+    from decolab.model import build_hamiltonian
+    from decolab.states import ghz_ket
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    lattice = _grid_lattice(2)
+    model = build_hamiltonian(lattice, _grid_modes(1, 0.0), 2)
+    env = model.thermal_env_state()
+    psi = ghz_ket(2)
+    assert closed_form_c2("entanglement", psi, model.h_i, env) == pytest.approx(0.01, rel=1e-12)
+    calls = [lambda: kind_state(kind, psi), lambda: kind_members(kind, psi),
+             lambda: closed_form_c2(kind, psi, model.h_i, env),
+             lambda: factorized_c2(kind, psi, lattice, lambda d: 1.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"{kind!r}; expected one of {FIDELITY_KINDS}")):
+            call()

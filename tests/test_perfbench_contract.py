@@ -5,7 +5,9 @@ perfbench (``perfbench/run.py`` and its tracer) drives the package through
 deleting one of them breaks the benchmark while every other test still
 passes.  These tests run the harness's set-up child statements, one traced
 ``verify --suite quick`` pass, one traced ``ohmic-sweep`` pass and one
-untraced ``oracle-full`` pass in this process.
+untraced ``oracle-full`` pass in this process.  The ``quick`` and
+``encoding`` suites, which the benchmark does not run, are held to their
+references in ``tests/reference`` by the harness's own output check.
 """
 
 import importlib.util
@@ -80,6 +82,21 @@ def test_oracle_full_pass_matches_reference(perfbench):
     p = perfbench.run_pass(wl.argv)  # verify --suite full, as a timed pass runs it
     checker = perfbench.Checker(wl)
     checker.check(p, "oracle-full pass")
+    assert p.exit_code == 0 and p.stderr == ""
+    assert checker.correct, checker.problems
+    assert checker.failed == 0
+
+
+@pytest.mark.parametrize("suite, close", [("quick", ("c2_analytic",)),
+                                          ("encoding", ("c2_analytic", "c2_fitted"))], ids=["quick", "encoding"])
+def test_suite_matches_its_reference(perfbench, suite, close):
+    # names, order and pass exactly, closed-form columns to 1e-9 of the column's scale;
+    # encoding's fitted column is a closed form too
+    reference = Path(__file__).resolve().parent / "reference" / f"{suite}.csv"
+    wl = perfbench.Workload(suite, ("verify", "--suite", suite), reference, "scenario", ("pass",), close)
+    p = perfbench.run_pass(wl.argv)
+    checker = perfbench.Checker(wl)
+    checker.check(p, f"{suite} pass")
     assert p.exit_code == 0 and p.stderr == ""
     assert checker.correct, checker.problems
     assert checker.failed == 0
