@@ -199,6 +199,27 @@ class ModelHamiltonian:
         h += self.h_env.matrix  # in place: the same sum without a second full-size temporary
         return DenseOperator.hermitian_op(self.space, h)
 
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``total().matrix[np.ix_(rows, cols)]``, bit for bit, without forming the full-size matrix.
+
+        Each free part is gathered from its factor as the entry ``np.kron``
+        computes, h0_system[s, s'] * 1[e, e'] or 1[s, s'] * h_env_modes[e, e'],
+        and added in ``total()``'s order; at most two block-sized arrays are
+        alive at once.  No Hermiticity check: a block off the diagonal need
+        not be Hermitian.
+        """
+        de = self.h_env_modes.space.dim
+        (s_r, e_r), (s_c, e_c) = np.divmod(rows, de), np.divmod(cols, de)
+        h = self.h_i.matrix[np.ix_(rows, cols)]
+        h0 = self.h0_system.matrix[s_r[:, None], s_c]
+        h0 *= e_r[:, None] == e_c
+        h += h0  # addition commutes bit for bit: total()'s h0 + h_i
+        del h0
+        h_env = self.h_env_modes.matrix[e_r[:, None], e_c]
+        h_env *= s_r[:, None] == s_c
+        h += h_env
+        return h
+
     def system_space(self) -> HilbertSpace:
         return self.lattice.qubit_space()
 

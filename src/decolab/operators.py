@@ -29,7 +29,7 @@ VARIANCE_NEGATIVE_ERROR = -1e-9
 TAIL_WEIGHT_TARGET = 1e-10
 N_MAX_FLOOR = 2
 CONJUGATION_TRACE_ATOL = 1e-10
-# the Hermiticity check works on row blocks of at most this many entries
+# the Hermiticity check and coupling_moments' joint-state rows work on row blocks of at most this many entries
 HERMITIAN_CHECK_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -358,13 +358,23 @@ def coupling_moments(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOpe
     Returns ``(m2, msq)`` with ``m2 = tr[(rho_s x rho_env) H^2]`` and
     ``msq = tr[rho_env B^2]`` where ``B = tr_sys[(rho_s x I) H]`` is the
     system-averaged coupling, an operator on the environment.
+
+    The product (rho_s x rho_env) H is filled a few system rows at a time,
+    each block of joint-state rows at most HERMITIAN_CHECK_BLOCK_ELEMENTS
+    entries (or one system row), so the n x n joint state is never formed;
+    the result is the one-shot ``np.sum((np.kron(rho_s, rho_env) @ H) * H.T)``
+    bit for bit.
     """
     if not (h_i.hermitian and rho_s.density and rho_env.density):
         raise ValueError("coupling_moments requires Hermitian coupling and density-flagged states")
     ds, de = _split_system_env(h_i, rho_s, rho_env)
     h = h_i.matrix
-    joint = np.kron(rho_s.matrix, rho_env.matrix)
-    m2 = float(np.sum((joint @ h) * h.T).real)
+    prod = np.empty_like(h)
+    step = max(1, HERMITIAN_CHECK_BLOCK_ELEMENTS // (de * h.shape[0]))
+    for s in range(0, ds, step):
+        np.matmul(np.kron(rho_s.matrix[s:s + step], rho_env.matrix), h, out=prod[s * de:(s + step) * de])
+    prod *= h.T
+    m2 = float(np.sum(prod).real)
 
     h4 = h.reshape(ds, de, ds, de)
     b = np.einsum("su,uesf->ef", rho_s.matrix, h4)

@@ -23,9 +23,11 @@ sector: every coupling term flips one qubit and adds or removes one boson,
 so (excited qubits + total boson number) mod 2 is conserved and the two
 sectors are diagonalised as independent half-size blocks.  Memory, for a
 model of dimension n: the model keeps one n x n complex matrix (the
-coupling; its free parts are stored as their small factors), the
-diagonalisation adds H_total while the sectors are solved, and the n x n
-eigenvectors stay for as long as the model is in use.  Per curve,
+coupling; its free parts are stored as their small factors).  Each sector's
+n/2 x n/2 block is built from those factors (``ModelHamiltonian.block``) and
+diagonalised in turn, so H_total is never formed, and the eigenvectors stay
+as one n x n/2 array, each basis state's row in its own sector's
+eigenbasis, for as long as the model is in use.  Per curve,
 ancilla rows and system-basis entries with zero amplitude are dropped, and
 each sector keeps only the environment rows and ensemble columns that the
 input reaches in it: a single-parity input against a diagonal environment
@@ -61,6 +63,7 @@ from .model import (
 from .operators import (
     TAIL_WEIGHT_TARGET,
     DenseOperator,
+    HilbertSpace,
     Ket,
     conjugate_density,
     gibbs_tail_weight,
@@ -80,7 +83,7 @@ FLAT_C2_FRACTION = 1e-12
 FLAT_PASS_FRACTION = 1e-4
 C1_PASS_FRACTION = 1e-4
 ENV_WEIGHT_CUTOFF = 1e-15
-BATCH_ELEMENTS = 1 << 19  # complex entries per batched propagation intermediate (8 MiB)
+BATCH_ELEMENTS = 1 << 17  # complex entries per batched propagation intermediate (2 MiB)
 DEFAULT_DIM_CAP = 4096
 
 
@@ -140,30 +143,34 @@ def evolve_exact(model: ModelHamiltonian, rho0: DenseOperator, t: float) -> Dens
 class _Propagated:
     """The eigendecomposition of H_total, one parity sector at a time, shared by every curve on the model.
 
-    H_total conserves ``model.parity()``, so each sector's block is
-    diagonalised on its own.  ``lam`` and ``vec`` hold the whole spectrum with
-    the even sector's columns first; ``vec`` is exactly zero outside each
-    sector's rows.  ``sectors`` holds, per sector (even, then odd), its basis
-    indices and its column slice.  A Hamiltonian with an entry between the
-    sectors raises ValueError.
+    H_total conserves ``model.parity()``, so each sector's block is built from
+    the model's factors (``model.block``) and diagonalised on its own; the
+    full-size H_total is never formed.  Flipping qubit 0 maps one sector onto
+    the other, so both hold n/2 states.  ``lam`` holds the whole spectrum
+    with the even sector first.  ``vec`` is (n, n/2): row i holds basis state
+    i's coefficients in its own sector's eigenbasis.  ``sectors`` holds, per
+    sector (even, then odd), its basis indices and its slice of ``lam``.  A
+    Hamiltonian with an entry between the sectors, or a sector block that is
+    not Hermitian, raises ValueError.
     """
 
     def __init__(self, model: ModelHamiltonian):
-        h = model.total().matrix
         parity = model.parity()
         even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-        if np.any(h[np.ix_(even, odd)]):
+        if np.any(model.block(even, odd)) or np.any(model.block(odd, even)):
             raise ValueError("H_total couples the two parity sectors")
         n = len(parity)
         self.lam = np.empty(n)
-        self.vec = np.zeros((n, n), dtype=np.complex128)
+        self.vec = np.empty((n, n // 2), dtype=np.complex128)
         self.sectors = [(even, slice(0, len(even))), (odd, slice(len(even), n))]
         for idx, cols in self.sectors:
-            self.lam[cols], self.vec[idx, cols] = np.linalg.eigh(h[np.ix_(idx, idx)])
+            h = DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix
+            self.lam[cols], self.vec[idx] = np.linalg.eigh(h)
+            del h  # the next sector's block is built without this one
         self.h0_diag = model.h0_system_diagonal()
         ds = len(self.h0_diag)
         self.parity = parity.reshape(ds, n // ds)  # (system, env)
-        self.rows = self.vec.reshape(ds, n // ds, n)  # (system, env, n)
+        self.rows = self.vec.reshape(ds, n // ds, n // 2)  # (system, env, sector eigenvector)
 
     def advance(self, curve: _Curve, t) -> np.ndarray:
         """The curve's F at every time in ``t`` (a scalar or 1D array).
@@ -217,7 +224,7 @@ class _Part(NamedTuple):
 
     h0: np.ndarray  # free qubit energies on the support
     bra: np.ndarray  # conjugate amplitudes, (rows, support)
-    cols: slice  # the sector's eigenvector columns
+    cols: slice  # the sector's slice of the eigenvalues ``lam``
     rows: np.ndarray  # eigenvector rows on the support and the kept environment rows, (support, env, sector)
     kets: np.ndarray  # the ancilla rows' kets in the sector's eigenbasis, (rows, sector, kept columns)
     block: tuple  # where the part's amplitudes land in w[t, e, m]: all of it, or (kept rows, kept columns)
@@ -293,8 +300,10 @@ def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_
     parts = []
     r, m = amps.shape[0], env_cols.shape[1]
     for p, (_, cols) in enumerate(prop.sectors):
-        env_rows = np.flatnonzero(np.any(prop.parity[support] == p, axis=0))
-        rows = prop.rows[support[:, None], env_rows, cols]
+        in_sector = prop.parity[support] == p
+        env_rows = np.flatnonzero(np.any(in_sector, axis=0))
+        # a row of the other sector holds that sector's coefficients: zero it
+        rows = np.where(in_sector[:, env_rows, None], prop.rows[support[:, None], env_rows], 0)
         s, e, n = rows.shape
         kets = np.einsum("rs,em->serm", amps, env_cols[env_rows]).reshape(s * e, r * m)
         kets = (rows.reshape(s * e, n).conj().T @ kets).reshape(n, r, m)

@@ -112,6 +112,15 @@ def test_total_is_the_dense_sum_of_the_three_parts():
         assert model.h_env.matrix.tobytes() == h_env.tobytes()
 
 
+def test_block_is_the_total_hamiltonian_entry_for_entry():
+    for model in _full_suite_models():
+        h = model.total().matrix
+        parity = model.parity()
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        for rows, cols in ((even, even), (odd, odd), (even, odd), (odd, even)):
+            assert model.block(rows, cols).tobytes() == h[np.ix_(rows, cols)].tobytes()
+
+
 def test_coupling_equals_the_kron_sum_over_qubits():
     # the reference: sum_l np.kron(A_l, field_l) at full size, which build_hamiltonian adds block by block
     for model in _full_suite_models():

@@ -344,3 +344,65 @@ def test_thermal_state_properties(omega, temperature, n_max):
     assert abs(pops.sum() - 1.0) < 1e-12
     assert np.all(np.diff(pops) <= 1e-15)
     assert np.abs(rho.matrix - np.diag(pops)).max() == 0.0
+
+
+# --- coupling moments without the joint state ----------------------------------
+
+def _full_stack_model():
+    from decolab.model import build_hamiltonian
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 3)
+    assert model.space.dim == 1024
+    return model, model.thermal_env_state()
+
+
+def _one_shot_m2(h, rho_s, rho_env):
+    """The one-line formula coupling_moments replaced, which forms the n x n joint state."""
+    return float(np.sum((np.kron(rho_s, rho_env) @ h) * h.T).real)
+
+
+def test_coupling_moments_equal_the_one_shot_product_in_one_block():
+    from decolab.model import build_hamiltonian
+    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS, coupling_moments
+    from decolab.states import ghz_ket, maximally_mixed_density, plus_all_ket
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 2)  # the grid's largest model, n = 324
+    env = model.thermal_env_state()
+    ds, de = model.system_space().dim, model.env_space().dim
+    assert HERMITIAN_CHECK_BLOCK_ELEMENTS // (de * model.space.dim) >= ds  # every system row in one block
+    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), plus_all_ket(2).projector()):
+        m2, _ = coupling_moments(model.h_i, rho_s, env)
+        assert m2 == _one_shot_m2(model.h_i.matrix, rho_s.matrix, env.matrix)
+
+
+def test_coupling_moments_equal_the_one_shot_product_in_row_blocks():
+    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS, coupling_moments
+    from decolab.states import ghz_ket, ground_ket, maximally_mixed_density
+
+    model, env = _full_stack_model()
+    ds, de = model.system_space().dim, model.env_space().dim
+    assert HERMITIAN_CHECK_BLOCK_ELEMENTS // (de * model.space.dim) < ds  # more than one block
+    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), ground_ket(2).projector()):
+        m2, _ = coupling_moments(model.h_i, rho_s, env)
+        assert m2 == _one_shot_m2(model.h_i.matrix, rho_s.matrix, env.matrix)
+
+
+def test_coupling_moments_hold_one_full_size_product():
+    import tracemalloc
+
+    from decolab.operators import coupling_moments
+    from decolab.states import ghz_ket
+
+    model, env = _full_stack_model()
+    rho_s = ghz_ket(2).projector()
+    n = model.space.dim
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        coupling_moments(model.h_i, rho_s, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 1.3 * 16 * n * n  # the product plus one row block of the joint state

@@ -454,6 +454,56 @@ def test_propagated_rejects_a_hamiltonian_that_breaks_parity():
     _Propagated(model)  # the unbroken model diagonalises
 
 
+def _with_one_coupling_entry(model, row, col):
+    """The model with one extra entry in h_i, unflagged, so that only _Propagated's own checks can catch it."""
+    from dataclasses import replace
+
+    h = model.h_i.matrix.copy()
+    h[row, col] += 0.3
+    return replace(model, h_i=DenseOperator(model.space, h))
+
+
+def test_propagated_rejects_an_entry_in_the_odd_even_block_alone():
+    from decolab.oracle import _Propagated
+
+    model, _ = single_qubit_model(temperature=0.5, n_max=3)
+    parity = model.parity()
+    odd, even = np.flatnonzero(parity == 1)[0], np.flatnonzero(parity == 0)[0]
+    with pytest.raises(ValueError, match="parity"):
+        _Propagated(_with_one_coupling_entry(model, odd, even))  # only the (odd, even) block is touched
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_propagated_rejects_a_non_hermitian_sector_block(p):
+    from decolab.oracle import _Propagated
+
+    model, _ = single_qubit_model(temperature=0.5, n_max=3)
+    i, j = np.flatnonzero(model.parity() == p)[:2]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _Propagated(_with_one_coupling_entry(model, i, j))
+
+
+def test_propagated_keeps_sector_sized_eigenvectors():
+    import tracemalloc
+
+    from decolab.oracle import _Propagated
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 3)  # the full-stack row's model
+    n = model.space.dim
+    assert n == 1024
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        prop = _Propagated(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prop.vec.shape[0] == n  # perfbench's tracer reads it as the model's dimension
+    assert prop.vec.nbytes <= 16 * n * n // 2
+    assert peak - entry <= 1.5 * 16 * n * n  # H_total plus n x n eigenvectors take 2.5 x 16 n^2
+
+
 def _mirror_mode_model():
     from decolab.suites import _grid_lattice, _grid_modes
 
@@ -467,12 +517,15 @@ def test_sector_eigenpairs_reassemble_the_total_hamiltonian():
     model, _ = _mirror_mode_model()
     prop = _Propagated(model)
     h = model.total().matrix
-    assert np.abs((prop.vec * prop.lam) @ prop.vec.conj().T - h).max() < 1e-12
-    assert np.abs(prop.vec.conj().T @ prop.vec - np.eye(len(h))).max() < 1e-12
+    n = len(h)
+    assert prop.vec.shape == (n, n // 2)
     parity = model.parity()
     for p, (idx, cols) in enumerate(prop.sectors):
-        assert np.all(parity[idx] == p)
-        assert not np.any(np.delete(prop.vec[:, cols], idx, axis=0))  # exactly zero off the sector
+        assert np.all(parity[idx] == p) and len(idx) == n // 2
+        vec = prop.vec[idx]  # the sector's eigenvectors, in its own basis
+        assert np.abs((vec * prop.lam[cols]) @ vec.conj().T - h[np.ix_(idx, idx)]).max() < 1e-12
+        assert np.abs(vec.conj().T @ vec - np.eye(n // 2)).max() < 1e-12
+    assert sorted(np.concatenate([idx for idx, _ in prop.sectors]).tolist()) == list(range(n))
 
 
 def test_sector_curves_match_dense_evolution_on_mirror_modes():
