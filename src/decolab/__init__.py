@@ -10,7 +10,6 @@ unitary-evolution oracle that validates every closed form.
 from .errors import ConfigError, ConvergenceError
 from .fidelity import (
     Ensemble,
-    ExpansionCoefficients,
     RateInequalityReport,
     average_c2,
     check_rate_inequality,

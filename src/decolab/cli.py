@@ -20,7 +20,6 @@ import math
 import sys
 
 from .config import (
-    BATH_KINDS,
     ScenarioConfig,
     SweepSpec,
     load_config,
@@ -154,9 +153,8 @@ def _sweep_point_config(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> t
     """Apply one sweep value; returns the point config and the active spacing."""
     if spec.parameter == "d":
         return cfg.with_spacing(value), value
-    if spec.parameter == "temperature":  # the key is optional: set it whether or not it is present
-        bath = {k: {**body, "temperature": value} for k, body in cfg.raw["bath"].items() if k in BATH_KINDS}
-        point = parse_config({**cfg.raw, "bath": bath})
+    if spec.parameter == "temperature":
+        point = cfg.with_temperature(value)
     else:
         point = parse_config(set_config_path(cfg.raw, spec.parameter, value))
     spacing = None

@@ -98,6 +98,14 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError("qubits", str(exc)) from exc
 
+    def with_temperature(self, t: float) -> "ScenarioConfig":
+        """This config with its bath at temperature ``t``, sharing the lattice, the state and ``raw``."""
+        path = "bath.discrete.modes" if isinstance(self.bath, BathModeSet) else "bath.ohmic"  # as _parse_bath reports
+        try:
+            return replace(self, bath=replace(self.bath, temperature=t))
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
+
     @functools.cached_property
     def ensemble(self) -> Ensemble:
         """The configured ensemble, or one derived from the state; built on first use."""

@@ -1,10 +1,10 @@
 """Short-time damping coefficients of three decoherence fidelities.
 
-Every fidelity here admits the expansion ``F(t) = 1 - c1 t - c2 t^2 + O(t^3)``
-with ``c1 = 0`` exactly; ``c2`` is the coupling variance form evaluated
-against the appropriate system mean, and plays the role of a squared damping
-rate (``tau2 = c2**-0.5``).  Coefficients are stored as damping coefficients
-rather than characteristic times so vanishing rates stay representable.
+Every fidelity here admits the expansion ``F(t) = 1 - c2 t^2 + O(t^3)``,
+with no linear term; ``c2`` is the coupling variance form evaluated against
+the appropriate system mean, and plays the role of a squared damping rate
+(``tau2 = c2**-0.5``).  The closed forms return ``c2`` itself, a float,
+rather than a characteristic time, so vanishing rates stay representable.
 
 The kinds, ``FIDELITY_KINDS`` (io, entanglement, average), differ only in the
 state they act on and how they average over it.  The kind table below holds
@@ -20,32 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import QubitLattice, rate_from_correlation
-from .operators import (
-    DenseOperator,
-    Ket,
-    coupling_moments,
-    variance_form,
-    VARIANCE_NEGATIVE_ERROR,
-    _split_system_env,
-)
+from .operators import DenseOperator, Ket, coupling_moments, variance_form, _env_mean_square, _nonnegative
 
 # rates below this are reported as zero (infinite characteristic time)
 C2_ZERO_FLOOR = 1e-14
 INEQUALITY_SLACK = 1e-10
 ENSEMBLE_WEIGHT_ATOL = 1e-12
 ENSEMBLE_MIX_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Coefficients of F(t) ~= 1 - c1 t - c2 t^2."""
-
-    c1: float
-    c2: float
-
-    @property
-    def tau2(self) -> float:
-        return damping_time(self.c2)
 
 
 def damping_time(c2: float) -> float:
@@ -82,40 +63,35 @@ class Ensemble:
         return DenseOperator.density_op(self.space, m, check_spectrum=False)
 
 
-def input_output_c2(psi0: Ket, h_i: DenseOperator, rho_env: DenseOperator) -> ExpansionCoefficients:
+def input_output_c2(psi0: Ket, h_i: DenseOperator, rho_env: DenseOperator) -> float:
     """Quadratic damping of the pure-input fidelity: c2 = variance form."""
-    return ExpansionCoefficients(0.0, variance_form(h_i, psi0.projector(), rho_env))
+    return variance_form(h_i, psi0.projector(), rho_env)
 
 
-def entanglement_c2(rho_s: DenseOperator, h_i: DenseOperator, rho_env: DenseOperator) -> ExpansionCoefficients:
+def entanglement_c2(rho_s: DenseOperator, h_i: DenseOperator, rho_env: DenseOperator) -> float:
     """Quadratic damping of the entanglement fidelity.
 
     Intrinsic to ``rho_s``: the system mean in the variance form is taken
     against the density itself, so no purification enters.
     """
-    return ExpansionCoefficients(0.0, variance_form(h_i, rho_s, rho_env))
+    return variance_form(h_i, rho_s, rho_env)
 
 
-def average_c2(ensemble: Ensemble, h_i: DenseOperator, rho_env: DenseOperator) -> ExpansionCoefficients:
+def average_c2(ensemble: Ensemble, h_i: DenseOperator, rho_env: DenseOperator) -> float:
     """Quadratic damping of the ensemble-average fidelity.
 
     The squared system mean is averaged per member, which makes the result
     depend on the chosen decomposition, not only on the mixed density.
     Equals the probability-weighted mean of the members' pure-input c2.
     """
-    rho_mix = ensemble.density()
-    ds, de = _split_system_env(h_i, rho_mix, rho_env)
-    m2, _ = coupling_moments(h_i, rho_mix, rho_env)
+    m2, _ = coupling_moments(h_i, ensemble.density(), rho_env)  # also checks the factor layout
+    ds, de = ensemble.space.dim, rho_env.space.dim
     h4 = h_i.matrix.reshape(ds, de, ds, de)
     msq = 0.0
     for p, psi in ensemble.members:
         amp = psi.amplitudes
-        b = np.einsum("u,uesf,s->ef", amp.conj(), h4, amp)
-        msq += p * float(np.sum((rho_env.matrix @ b) * b.T).real)
-    c2 = m2 - msq
-    if c2 < VARIANCE_NEGATIVE_ERROR:
-        raise ValueError(f"damping coefficient is negative beyond rounding noise: {c2:.3e}")
-    return ExpansionCoefficients(0.0, max(c2, 0.0))
+        msq += p * _env_mean_square(rho_env, np.einsum("u,uesf,s->ef", amp.conj(), h4, amp))
+    return _nonnegative(m2 - msq, "damping coefficient")
 
 
 def _density(state) -> DenseOperator:
@@ -151,7 +127,7 @@ def kind_members(kind: str, state) -> tuple:
 def closed_form_c2(kind: str, state, h_i: DenseOperator, rho_env: DenseOperator) -> float:
     """The kind's variance-form damping coefficient."""
     state = kind_state(kind, state)
-    return _KINDS[kind][2](state, h_i, rho_env).c2
+    return _KINDS[kind][2](state, h_i, rho_env)
 
 
 def factorized_c2(kind: str, state, lattice: QubitLattice, omega2) -> float:
@@ -176,6 +152,6 @@ def check_rate_inequality(rho_s: DenseOperator, ensemble: Ensemble,
     dev = np.abs(mix.matrix - rho_s.matrix).max()
     if dev > ENSEMBLE_MIX_ATOL:
         raise ValueError(f"ensemble does not reproduce the density (max deviation {dev:.3e})")
-    c2_e = entanglement_c2(rho_s, h_i, rho_env).c2
-    c2_a = average_c2(ensemble, h_i, rho_env).c2
+    c2_e = entanglement_c2(rho_s, h_i, rho_env)
+    c2_a = average_c2(ensemble, h_i, rho_env)
     return RateInequalityReport(c2_e, c2_a, c2_e >= c2_a - INEQUALITY_SLACK)

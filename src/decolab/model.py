@@ -35,7 +35,7 @@ from .operators import (
     kron_all,
     pauli,
     thermal_boson_state,
-    VARIANCE_NEGATIVE_ERROR,
+    _nonnegative,
 )
 
 MODE_MATCH_RTOL = 1e-12
@@ -323,10 +323,8 @@ def _rate_sum(coords: Sequence[float], cov: np.ndarray, omega2: Callable[[float]
     for i, ri in enumerate(coords):
         for j, rj in enumerate(coords):
             rate += omega2(ri - rj) * cov[i, j]
-    rate = 0.5 * float(rate)  # Omega^2 is twice the per-site thermal weight
-    if rate < VARIANCE_NEGATIVE_ERROR:  # the factorized rate is the variance form
-        raise ValueError(f"decoherence rate is negative beyond rounding noise: {rate:.3e}")
-    return max(rate, 0.0)
+    # Omega^2 is twice the per-site thermal weight; the factorized rate is the variance form
+    return _nonnegative(0.5 * float(rate), "decoherence rate")
 
 
 def rate_from_correlation(lattice: QubitLattice, omega2: Callable[[float], float],

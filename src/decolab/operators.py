@@ -352,6 +352,18 @@ def _split_system_env(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOp
     return rho_s.space.dim, rho_env.space.dim
 
 
+def _env_mean_square(rho_env: DenseOperator, b: np.ndarray) -> float:
+    """tr[rho_env B^2] for an operator ``B`` on the environment."""
+    return float(np.sum((rho_env.matrix @ b) * b.T).real)
+
+
+def _nonnegative(value: float, what: str) -> float:
+    """A variance-form quantity: rounding residue below 0 is clamped to 0, below VARIANCE_NEGATIVE_ERROR it raises."""
+    if value < VARIANCE_NEGATIVE_ERROR:
+        raise ValueError(f"{what} is negative beyond rounding noise: {value:.3e}")
+    return max(value, 0.0)
+
+
 def coupling_moments(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOperator) -> tuple[float, float]:
     """Second moment of the coupling and the env average of its squared system mean.
 
@@ -376,10 +388,8 @@ def coupling_moments(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOpe
     prod *= h.T
     m2 = float(np.sum(prod).real)
 
-    h4 = h.reshape(ds, de, ds, de)
-    b = np.einsum("su,uesf->ef", rho_s.matrix, h4)
-    msq = float(np.sum((rho_env.matrix @ b) * b.T).real)
-    return m2, msq
+    b = np.einsum("su,uesf->ef", rho_s.matrix, h.reshape(ds, de, ds, de))
+    return m2, _env_mean_square(rho_env, b)
 
 
 def variance_form(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOperator) -> float:
@@ -389,7 +399,4 @@ def variance_form(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOperat
     residue is clamped to 0 and anything below -1e-9 raises.
     """
     m2, msq = coupling_moments(h_i, rho_s, rho_env)
-    v = m2 - msq
-    if v < VARIANCE_NEGATIVE_ERROR:
-        raise ValueError(f"variance form is negative beyond rounding noise: {v:.3e}")
-    return max(v, 0.0)
+    return _nonnegative(m2 - msq, "variance form")

@@ -496,7 +496,7 @@ def factorization_check(model: ModelHamiltonian, rho_env: DenseOperator,
     converged below TAIL_WEIGHT_TARGET, and below FIT_REL_TOL otherwise.
     """
     rate = float(decoherence_rate(model.lattice, model.modes, rho_s))
-    vf = float(entanglement_c2(rho_s, model.h_i, rho_env).c2)
+    vf = entanglement_c2(rho_s, model.h_i, rho_env)
     rel = abs(rate - vf) / max(vf, C2_ZERO_FLOOR)
     tol = FACTORIZATION_REL_TOL if _worst_tail(model.modes, model.n_max) < TAIL_WEIGHT_TARGET else FIT_REL_TOL
     return rate, vf, rel, rel < tol
@@ -526,8 +526,12 @@ class ModelMemo:
     """
 
     def __init__(self, scenarios: Sequence[Scenario] = ()):
-        self._uses = Counter((s.lattice, s.modes, resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max))
-                             for s in scenarios)
+        self._uses = Counter()
+        for s in scenarios:
+            try:
+                self._uses[s.lattice, s.modes, resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max)] += 1
+            except ConvergenceError:
+                pass  # a level over the dimension cap raises again in the scenario's own row
         self._runs: dict[tuple, tuple] = {}
 
     def get(self, lattice: QubitLattice, modes: BathModeSet, n_max: int) -> tuple:
@@ -582,7 +586,7 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
             model, rho_env, kind_state(kind, scenario.state))
         c2_analytic = c2_factorized
     else:
-        c2_analytic = float(closed_form_c2(kind, scenario.state, model.h_i, rho_env))
+        c2_analytic = closed_form_c2(kind, scenario.state, model.h_i, rho_env)
 
     # flat rows are judged against the coupling scale (or absolutely, without coupling)
     flat = c2_analytic <= FLAT_C2_FRACTION * max(scale, 1.0)

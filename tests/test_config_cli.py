@@ -313,6 +313,33 @@ def test_d_sweep_invalid_spacing_is_a_row_error():
     assert rows[0]["c2"] is None and rows[3]["c2"] > 0.0
 
 
+@pytest.mark.parametrize("bath, path", [
+    ({"discrete": {"temperature": 0.0, "modes": [{"k": 0.0, "omega": 1.0, "g": 0.05}]}}, "bath.discrete.modes"),
+    ({"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}}, "bath.ohmic"),
+], ids=["discrete", "ohmic"])
+def test_temperature_sweep_reuses_the_parsed_config(monkeypatch, bath, path):
+    import decolab.cli
+    import decolab.config
+
+    parses, built = [], []
+    parse, build = decolab.cli.parse_config, decolab.config.build_preset
+    monkeypatch.setattr(decolab.config, "build_preset", lambda name, lattice: built.append(name) or build(name, lattice))
+    cfg = parse_config(base_config(qubits=[{"position": 0.0}, {"position": 0.7}], h0_splittings=[], bath=bath,
+                                   state="ghz", fidelity_kind=["io", "entanglement", "average"],
+                                   sweep={"parameter": "temperature", "values": [0.5, -1.0, 2.0],
+                                          "columns": ["c2", "omega2"]}))
+    monkeypatch.setattr(decolab.cli, "parse_config", lambda raw: parses.append(raw) or parse(raw))
+    rows, _ = cmd_sweep(cfg)
+    assert parses == [] and built == ["ghz"]  # each point replaces the bath of the parsed config
+    assert [r["error"] for r in rows] == ["", f"{path}: temperature must be >= 0; got -1.0", ""]
+    # the same rows as configs parsed point by point
+    (kind, body), = bath.items()
+    for row, t in zip(rows[::2], (0.5, 2.0)):
+        point = parse({**cfg.raw, "bath": {kind: {**body, "temperature": t}}})
+        assert row["c2"] == cmd_rates(point)[0]["c2"]
+        assert row["omega2"] == cmd_correlation(point, [0.7])[0]["omega2"]
+
+
 # --- non-finite inputs ---------------------------------------------------------
 
 @pytest.mark.parametrize("mutate,path", [
@@ -588,6 +615,22 @@ def test_cli_malformed_nmax_cap_is_config_error(monkeypatch, capsys):
     monkeypatch.setenv("DECOLAB_NMAX_CAP", "abc")
     assert main(["verify", "--suite", "quick"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: DECOLAB_NMAX_CAP: not an integer: 'abc'\n"
+
+
+def test_row_over_the_dimension_cap_fails_only_itself(monkeypatch, capsys):
+    # quick-factorized-hot's tail level needs dimension 188; the other rows fit below 100
+    monkeypatch.setenv("DECOLAB_NMAX_CAP", "100")
+    assert main(["verify", "--suite", "quick"]) == 4
+    out, err = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 8
+    hot = [r for r in rows if r["scenario"] == "quick-factorized-hot"]
+    assert hot == [{"scenario": "quick-factorized-hot", "c2_analytic": "", "c2_fitted": "", "rel_err": "",
+                    "pass": "false"}]
+    assert all(r["pass"] == "true" for r in rows if r["scenario"] != "quick-factorized-hot")
+    assert err.splitlines() == ["numerical non-convergence: quick-factorized-hot: tail-weight policy (< 1e-10) "
+                                "needs n_max=46, total dimension 188 exceeds the cap 100; set a smaller n_max "
+                                "explicitly or raise DECOLAB_NMAX_CAP"]
 
 
 def test_sweep_lorentzian_profile():

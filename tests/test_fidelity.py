@@ -7,10 +7,10 @@ import pytest
 from decolab.fidelity import (
     FIDELITY_KINDS,
     Ensemble,
-    ExpansionCoefficients,
     average_c2,
     check_rate_inequality,
     closed_form_c2,
+    damping_time,
     entanglement_c2,
     factorized_c2,
     input_output_c2,
@@ -50,16 +50,16 @@ def test_io_zero_coupling(x_model):
     _, vac = x_model
     h0 = DenseOperator.hermitian_op(HilbertSpace((2, N_MAX + 1)), np.zeros((2 * (N_MAX + 1),) * 2))
     out = input_output_c2(ket(1, 0), h0, vac)
-    assert out == ExpansionCoefficients(0.0, 0.0)
-    assert out.tau2 == math.inf
+    assert out == 0.0
+    assert damping_time(out) == math.inf
 
 
 def test_io_transverse_vacuum_coefficient(x_model):
     h, vac = x_model
     out = input_output_c2(ket(1, 0), h, vac)
-    assert out.c1 == 0.0
-    assert abs(out.c2 - G * G) < 1e-15
-    assert abs(out.tau2 - 1.0 / G) < 1e-10
+    assert type(out) is float
+    assert abs(out - G * G) < 1e-15
+    assert abs(damping_time(out) - 1.0 / G) < 1e-10
 
 
 def test_io_coupling_eigenstate_gives_zero():
@@ -67,7 +67,7 @@ def test_io_coupling_eigenstate_gives_zero():
     space = HilbertSpace((2, N_MAX + 1))
     h = DenseOperator.hermitian_op(space, G * np.kron(pauli("z").matrix, a.matrix + adag.matrix))
     vac = thermal_boson_state(1.0, 0.0, N_MAX)
-    assert input_output_c2(ket(1, 0), h, vac).c2 == 0.0
+    assert input_output_c2(ket(1, 0), h, vac) == 0.0
 
 
 def test_entanglement_pure_input_reduces_to_io(x_model):
@@ -78,20 +78,20 @@ def test_entanglement_pure_input_reduces_to_io(x_model):
         psi = Ket(Q1, amp / np.linalg.norm(amp))
         io = input_output_c2(psi, h, vac)
         ent = entanglement_c2(psi.projector(), h, vac)
-        assert abs(io.c2 - ent.c2) < 1e-14
+        assert abs(io - ent) < 1e-14
 
 
 def test_entanglement_maximally_mixed_transverse(x_model):
     h, vac = x_model
     mixed = DenseOperator.density_op(Q1, np.eye(2) / 2)
-    assert abs(entanglement_c2(mixed, h, vac).c2 - G * G) < 1e-15
+    assert abs(entanglement_c2(mixed, h, vac) - G * G) < 1e-15
 
 
 def test_average_singleton_equals_io(x_model):
     h, vac = x_model
     psi = ket(0.6, 0.8)
     single = Ensemble(((1.0, psi),))
-    assert abs(average_c2(single, h, vac).c2 - input_output_c2(psi, h, vac).c2) < 1e-15
+    assert abs(average_c2(single, h, vac) - input_output_c2(psi, h, vac)) < 1e-15
 
 
 def test_average_depends_on_decomposition(x_model):
@@ -100,8 +100,8 @@ def test_average_depends_on_decomposition(x_model):
     zero, one = ket(1, 0), ket(0, 1)
     eig_mix = Ensemble(((0.5, plus), (0.5, minus)))
     comp_mix = Ensemble(((0.5, zero), (0.5, one)))
-    assert average_c2(eig_mix, h, vac).c2 == 0.0
-    assert abs(average_c2(comp_mix, h, vac).c2 - G * G) < 1e-15
+    assert average_c2(eig_mix, h, vac) == 0.0
+    assert abs(average_c2(comp_mix, h, vac) - G * G) < 1e-15
 
 
 def test_average_equals_member_weighted_io(x_model):
@@ -111,8 +111,8 @@ def test_average_equals_member_weighted_io(x_model):
         rho = random_density_matrix(rng, 2)
         members = [(p, Ket(Q1, amp)) for p, amp in random_decomposition(rng, rho, 3)]
         ens = Ensemble(tuple(members))
-        direct = average_c2(ens, h, vac).c2
-        summed = sum(p * input_output_c2(psi, h, vac).c2 for p, psi in members)
+        direct = average_c2(ens, h, vac)
+        summed = sum(p * input_output_c2(psi, h, vac) for p, psi in members)
         assert abs(direct - summed) < 1e-10
 
 
@@ -121,15 +121,15 @@ def test_scale_covariance_exact_for_binary_factors(x_model, lam):
     h, vac = x_model
     psi = ket(0.6, 0.8)
     scaled = DenseOperator.hermitian_op(h.space, lam * h.matrix)
-    assert input_output_c2(psi, scaled, vac).c2 == lam * lam * input_output_c2(psi, h, vac).c2
+    assert input_output_c2(psi, scaled, vac) == lam * lam * input_output_c2(psi, h, vac)
 
 
 def test_scale_covariance_general_factor(x_model):
     h, vac = x_model
     psi = ket(1, 1j)
     scaled = DenseOperator.hermitian_op(h.space, 3.0 * h.matrix)
-    base = input_output_c2(psi, h, vac).c2
-    assert abs(input_output_c2(psi, scaled, vac).c2 - 9.0 * base) <= 1e-14 * max(base, 1.0)
+    base = input_output_c2(psi, h, vac)
+    assert abs(input_output_c2(psi, scaled, vac) - 9.0 * base) <= 1e-14 * max(base, 1.0)
 
 
 def test_inequality_pure_state_is_equality(x_model):
@@ -183,8 +183,8 @@ def test_ensemble_validation():
 
 
 def test_tau2_reporting():
-    assert ExpansionCoefficients(0.0, 0.0).tau2 == math.inf
-    assert ExpansionCoefficients(0.0, 4.0).tau2 == 0.5
+    assert damping_time(0.0) == math.inf
+    assert damping_time(4.0) == 0.5
 
 
 @pytest.mark.parametrize("kind", ["entangelment", "factorized-rate"])
@@ -206,3 +206,35 @@ def test_kind_table_rejects_other_kind_names(kind):
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"{kind!r}; expected one of {FIDELITY_KINDS}")):
             call()
+
+
+def _negative_by(a):
+    """Each caller's variance-form quantity at exactly -a, for the input |0> under sx.
+
+    The environment "state" diag(1 + a, -a) bypasses validation, so a coupling
+    sx x |1><1| has <H^2> = -a while its system mean vanishes; the factorized
+    rate gets the same -a from a negative correlation.
+    """
+    from decolab.model import QubitLattice, rate_from_correlation
+    from decolab.operators import variance_form
+
+    env = DenseOperator(Q1, np.diag([1.0 + a, -a]), hermitian=True, density=True)
+    h = DenseOperator.hermitian_op(HilbertSpace((2, 2)), np.kron(pauli("x").matrix, np.diag([0.0, 1.0])))
+    zero = ket(1, 0)
+    lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))  # coupling sx
+    return {
+        "variance_form": (lambda: variance_form(h, zero.projector(), env), "variance form"),
+        "average_c2": (lambda: average_c2(Ensemble(((1.0, zero),)), h, env), "damping coefficient"),
+        "rate_from_correlation": (lambda: rate_from_correlation(lattice, lambda d: -2.0 * a, zero.projector()),
+                                  "decoherence rate"),
+    }
+
+
+@pytest.mark.parametrize("caller", ["variance_form", "average_c2", "rate_from_correlation"])
+def test_nonnegativity_rule(caller):
+    call, what = _negative_by(1e-6)[caller]
+    with pytest.raises(ValueError, match=re.escape(f"{what} is negative beyond rounding noise: -1.000e-06")):
+        call()
+    call, _ = _negative_by(1e-12)[caller]
+    out = call()
+    assert out == 0.0 and type(out) is float

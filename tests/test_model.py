@@ -217,7 +217,7 @@ def test_decoherence_rate_single_qubit_vacuum():
     # Omega^2(0) = 2 g^2 and <(dA)^2> = 1; the half makes this the variance form
     assert abs(rate - g * g) < 1e-15
     model = build_hamiltonian(lat, modes, 3)
-    ent = entanglement_c2(rho, model.h_i, model.thermal_env_state()).c2
+    ent = entanglement_c2(rho, model.h_i, model.thermal_env_state())
     assert abs(rate - ent) < 1e-14
 
 
@@ -284,7 +284,7 @@ def test_factorization_identity_across_models():
         for rho in (ground_ket(lattice.n_qubits).projector(),
                     ghz_ket(lattice.n_qubits).projector() if lattice.n_qubits > 1 else plus_all_ket(1).projector()):
             rate = decoherence_rate(lattice, modes, rho)
-            vf = entanglement_c2(rho, model.h_i, env).c2
+            vf = entanglement_c2(rho, model.h_i, env)
             assert abs(rate - vf) / max(vf, 1e-14) < 1e-6
 
 

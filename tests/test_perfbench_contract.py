@@ -7,7 +7,8 @@ passes.  These tests run the harness's set-up child statements, one traced
 ``verify --suite quick`` pass, one traced ``ohmic-sweep`` pass and one
 untraced ``oracle-full`` pass in this process.  The ``quick`` and
 ``encoding`` suites, which the benchmark does not run, are held to their
-references in ``tests/reference`` by the harness's own output check.
+references in ``tests/reference``, and ``inequality --seed 0`` to the
+harness's own reference, by the harness's own output check.
 """
 
 import importlib.util
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS_REFERENCE = Path(__file__).resolve().parent / "reference"
 
 
 @pytest.fixture
@@ -87,13 +89,17 @@ def test_oracle_full_pass_matches_reference(perfbench):
     assert checker.failed == 0
 
 
-@pytest.mark.parametrize("suite, close", [("quick", ("c2_analytic",)),
-                                          ("encoding", ("c2_analytic", "c2_fitted"))], ids=["quick", "encoding"])
-def test_suite_matches_its_reference(perfbench, suite, close):
+@pytest.mark.parametrize("argv, reference, close", [
+    (("verify", "--suite", "quick"), TESTS_REFERENCE / "quick.csv", ("c2_analytic",)),
+    (("verify", "--suite", "encoding"), TESTS_REFERENCE / "encoding.csv", ("c2_analytic", "c2_fitted")),
+    (("verify", "--suite", "inequality", "--seed", "0"), BENCH / "reference" / "inequality-seed0.csv",
+     ("c2_analytic", "c2_fitted")),
+], ids=["quick", "encoding", "inequality"])
+def test_suite_matches_its_reference(perfbench, argv, reference, close):
     # names, order and pass exactly, closed-form columns to 1e-9 of the column's scale;
-    # encoding's fitted column is a closed form too
-    reference = Path(__file__).resolve().parent / "reference" / f"{suite}.csv"
-    wl = perfbench.Workload(suite, ("verify", "--suite", suite), reference, "scenario", ("pass",), close)
+    # the fitted columns of encoding and inequality are closed forms too
+    suite = argv[2]
+    wl = perfbench.Workload(suite, argv, reference, "scenario", ("pass",), close)
     p = perfbench.run_pass(wl.argv)
     checker = perfbench.Checker(wl)
     checker.check(p, f"{suite} pass")
