@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .config import (
     ScenarioConfig,
@@ -173,7 +174,7 @@ def _sweep_row(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> dict:
         if wants_distance and spacing is None:
             raise ConfigError("sweep.columns", "distance columns need >= 2 qubits or parameter 'd'")
         if "c2" in spec.columns or "tau2" in spec.columns or "method" in spec.columns:
-            rates = cmd_rates(point)[0]
+            rates = cmd_rates(replace(point, fidelity_kinds=point.fidelity_kinds[:1]))[0]  # the kind it reports
             row["c2"], row["tau2"], row["method"] = rates["c2"], rates["tau2"], rates["method"]
         if "omega2" in spec.columns or "normalized" in spec.columns:
             corr = cmd_correlation(point, [spacing])[0]

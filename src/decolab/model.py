@@ -30,8 +30,6 @@ from .operators import (
     Ket,
     boson_ops,
     embed,
-    identity,
-    kron,
     kron_all,
     pauli,
     thermal_boson_state,
@@ -40,6 +38,13 @@ from .operators import (
 
 MODE_MATCH_RTOL = 1e-12
 COVARIANCE_IMAG_ATOL = 1e-10
+
+
+def _check_finite(fields: dict) -> None:
+    """Raise ValueError naming the first field whose value is NaN or infinite."""
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,11 +58,14 @@ class QubitLattice:
 
     def __post_init__(self):
         pos = tuple(float(r) for r in self.positions)
+        splits = tuple(float(w) for w in self.h0_splittings) or (0.0,) * len(pos)
+        _check_finite({"lambda1": self.lambda1, "lambda2": self.lambda2,
+                       **{f"positions[{i}]": r for i, r in enumerate(pos)},
+                       **{f"h0_splittings[{i}]": w for i, w in enumerate(splits)}})
         if not pos:
             raise ValueError("lattice needs at least one qubit")
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise ValueError(f"positions must be strictly increasing, got {pos}")
-        splits = tuple(float(w) for w in self.h0_splittings) or (0.0,) * len(pos)
         if len(splits) != len(pos):
             raise ValueError(f"{len(splits)} level splittings for {len(pos)} qubits")
         object.__setattr__(self, "positions", pos)
@@ -113,6 +121,8 @@ class BathModeSet:
 
     def __post_init__(self):
         modes = tuple(BathMode(float(m.k), float(m.omega), float(m.g)) for m in self.modes)
+        _check_finite({"temperature": self.temperature,
+                       **{f"modes[{i}].{f}": getattr(m, f) for i, m in enumerate(modes) for f in ("k", "omega", "g")}})
         if not modes:
             raise ValueError("mode set is empty")
         if self.temperature < 0:
@@ -166,58 +176,49 @@ def thermal_occupation_factor(omega: float, temperature: float) -> float:
 class ModelHamiltonian:
     """The model Hamiltonian on [qubit 1..L, mode 1..K] factors.
 
-    The coupling ``h_i`` is the only matrix stored at full size.  The free
-    parts are diagonal Kronecker products, kept as their factors:
-    ``h0_system`` on the leading (qubit) factors and ``h_env_modes`` on the
-    trailing (mode) factors of ``space``.  The ``h0`` and ``h_env``
-    properties pad them with identities to full size, rebuilding the matrix
-    on each access.
+    The coupling ``h_i`` is the model's only matrix.  The free parts are
+    diagonal in the product basis, so they are kept as two energy vectors:
+    ``h0_diag`` holds sum_l (w0_l/2) sz_l on the qubit basis (length 2^L) and
+    ``h_env_diag`` holds sum_k w_k n_k on the mode basis ((n_max+1)^K), and
+    basis state (s, e) of ``space`` has free energy h0_diag[s] + h_env_diag[e].
+    Both are read-only float arrays whose lengths multiply to ``space.dim``.
     """
 
     space: HilbertSpace
-    h0_system: DenseOperator
+    h0_diag: np.ndarray
     h_i: DenseOperator
-    h_env_modes: DenseOperator
+    h_env_diag: np.ndarray
     lattice: QubitLattice
     modes: BathModeSet
     n_max: int
 
-    @property
-    def h0(self) -> DenseOperator:
-        """``h0_system`` x 1 on ``space``."""
-        pad = HilbertSpace(self.space.factor_dims[self.h0_system.space.n_factors:])
-        return kron(self.h0_system, identity(pad))
-
-    @property
-    def h_env(self) -> DenseOperator:
-        """1 x ``h_env_modes`` on ``space``."""
-        pad = HilbertSpace(self.space.factor_dims[:-self.h_env_modes.space.n_factors])
-        return kron(identity(pad), self.h_env_modes)
+    def __post_init__(self):
+        for name in ("h0_diag", "h_env_diag"):
+            v = np.array(getattr(self, name), dtype=float)
+            if v.ndim != 1 or not np.isfinite(v).all():
+                raise ValueError(f"{name} must be a 1-D array of finite energies")
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        if len(self.h0_diag) * len(self.h_env_diag) != self.space.dim:
+            raise ValueError(f"free energies of lengths {len(self.h0_diag)} and {len(self.h_env_diag)} "
+                             f"do not span a space of dimension {self.space.dim}")
 
     def total(self) -> DenseOperator:
-        h = self.h0.matrix + self.h_i.matrix
-        h += self.h_env.matrix  # in place: the same sum without a second full-size temporary
-        return DenseOperator.hermitian_op(self.space, h)
+        """The full-size H_total: the dense reference that ``block`` is tested against."""
+        idx = np.arange(self.space.dim)
+        return DenseOperator.hermitian_op(self.space, self.block(idx, idx))
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``total().matrix[np.ix_(rows, cols)]``, bit for bit, without forming the full-size matrix.
+        """H_total's entries at ``np.ix_(rows, cols)`` for index arrays without repeats, without forming H_total.
 
-        Each free part is gathered from its factor as the entry ``np.kron``
-        computes, h0_system[s, s'] * 1[e, e'] or 1[s, s'] * h_env_modes[e, e'],
-        and added in ``total()``'s order; at most two block-sized arrays are
-        alive at once.  No Hermiticity check: a block off the diagonal need
-        not be Hermitian.
+        One gather of ``h_i``; the free energies land on the entries whose
+        row equals their column.  No Hermiticity check: a block off the
+        diagonal need not be Hermitian.
         """
-        de = self.h_env_modes.space.dim
-        (s_r, e_r), (s_c, e_c) = np.divmod(rows, de), np.divmod(cols, de)
         h = self.h_i.matrix[np.ix_(rows, cols)]
-        h0 = self.h0_system.matrix[s_r[:, None], s_c]
-        h0 *= e_r[:, None] == e_c
-        h += h0  # addition commutes bit for bit: total()'s h0 + h_i
-        del h0
-        h_env = self.h_env_modes.matrix[e_r[:, None], e_c]
-        h_env *= s_r[:, None] == s_c
-        h += h_env
+        both, i, j = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
+        s, e = np.divmod(both, len(self.h_env_diag))
+        h[i, j] = (h[i, j] + self.h0_diag[s]) + self.h_env_diag[e]
         return h
 
     def system_space(self) -> HilbertSpace:
@@ -225,10 +226,6 @@ class ModelHamiltonian:
 
     def env_space(self) -> HilbertSpace:
         return HilbertSpace((self.n_max + 1,) * self.modes.n_modes)
-
-    def h0_system_diagonal(self) -> np.ndarray:
-        """Diagonal of the free qubit Hamiltonian on the system space alone."""
-        return np.diagonal(self.h0_system.matrix).real.copy()
 
     def parity(self) -> np.ndarray:
         """(popcount(s) + sum_k n_k) mod 2 for each basis index (s, e) of ``space``.
@@ -263,18 +260,15 @@ def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> 
     mspace = HilbertSpace((n_max + 1,) * K)
     space = qspace * mspace
 
-    a1, _, num1 = boson_ops(n_max)
+    bits = np.indices(qspace.factor_dims).reshape(L, -1)
+    h0_diag = np.zeros(qspace.dim)
+    for w0, b in zip(lattice.h0_splittings, bits):
+        h0_diag += 0.5 * w0 * (1 - 2 * b)  # sz is +1 on |0>, -1 on |1>
+    occupations = np.indices(mspace.factor_dims).reshape(K, -1)
+    h_env_diag = sum(m.omega * n for m, n in zip(modes.modes, occupations))
+
+    a1, _, _ = boson_ops(n_max)
     a_embedded = [embed(a1, j, mspace).matrix for j in range(K)]
-    n_embedded = [embed(num1, j, mspace).matrix for j in range(K)]
-
-    h_env_m = sum(m.omega * n_embedded[j] for j, m in enumerate(modes.modes))
-    h_env_modes = DenseOperator.hermitian_op(mspace, h_env_m)
-
-    h0_q = np.zeros((qspace.dim, qspace.dim), dtype=np.complex128)
-    for l, w0 in enumerate(lattice.h0_splittings):
-        h0_q += 0.5 * w0 * embed(pauli("z"), l, qspace).matrix
-    h0_system = DenseOperator.hermitian_op(qspace, h0_q)
-
     coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
     h_i_m = np.zeros((space.dim, space.dim), dtype=np.complex128)
     de = mspace.dim
@@ -288,7 +282,7 @@ def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> 
             h_i_m[i * de:(i + 1) * de, j * de:(j + 1) * de] += a_l[i, j] * field_m
     h_i = DenseOperator.hermitian_op(space, h_i_m)
 
-    return ModelHamiltonian(space, h0_system, h_i, h_env_modes, lattice, modes, n_max)
+    return ModelHamiltonian(space, h0_diag, h_i, h_env_diag, lattice, modes, n_max)
 
 
 def correlation_fn_discrete(modes: BathModeSet, delta_r: float) -> float:

@@ -23,11 +23,12 @@ sector: every coupling term flips one qubit and adds or removes one boson,
 so (excited qubits + total boson number) mod 2 is conserved and the two
 sectors are diagonalised as independent half-size blocks.  Memory, for a
 model of dimension n: the model keeps one n x n complex matrix (the
-coupling; its free parts are stored as their small factors).  Each sector's
-n/2 x n/2 block is built from those factors (``ModelHamiltonian.block``) and
-diagonalised in turn, so H_total is never formed, and the eigenvectors stay
-as one n x n/2 array, each basis state's row in its own sector's
-eigenbasis, for as long as the model is in use.  Per curve,
+coupling) and its free parts as two energy vectors.  Each sector's n/2 x n/2
+block is the coupling's block with the free energies on its diagonal
+(``ModelHamiltonian.block``), diagonalised in turn, so H_total is never
+formed (only ``evolve_exact``, the tests' dense reference, forms it), and
+the eigenvectors stay as one n x n/2 array, each basis state's row in its
+own sector's eigenbasis, for as long as the model is in use.  Per curve,
 ancilla rows and system-basis entries with zero amplitude are dropped, and
 each sector keeps only the environment rows and ensemble columns that the
 input reaches in it: a single-parity input against a diagonal environment
@@ -143,8 +144,8 @@ def evolve_exact(model: ModelHamiltonian, rho0: DenseOperator, t: float) -> Dens
 class _Propagated:
     """The eigendecomposition of H_total, one parity sector at a time, shared by every curve on the model.
 
-    H_total conserves ``model.parity()``, so each sector's block is built from
-    the model's factors (``model.block``) and diagonalised on its own; the
+    H_total conserves ``model.parity()``, so each sector's block is gathered
+    from the model (``model.block``) and diagonalised on its own; the
     full-size H_total is never formed.  Flipping qubit 0 maps one sector onto
     the other, so both hold n/2 states.  ``lam`` holds the whole spectrum
     with the even sector first.  ``vec`` is (n, n/2): row i holds basis state
@@ -167,7 +168,7 @@ class _Propagated:
             h = DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix
             self.lam[cols], self.vec[idx] = np.linalg.eigh(h)
             del h  # the next sector's block is built without this one
-        self.h0_diag = model.h0_system_diagonal()
+        self.h0_diag = model.h0_diag
         ds = len(self.h0_diag)
         self.parity = parity.reshape(ds, n // ds)  # (system, env)
         self.rows = self.vec.reshape(ds, n // ds, n // 2)  # (system, env, sector eigenvector)

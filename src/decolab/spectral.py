@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import BathModeSet, correlation_fn_discrete, thermal_occupation_factor
+from .model import BathModeSet, _check_finite, correlation_fn_discrete, thermal_occupation_factor
 
 # "much greater / much smaller than one" thresholds for the regime ratios;
 # at 10 the Gaussian envelope is ~2e-22 (delta-like), at 0.1 it is >= 0.995
@@ -75,6 +75,7 @@ class GaussianSpectrum:
     x: float
 
     def __post_init__(self):
+        _check_finite({"k_bar": self.k_bar, "delta_k": self.delta_k, "x": self.x})
         if self.delta_k < 0:
             raise ValueError(f"delta_k must be >= 0, got {self.delta_k}")
         if self.x <= 0:
@@ -94,6 +95,8 @@ class OhmicBath:
     def __post_init__(self):
         if self.form not in OHMIC_FORMS:
             raise ValueError(f"form must be one of {OHMIC_FORMS}, got {self.form!r}")
+        _check_finite({"omega_c": self.omega_c, "v": self.v, "temperature": self.temperature,
+                       "amplitude": self.amplitude})
         if self.omega_c <= 0:
             raise ValueError(f"omega_c must be positive, got {self.omega_c}")
         if self.v <= 0:

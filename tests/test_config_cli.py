@@ -302,6 +302,22 @@ def test_d_sweep_evaluates_the_bath_memos_once(monkeypatch):
                                            for d in (0.5, 1.0, 2.0)]
 
 
+def test_sweep_computes_only_the_kind_it_reports(monkeypatch):
+    import decolab.cli
+
+    calls = []
+    factorized = decolab.cli.factorized_c2
+    monkeypatch.setattr(decolab.cli, "factorized_c2", lambda *args: calls.append(args[0]) or factorized(*args))
+    cfg = _d_sweep_config([0.5, 1.0, 2.0]) | {"fidelity_kind": ["entanglement", "io", "average"]}
+    rows, _ = cmd_sweep(parse_config(cfg))
+    assert calls == ["entanglement"] * 3
+    assert [r["c2"] for r in rows] == [cmd_rates(parse_config(_d_sweep_config([d]) | {
+        "qubits": [{"position": i * d} for i in range(3)]}))[0]["c2"] for d in (0.5, 1.0, 2.0)]
+    # a later kind that cannot be computed no longer fills the error cell
+    broken = cfg | {"ensemble": [{"p": 0.6, "state": "ground"}, {"p": 0.6, "state": "plus_all"}]}
+    assert [r["error"] for r in cmd_sweep(parse_config(broken))[0]] == ["", "", ""]
+
+
 def test_d_sweep_invalid_spacing_is_a_row_error():
     rows, _ = cmd_sweep(parse_config(_d_sweep_config([0.0, -1.0, 1e308, 1.0])))
     assert [r["error"] for r in rows] == [

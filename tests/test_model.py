@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,23 @@ def test_lattice_validation():
         QubitLattice((0.0,), 1.0, 0.0, (1.0, 2.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, build", [
+    pytest.param("positions[1]", lambda v: QubitLattice((0.0, v), 1.0, 0.5), id="positions"),
+    pytest.param("lambda1", lambda v: QubitLattice((0.0,), v, 0.5), id="lambda1"),
+    pytest.param("lambda2", lambda v: QubitLattice((0.0,), 1.0, v), id="lambda2"),
+    pytest.param("h0_splittings[0]", lambda v: QubitLattice((0.0,), 1.0, 0.5, (v,)), id="h0_splittings"),
+    pytest.param("temperature", lambda v: BathModeSet.symmetric([(1.3, 1.1, 0.04)], v), id="temperature"),
+    pytest.param("modes[0].k", lambda v: BathModeSet((BathMode(v, 1.1, 0.04),), 0.5), id="k"),
+    pytest.param("modes[1].omega", lambda v: BathModeSet((BathMode(0.0, 1.1, 0.04), BathMode(0.0, v, 0.04)), 0.5),
+                 id="omega"),
+    pytest.param("modes[0].g", lambda v: BathModeSet((BathMode(0.0, 1.1, v),), 0.5), id="g"),
+])
+def test_model_inputs_must_be_finite(field, build, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be finite")):
+        build(value)
+
+
 def test_mode_set_symmetry_enforced():
     with pytest.raises(ValueError):
         BathModeSet((BathMode(1.0, 1.0, 0.1),), 0.0)
@@ -70,27 +88,47 @@ def test_build_hermiticity_with_symmetric_pair():
     lat = QubitLattice((0.4,), 1.0, 0.3)
     modes = BathModeSet.symmetric([(1.7, 1.2, 0.05)], 0.5)
     model = build_hamiltonian(lat, modes, 3)
-    for part in (model.h0, model.h_i, model.h_env):
-        assert np.abs(part.matrix - part.matrix.conj().T).max() < 1e-12
+    for part in (model.h_i.matrix, model.total().matrix, *_dense_free_parts(model)):
+        assert np.abs(part - part.conj().T).max() < 1e-12
 
 
-def _full_suite_models():
-    from decolab.suites import GRID_K, GRID_L, GRID_T, _grid_lattice, _grid_modes, _grid_n_max
+def _suite_models():
+    """Every dense model that the quick and full suites build; the encoding suite builds none."""
+    from decolab import oracle, suites
 
-    for L in GRID_L:
-        for K in GRID_K:
-            for t_ratio in GRID_T:
-                modes = _grid_modes(K, t_ratio)
-                yield build_hamiltonian(_grid_lattice(L), modes, _grid_n_max(modes))
-    yield build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 3)  # the full-stack row
+    recorded = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "_verify_tasks", lambda scenarios, checked=(): recorded.append((scenarios, checked)) or [])
+        mp.setattr(suites, "_factorization_task", lambda L, K, t: (suites._grid_lattice(L), suites._grid_modes(K, t)))
+        factorization = [task for name in ("quick", "full") for task in suites.suite_tasks(name, 0)]
+    keys = {}
+    for lattice, modes in factorization:
+        keys[lattice, modes, oracle.resolve_n_max(modes, lattice.n_qubits, None)] = None
+    for scenarios, checked in recorded:
+        for sc in scenarios:
+            n_max = oracle.resolve_n_max(sc.modes, sc.lattice.n_qubits, sc.n_max)
+            keys[sc.lattice, sc.modes, n_max] = None
+            if sc.name in checked:  # verify_expansion's convergence re-run
+                keys[sc.lattice, sc.modes, 2 * n_max] = None
+    return [build_hamiltonian(*key) for key in keys]
 
 
 def _dense_free_parts(model):
-    """The full-size free Hamiltonians as build_hamiltonian once stored them."""
-    ds, de = model.system_space().dim, model.env_space().dim
-    h0 = np.kron(model.h0_system.matrix, np.eye(de, dtype=np.complex128))
-    h_env = np.kron(np.eye(ds, dtype=np.complex128), model.h_env_modes.matrix)
+    """The full-size free Hamiltonians sum_l (w0_l/2) sz_l and sum_k w_k n_k, embedded factor by factor."""
+    space, L = model.space, model.lattice.n_qubits
+    _, _, number = boson_ops(model.n_max)
+    h0 = np.zeros((space.dim, space.dim), dtype=np.complex128)
+    for l, w0 in enumerate(model.lattice.h0_splittings):
+        h0 += 0.5 * w0 * embed(pauli("z"), l, space).matrix
+    h_env = np.zeros_like(h0)
+    for j, m in enumerate(model.modes.modes):
+        h_env += m.omega * embed(number, L + j, space).matrix
     return h0, h_env
+
+
+def _dense_total(model):
+    h0, h_env = _dense_free_parts(model)
+    return h0 + model.h_i.matrix + h_env
 
 
 def test_model_holds_one_dense_matrix():
@@ -99,31 +137,59 @@ def test_model_holds_one_dense_matrix():
     model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 3)
     n = model.space.dim
     assert n == 1024
-    held = sum(getattr(model, f.name).matrix.nbytes for f in dataclasses.fields(model)
-               if isinstance(getattr(model, f.name), DenseOperator))
-    assert held < 1.1 * 16 * n * n
+    fields = {f.name: getattr(model, f.name) for f in dataclasses.fields(model)}
+    assert [name for name, v in fields.items() if isinstance(v, DenseOperator)] == ["h_i"]
+    arrays = {name: v for name, v in fields.items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == ["h0_diag", "h_env_diag"]
+    for v in arrays.values():
+        assert v.ndim == 1 and v.dtype == np.float64 and not v.flags.writeable
+    assert len(model.h0_diag) == 4 and len(model.h_env_diag) == n // 4
+    assert model.h_i.matrix.nbytes + sum(v.nbytes for v in arrays.values()) < 1.1 * 16 * n * n
+    with pytest.raises(ValueError):
+        model.h0_diag[0] = 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("h0_diag", np.zeros(3)),  # lengths 3 x 9 do not span 36
+    ("h_env_diag", np.zeros((9, 1))),
+    ("h0_diag", np.array([0.5, np.nan, -0.5, 0.0])),
+    ("h_env_diag", np.full(9, np.inf)),
+])
+def test_model_rejects_malformed_free_energies(field, value):
+    model = build_hamiltonian(QubitLattice((0.0, 0.7), 1.0, 0.5, (1.0, 0.8)),
+                              BathModeSet.symmetric([(1.3, 1.1, 0.04)], 0.5), 2)
+    with pytest.raises(ValueError, match="free energies|finite"):
+        dataclasses.replace(model, **{field: value})
 
 
 def test_total_is_the_dense_sum_of_the_three_parts():
-    for model in _full_suite_models():
-        h0, h_env = _dense_free_parts(model)
-        assert model.total().matrix.tobytes() == (h0 + model.h_i.matrix + h_env).tobytes()
-        assert model.h0.matrix.tobytes() == h0.tobytes()
-        assert model.h_env.matrix.tobytes() == h_env.tobytes()
+    for model in _suite_models():
+        assert model.total().matrix.tobytes() == _dense_total(model).tobytes()
 
 
-def test_block_is_the_total_hamiltonian_entry_for_entry():
-    for model in _full_suite_models():
-        h = model.total().matrix
+def test_block_is_the_total_hamiltonian_entry_for_entry(monkeypatch):
+    models = _suite_models()
+    assert len(models) == 25  # the 25 distinct models of one quick and one full run
+    for model in models:
+        h = _dense_total(model)
         parity = model.parity()
         even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
         for rows, cols in ((even, even), (odd, odd), (even, odd), (odd, even)):
             assert model.block(rows, cols).tobytes() == h[np.ix_(rows, cols)].tobytes()
 
+    from decolab.suites import suite_tasks
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("the encoding suite built a dense model")
+
+    monkeypatch.setattr(ModelHamiltonian, "__init__", no_model)
+    for _, run in suite_tasks("encoding", 0):
+        run()
+
 
 def test_coupling_equals_the_kron_sum_over_qubits():
     # the reference: sum_l np.kron(A_l, field_l) at full size, which build_hamiltonian adds block by block
-    for model in _full_suite_models():
+    for model in _suite_models():
         a1, _, _ = boson_ops(model.n_max)
         a = [embed(a1, j, model.env_space()).matrix for j in range(model.modes.n_modes)]
         coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), model.lattice.coupling_matrix())
@@ -137,16 +203,12 @@ def test_coupling_equals_the_kron_sum_over_qubits():
         assert model.h_i.matrix.tobytes() == expected.tobytes()
 
 
-def test_h0_system_diagonal_reads_the_qubit_factor(monkeypatch):
-    models = list(_full_suite_models())
-    expected = [np.diagonal(_dense_free_parts(m)[0]).real[::m.env_space().dim].copy() for m in models]
-
-    def no_full_size_h0(self):
-        raise AssertionError("h0_system_diagonal built the full-size h0")
-
-    monkeypatch.setattr(ModelHamiltonian, "h0", property(no_full_size_h0))
-    for model, want in zip(models, expected):
-        assert model.h0_system_diagonal().tobytes() == want.tobytes()
+def test_free_energies_are_the_dense_free_diagonals():
+    for model in _suite_models():
+        de = model.env_space().dim
+        h0, h_env = _dense_free_parts(model)
+        assert model.h0_diag.tobytes() == np.diagonal(h0).real[::de].tobytes()
+        assert model.h_env_diag.tobytes() == np.diagonal(h_env).real[:de].tobytes()
 
 
 def test_decoupled_spectrum_is_sum_of_parts():
@@ -156,7 +218,7 @@ def test_decoupled_spectrum_is_sum_of_parts():
     n_max = 2
     model = build_hamiltonian(lat, modes, n_max)
     got = np.sort(np.linalg.eigvalsh(model.total().matrix))
-    qubit_e = np.sort(np.linalg.eigvalsh((model.h0.matrix)[:: (n_max + 1) ** 2, :: (n_max + 1) ** 2]))
+    qubit_e = np.sort(model.h0_diag)
     # brute-force oracle: enumerate qubit levels x mode occupations
     levels = []
     for s0 in (0.45, -0.45):
@@ -165,7 +227,7 @@ def test_decoupled_spectrum_is_sum_of_parts():
                 for n1 in range(n_max + 1):
                     levels.append(s0 + s1 + 1.3 * (n0 + n1))
     assert np.abs(got - np.sort(levels)).max() < 1e-10
-    assert len(qubit_e) == 4
+    assert qubit_e.tolist() == sorted(s0 + s1 for s0 in (0.45, -0.45) for s1 in (0.85, -0.85))
 
 
 def test_parity_labels_basis_and_commutes_with_total():

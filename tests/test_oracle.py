@@ -79,7 +79,7 @@ def test_io_curve_agrees_with_dense_evolution():
         rho0 = kron(psi.projector(), env)
         rho_t = evolve_exact(model, rho0, t)
         red = partial_trace(rho_t, keep={0})
-        u0 = np.exp(-1j * model.h0_system_diagonal() * t)
+        u0 = np.exp(-1j * _qubit_energies(model) * t)
         rotated = u0 * psi.amplitudes
         direct = (rotated.conj() @ red.matrix @ rotated).real
         assert abs(val - direct) < 1e-12
@@ -313,6 +313,15 @@ def test_factorization_check_is_tight_at_the_tail_policy_level():
         assert rel < oracle.FACTORIZATION_REL_TOL and passed, (L, K, t_ratio)
 
 
+def _qubit_energies(model):
+    """The diagonal of sum_l (w0_l/2) sz_l on the qubit space, embedded factor by factor."""
+    from decolab.operators import embed, pauli
+
+    space = model.system_space()
+    h0 = sum(0.5 * w0 * embed(pauli("z"), l, space).matrix for l, w0 in enumerate(model.lattice.h0_splittings))
+    return np.diagonal(h0).real
+
+
 def _two_qubit_thermal_model():
     lattice = QubitLattice((0.0, 0.7), 1.0, 0.5, (1.0, 0.8))
     modes = BathModeSet((BathMode(0.0, 1.0, 0.3),), 0.6)
@@ -326,15 +335,15 @@ def _reference_entanglement(model, env, rho_s, t, ancilla_unitary=None):
     from decolab.operators import identity, partial_trace, purify
 
     anc = HilbertSpace((model.system_space().dim,))
-    ext = ModelHamiltonian(anc * model.space, kron(identity(anc), model.h0_system), kron(identity(anc), model.h_i),
-                           model.h_env_modes, model.lattice, model.modes, model.n_max)
+    ext = ModelHamiltonian(anc * model.space, np.tile(model.h0_diag, anc.dim), kron(identity(anc), model.h_i),
+                           model.h_env_diag, model.lattice, model.modes, model.n_max)
     psi = purify(rho_s).amplitudes.reshape(anc.dim, -1)
     if ancilla_unitary is not None:
         psi = ancilla_unitary @ psi
     pure = Ket(anc * model.system_space(), psi.reshape(-1))
     rho_t = evolve_exact(ext, kron(pure.projector(), env), t)
     red = partial_trace(rho_t, keep=set(range(1 + model.lattice.n_qubits)))
-    rotated = (psi * np.exp(-1j * model.h0_system_diagonal() * t)[None, :]).reshape(-1)
+    rotated = (psi * np.exp(-1j * _qubit_energies(model) * t)[None, :]).reshape(-1)
     return (rotated.conj() @ red.matrix @ rotated).real
 
 
@@ -343,7 +352,7 @@ def _reference_io(model, env, psi, t):
 
     rho_t = evolve_exact(model, kron(psi.projector(), env), t)
     red = partial_trace(rho_t, keep=set(range(model.lattice.n_qubits)))
-    rotated = np.exp(-1j * model.h0_system_diagonal() * t) * psi.amplitudes
+    rotated = np.exp(-1j * _qubit_energies(model) * t) * psi.amplitudes
     return (rotated.conj() @ red.matrix @ rotated).real
 
 
@@ -446,9 +455,8 @@ def test_propagated_rejects_a_hamiltonian_that_breaks_parity():
     from decolab.operators import embed, pauli
 
     model, _ = single_qubit_model(temperature=0.5, n_max=3)
-    sx = embed(pauli("x"), 0, model.system_space())
-    broken = replace(model, h0_system=DenseOperator.hermitian_op(model.system_space(),
-                                                                 model.h0_system.matrix + 0.3 * sx.matrix))
+    sx = embed(pauli("x"), 0, model.space)  # sx x 1: flips the qubit, keeps the bosons
+    broken = replace(model, h_i=DenseOperator.hermitian_op(model.space, model.h_i.matrix + 0.3 * sx.matrix))
     with pytest.raises(ValueError, match="parity"):
         _Propagated(broken)
     _Propagated(model)  # the unbroken model diagonalises

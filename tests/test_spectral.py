@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,6 +261,21 @@ def test_regime_insensitive_to_temperature():
             bath = OhmicBath(omega_c, v, t_ratio * omega_c)
             labels.add(classify_regime(d, ohmic_spectrum_moments(bath)).regime)
         assert len(labels) == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, build", [
+    pytest.param("omega_c", lambda v: OhmicBath(v, 1.0, 0.3), id="omega_c"),
+    pytest.param("v", lambda v: OhmicBath(1.0, v, 0.3), id="v"),
+    pytest.param("temperature", lambda v: OhmicBath(1.0, 1.0, v), id="temperature"),
+    pytest.param("amplitude", lambda v: OhmicBath(1.0, 1.0, 0.3, amplitude=v), id="amplitude"),
+    pytest.param("k_bar", lambda v: GaussianSpectrum(v, 0.5, 1.0), id="k_bar"),
+    pytest.param("delta_k", lambda v: GaussianSpectrum(1.0, v, 1.0), id="delta_k"),
+    pytest.param("x", lambda v: GaussianSpectrum(1.0, 0.5, v), id="x"),
+])
+def test_bath_inputs_must_be_finite(field, build, value):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be finite")):
+        build(value)
 
 
 def test_gaussian_spectrum_validation():
