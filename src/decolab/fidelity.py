@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import QubitLattice, rate_from_correlation
-from .operators import DenseOperator, Ket, coupling_moments, variance_form, _env_mean_square, _nonnegative
+from .operators import DenseOperator, Ket, variance_form, _env_mean_square, _nonnegative, _second_moment
 
 # rates below this are reported as zero (infinite characteristic time)
 C2_ZERO_FLOOR = 1e-14
@@ -84,7 +84,7 @@ def average_c2(ensemble: Ensemble, h_i: DenseOperator, rho_env: DenseOperator) -
     depend on the chosen decomposition, not only on the mixed density.
     Equals the probability-weighted mean of the members' pure-input c2.
     """
-    m2, _ = coupling_moments(h_i, ensemble.density(), rho_env)  # also checks the factor layout
+    m2 = _second_moment(h_i, ensemble.density(), rho_env)  # also checks the flags and the factor layout
     ds, de = ensemble.space.dim, rho_env.space.dim
     h4 = h_i.matrix.reshape(ds, de, ds, de)
     msq = 0.0

@@ -29,7 +29,7 @@ VARIANCE_NEGATIVE_ERROR = -1e-9
 TAIL_WEIGHT_TARGET = 1e-10
 N_MAX_FLOOR = 2
 CONJUGATION_TRACE_ATOL = 1e-10
-# the Hermiticity check and coupling_moments' joint-state rows work on row blocks of at most this many entries
+# the Hermiticity check and the coupling's second moment work on row blocks of at most this many entries
 HERMITIAN_CHECK_BLOCK_ELEMENTS = 1 << 18
 
 
@@ -352,8 +352,17 @@ def _split_system_env(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOp
     return rho_s.space.dim, rho_env.space.dim
 
 
+def _diagonal(rho: DenseOperator) -> np.ndarray | None:
+    """The diagonal of ``rho`` when every off-diagonal entry is zero, else None."""
+    p = np.diagonal(rho.matrix)
+    return p if np.count_nonzero(rho.matrix) == np.count_nonzero(p) else None
+
+
 def _env_mean_square(rho_env: DenseOperator, b: np.ndarray) -> float:
     """tr[rho_env B^2] for an operator ``B`` on the environment."""
+    p = _diagonal(rho_env)
+    if p is not None:
+        return float(np.sum(p[:, None] * b * b.T).real)
     return float(np.sum((rho_env.matrix @ b) * b.T).real)
 
 
@@ -364,31 +373,50 @@ def _nonnegative(value: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def coupling_moments(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOperator) -> tuple[float, float]:
-    """Second moment of the coupling and the env average of its squared system mean.
+def _second_moment(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOperator) -> float:
+    """m2 = tr[(rho_s x rho_env) H^2], without forming the joint state or any n x n product.
 
-    Returns ``(m2, msq)`` with ``m2 = tr[(rho_s x rho_env) H^2]`` and
-    ``msq = tr[rho_env B^2]`` where ``B = tr_sys[(rho_s x I) H]`` is the
-    system-averaged coupling, an operator on the environment.
-
-    The product (rho_s x rho_env) H is filled a few system rows at a time,
-    each block of joint-state rows at most HERMITIAN_CHECK_BLOCK_ELEMENTS
-    entries (or one system row), so the n x n joint state is never formed;
-    the result is the one-shot ``np.sum((np.kron(rho_s, rho_env) @ H) * H.T)``
-    bit for bit.
+    With ``W = (rho_s x rho_env) H`` and ``H^T = H*`` (H is Hermitian),
+    ``m2 = sum conj(H) W``.  ``W`` is built over blocks of environment rows,
+    one tensor factor at a time: rho_s is one ``(ds x ds) @ (ds x .)``
+    product per block, and a diagonal rho_env scales that block by its
+    weights (the two factors commute), where any other rho_env takes one
+    product per block first.  The work is ``n^2 ds`` or ``n^2 (ds + de)``,
+    and a block's arrays hold at most HERMITIAN_CHECK_BLOCK_ELEMENTS
+    entries (or one environment row).
     """
     if not (h_i.hermitian and rho_s.density and rho_env.density):
         raise ValueError("coupling_moments requires Hermitian coupling and density-flagged states")
     ds, de = _split_system_env(h_i, rho_s, rho_env)
-    h = h_i.matrix
-    prod = np.empty_like(h)
-    step = max(1, HERMITIAN_CHECK_BLOCK_ELEMENTS // (de * h.shape[0]))
-    for s in range(0, ds, step):
-        np.matmul(np.kron(rho_s.matrix[s:s + step], rho_env.matrix), h, out=prod[s * de:(s + step) * de])
-    prod *= h.T
-    m2 = float(np.sum(prod).real)
+    n = ds * de
+    h = h_i.matrix.reshape(ds, de, n)
+    p = _diagonal(rho_env)
+    # the non-diagonal path holds two block arrays at once: the rho_env product and W
+    step = max(1, HERMITIAN_CHECK_BLOCK_ELEMENTS // (ds * n * (1 if p is not None else 2)))
+    m2 = 0.0
+    for e in range(0, de, step):
+        rows = h[:, e:e + step]
+        if p is not None:
+            w = (rho_s.matrix @ rows.reshape(ds, -1)).reshape(rows.shape)
+            w *= p[e:e + step, None]
+        else:
+            w = (rho_s.matrix @ np.matmul(rho_env.matrix[e:e + step], h).reshape(ds, -1)).reshape(rows.shape)
+        m2 += sum(np.vdot(rows[s], w[s]) for s in range(ds)).real
+        del w  # so the next block's W is not made while this one is alive
+    return float(m2)
 
-    b = np.einsum("su,uesf->ef", rho_s.matrix, h.reshape(ds, de, ds, de))
+
+def coupling_moments(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOperator) -> tuple[float, float]:
+    """Second moment of the coupling and the env average of its squared system mean.
+
+    Returns ``(m2, msq)`` with ``m2 = tr[(rho_s x rho_env) H^2]`` (see
+    ``_second_moment``, which holds no n x n temporary) and
+    ``msq = tr[rho_env B^2]`` where ``B = tr_sys[(rho_s x I) H]`` is the
+    system-averaged coupling, an operator on the environment.
+    """
+    m2 = _second_moment(h_i, rho_s, rho_env)
+    ds, de = rho_s.space.dim, rho_env.space.dim
+    b = np.einsum("su,uesf->ef", rho_s.matrix, h_i.matrix.reshape(ds, de, ds, de))
     return m2, _env_mean_square(rho_env, b)
 
 

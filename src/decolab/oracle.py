@@ -52,8 +52,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .fidelity import (FIDELITY_KINDS, C2_ZERO_FLOOR, closed_form_c2, coupling_moments, entanglement_c2,
-                       kind_members, kind_state)
+from .fidelity import (FIDELITY_KINDS, C2_ZERO_FLOOR, closed_form_c2, entanglement_c2, kind_members,
+                       kind_state)
 from .model import (
     BathModeSet,
     ModelHamiltonian,
@@ -71,6 +71,7 @@ from .operators import (
     herm_propagator,
     n_max_for_tail,
     purify,
+    _second_moment,
 )
 
 FIT_POINTS = 9
@@ -513,8 +514,7 @@ def _scale_moment(model: ModelHamiltonian, rho_env: DenseOperator) -> float:
     """
     ds = model.system_space().dim
     mixed = DenseOperator.density_op(model.system_space(), np.eye(ds) / ds, check_spectrum=False)
-    m2, _ = coupling_moments(model.h_i, mixed, rho_env)
-    return max(2.0 * m2, 0.0)
+    return max(2.0 * _second_moment(model.h_i, mixed, rho_env), 0.0)
 
 
 class ModelMemo:

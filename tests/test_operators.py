@@ -362,34 +362,82 @@ def _one_shot_m2(h, rho_s, rho_env):
     return float(np.sum((np.kron(rho_s, rho_env) @ h) * h.T).real)
 
 
-def test_coupling_moments_equal_the_one_shot_product_in_one_block():
+def _one_shot_msq(h, rho_s, rho_env):
+    """tr[rho_env B^2] with the full rho_env product, B = tr_sys[(rho_s x I) H]."""
+    ds, de = rho_s.shape[0], rho_env.shape[0]
+    b = np.einsum("su,uesf->ef", rho_s, h.reshape(ds, de, ds, de))
+    return float(np.sum((rho_env @ b) * b.T).real)
+
+
+def _assert_one_shot_moments(h_i, rho_s, rho_env):
+    """coupling_moments agrees with the one-shot formulas to 1e-14 of m2; returns m2."""
+    from decolab.operators import coupling_moments
+
+    m2, msq = coupling_moments(h_i, rho_s, rho_env)
+    want = _one_shot_m2(h_i.matrix, rho_s.matrix, rho_env.matrix)
+    assert abs(m2 - want) <= 1e-14 * abs(want)
+    assert abs(msq - _one_shot_msq(h_i.matrix, rho_s.matrix, rho_env.matrix)) <= 1e-14 * abs(want)
+    return m2
+
+
+def _rotated_env(model, seed):
+    """U rho_thermal U^dag for a seeded random environment unitary: a density with off-diagonal entries."""
+    env = model.thermal_env_state()
+    u = random_unitary_matrix(Xoshiro256pp(seed), env.space.dim)
+    return DenseOperator.density_op(env.space, u @ env.matrix @ u.conj().T, check_spectrum=False)
+
+
+def test_coupling_moments_match_the_one_shot_product_on_every_suite_model():
+    from test_model import _suite_models
+
+    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS, _diagonal
+    from decolab.states import ghz_ket, ground_ket, maximally_mixed_density, plus_all_ket
+
+    models = _suite_models()
+    stack = max(models, key=lambda m: m.space.dim)
+    n, ds, de = stack.space.dim, stack.system_space().dim, stack.env_space().dim
+    assert n == 1024 and HERMITIAN_CHECK_BLOCK_ELEMENTS // (ds * n) < de  # full-stack takes several row blocks
+    for model in models:
+        L = model.lattice.n_qubits
+        env = model.thermal_env_state()
+        assert _diagonal(env) is not None
+        for rho_s in (ground_ket(L).projector(), (ghz_ket(L) if L >= 2 else plus_all_ket(1)).projector(),
+                      maximally_mixed_density(L)):
+            _assert_one_shot_moments(model.h_i, rho_s, env)
+
+
+def test_coupling_moments_with_a_non_diagonal_environment_state():
     from decolab.model import build_hamiltonian
-    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS, coupling_moments
-    from decolab.states import ghz_ket, maximally_mixed_density, plus_all_ket
+    from decolab.operators import _diagonal
+    from decolab.states import ghz_ket, maximally_mixed_density
     from decolab.suites import _grid_lattice, _grid_modes
 
     model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 2)  # the grid's largest model, n = 324
+    env = _rotated_env(model, 11)
+    assert _diagonal(env) is None
+    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2)):
+        _assert_one_shot_moments(model.h_i, rho_s, env)
+        want = _variance_reference(model.h_i.matrix, rho_s.matrix, env.matrix)
+        assert abs(variance_form(model.h_i, rho_s, env) - want) <= 1e-12 * abs(want)
+
+
+def test_coupling_moments_on_the_vacuum():
+    from decolab.model import build_hamiltonian
+    from decolab.operators import _diagonal
+    from decolab.states import ghz_ket, ground_ket, plus_all_ket
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.0), 2)
     env = model.thermal_env_state()
-    ds, de = model.system_space().dim, model.env_space().dim
-    assert HERMITIAN_CHECK_BLOCK_ELEMENTS // (de * model.space.dim) >= ds  # every system row in one block
-    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), plus_all_ket(2).projector()):
-        m2, _ = coupling_moments(model.h_i, rho_s, env)
-        assert m2 == _one_shot_m2(model.h_i.matrix, rho_s.matrix, env.matrix)
+    weights = _diagonal(env)
+    assert weights is not None and np.count_nonzero(weights) == 1  # T = 0: only the vacuum has weight
+    for rho_s in (ghz_ket(2).projector(), ground_ket(2).projector(), plus_all_ket(2).projector()):
+        assert _assert_one_shot_moments(model.h_i, rho_s, env) > 0.0
+        want = _variance_reference(model.h_i.matrix, rho_s.matrix, env.matrix)
+        assert abs(variance_form(model.h_i, rho_s, env) - want) <= 1e-12 * abs(want)
 
 
-def test_coupling_moments_equal_the_one_shot_product_in_row_blocks():
-    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS, coupling_moments
-    from decolab.states import ghz_ket, ground_ket, maximally_mixed_density
-
-    model, env = _full_stack_model()
-    ds, de = model.system_space().dim, model.env_space().dim
-    assert HERMITIAN_CHECK_BLOCK_ELEMENTS // (de * model.space.dim) < ds  # more than one block
-    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), ground_ket(2).projector()):
-        m2, _ = coupling_moments(model.h_i, rho_s, env)
-        assert m2 == _one_shot_m2(model.h_i.matrix, rho_s.matrix, env.matrix)
-
-
-def test_coupling_moments_hold_one_full_size_product():
+def test_coupling_moments_hold_no_full_size_product():
     import tracemalloc
 
     from decolab.operators import coupling_moments
@@ -397,12 +445,12 @@ def test_coupling_moments_hold_one_full_size_product():
 
     model, env = _full_stack_model()
     rho_s = ghz_ket(2).projector()
-    n = model.space.dim
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        coupling_moments(model.h_i, rho_s, env)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - entry <= 1.3 * 16 * n * n  # the product plus one row block of the joint state
+    for rho_env in (env, _rotated_env(model, 7)):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            coupling_moments(model.h_i, rho_s, rho_env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - entry <= 8 * 2**20  # an n x n complex product is 16 MiB here
