@@ -387,17 +387,38 @@ def _rotated_env(model, seed):
     return DenseOperator.density_op(env.space, u @ env.matrix @ u.conj().T, check_spectrum=False)
 
 
+def test_coupling_moments_equal_the_one_shot_product_in_one_block():
+    from decolab.model import build_hamiltonian
+    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS
+    from decolab.states import ghz_ket, maximally_mixed_density, plus_all_ket
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 2)  # the grid's largest model, n = 324
+    env = model.thermal_env_state()
+    ds, de = model.system_space().dim, model.env_space().dim
+    assert HERMITIAN_CHECK_BLOCK_ELEMENTS // (ds * model.space.dim) >= de  # every environment row in one block
+    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), plus_all_ket(2).projector()):
+        _assert_one_shot_moments(model.h_i, rho_s, env)
+
+
+def test_coupling_moments_equal_the_one_shot_product_in_row_blocks():
+    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS
+    from decolab.states import ghz_ket, ground_ket, maximally_mixed_density
+
+    model, env = _full_stack_model()
+    ds, de = model.system_space().dim, model.env_space().dim
+    assert HERMITIAN_CHECK_BLOCK_ELEMENTS // (ds * model.space.dim) < de  # more than one block
+    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), ground_ket(2).projector()):
+        _assert_one_shot_moments(model.h_i, rho_s, env)
+
+
 def test_coupling_moments_match_the_one_shot_product_on_every_suite_model():
     from test_model import _suite_models
 
-    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS, _diagonal
+    from decolab.operators import _diagonal
     from decolab.states import ghz_ket, ground_ket, maximally_mixed_density, plus_all_ket
 
-    models = _suite_models()
-    stack = max(models, key=lambda m: m.space.dim)
-    n, ds, de = stack.space.dim, stack.system_space().dim, stack.env_space().dim
-    assert n == 1024 and HERMITIAN_CHECK_BLOCK_ELEMENTS // (ds * n) < de  # full-stack takes several row blocks
-    for model in models:
+    for model in _suite_models():
         L = model.lattice.n_qubits
         env = model.thermal_env_state()
         assert _diagonal(env) is not None
