@@ -112,8 +112,12 @@ class BathMode:
 class BathModeSet:
     """Discrete boson modes (k, omega, g) plus a temperature.
 
-    Every mode with k != 0 must have a mirror (-k, omega, g); couplings are
-    real (any phase is absorbable into the mode operators).
+    Every mode with k != 0 must have a mirror (-k, omega, g), matched to
+    MODE_MATCH_RTOL; couplings are real (any phase is absorbable into the mode
+    operators).  Mirrors need not pair one-to-one: {+k, +k, -k} is accepted,
+    and so is a mirror within MODE_MATCH_RTOL.  ``mirror_pairing`` gives an
+    exact one-to-one pairing when there is one, which the oracle uses to
+    diagonalise in real arithmetic.
     """
 
     modes: tuple[BathMode, ...]
@@ -151,6 +155,26 @@ class BathModeSet:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
+
+    def mirror_pairing(self) -> tuple[int, ...] | None:
+        """An involution pairing each mode with an exact mirror (k' = -k, omega' = omega, g' = g), or None.
+
+        A k = 0 mode is paired with itself.  None when some mode has no exact
+        mirror left to pair with, as in {+k, +k, -k} or a mirror that only
+        matches to MODE_MATCH_RTOL.
+        """
+        partner = list(range(self.n_modes))
+        waiting: dict[tuple[float, float, float], list[int]] = {}
+        for i, m in enumerate(self.modes):
+            if m.k == 0.0:
+                continue
+            unpaired = waiting.get((-m.k, m.omega, m.g))
+            if unpaired:
+                j = unpaired.pop()
+                partner[i], partner[j] = j, i
+            else:
+                waiting.setdefault((m.k, m.omega, m.g), []).append(i)
+        return None if any(waiting.values()) else tuple(partner)
 
 
 def _mirrors(m: BathMode, other: BathMode) -> bool:

@@ -39,11 +39,22 @@ in one batched call.  A row is fitted once: the same eigenpairs give the
 exact Taylor coefficients c1..c6 of 1 - F(t), and ``t_max`` minimises the
 fitted c2's error bound (the t^5 and t^6 bias plus sample rounding), which
 must stay below the row's pass tolerance or raise ConvergenceError.
+
+The +/-k mirror symmetry that makes Omega^2(d) real also gives H_total an
+antiunitary symmetry T = (D x P) K with T^2 = 1 (``_MirrorBasis``).  In the
+T-invariant basis W = diag(u^popcount(s)) x W_env every sector block is real
+symmetric, so ``eigh`` runs on real blocks, the eigenvectors ``vec`` are real,
+and the curves take their inputs into W; a real eigenvector row times complex
+kets is one real product on the kets' (re, im) view.  Modes whose mirrors do
+not pair one-to-one and exactly ({+k, +k, -k}, or a mirror only within
+MODE_MATCH_RTOL), and any block whose imaginary part in W exceeds
+HERMITIAN_ATOL, keep W = 1 and a complex ``vec`` on the same code path.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -62,6 +73,7 @@ from .model import (
     decoherence_rate,
 )
 from .operators import (
+    HERMITIAN_ATOL,
     TAIL_WEIGHT_TARGET,
     DenseOperator,
     HilbertSpace,
@@ -87,6 +99,7 @@ C1_PASS_FRACTION = 1e-4
 ENV_WEIGHT_CUTOFF = 1e-15
 BATCH_ELEMENTS = 1 << 17  # complex entries per batched propagation intermediate (2 MiB)
 DEFAULT_DIM_CAP = 4096
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,84 @@ def evolve_exact(model: ModelHamiltonian, rho0: DenseOperator, t: float) -> Dens
     return conjugate_density(u, rho0)
 
 
+class _MirrorBasis(NamedTuple):
+    """W = diag(u^popcount(s)) x W_env: the basis in which every parity block of H_total is real symmetric.
+
+    H_total has the antiunitary symmetry T = U K, with K complex conjugation
+    and U = D x P: P swaps each mode factor with its exact mirror (k <-> -k),
+    and D = x_l diag(1, u^2) for the coupling phase u = (lambda1 + i lambda2) /
+    |lambda1 + i lambda2| (u = 1 without coupling).  Then U H* U^dag = H and
+    U U* = 1, and W is T-invariant (U W* = W), so W^dag H W is real.  W_env
+    sends a pair e < sigma(e) of mirrored environment states to
+    (|e> + |sigma e>)/sqrt2 and i(|e> - |sigma e>)/sqrt2 and keeps a fixed
+    point sigma(e) = e.  P keeps the total boson number, so W maps each parity
+    sector onto itself and a basis label (s, e) keeps its parity.
+    """
+
+    phase: np.ndarray  # u^popcount(s) per system basis state
+    mirror: np.ndarray  # sigma(e) per environment basis state
+
+
+def _mirror_basis(model: ModelHamiltonian) -> _MirrorBasis | None:
+    """The model's T-invariant basis, or None when its modes have no exact one-to-one mirror pairing."""
+    pairing = model.modes.mirror_pairing()
+    if pairing is None:
+        return None
+    dims = model.env_space().factor_dims
+    occupations = np.indices(dims).reshape(len(dims), -1)
+    mirror = np.ravel_multi_index(tuple(occupations[list(pairing)]), dims)
+    lam = complex(model.lattice.lambda1, model.lattice.lambda2)
+    u = lam / abs(lam) if lam else 1.0 + 0.0j
+    popcount = np.indices(model.system_space().factor_dims).reshape(model.lattice.n_qubits, -1).sum(axis=0)
+    return _MirrorBasis(u ** popcount, mirror)
+
+
+def _mix_pairs(m: np.ndarray, lo: np.ndarray, hi: np.ndarray, factor: complex) -> None:
+    """In place on the rows of ``m``: row lo becomes (lo + hi)/sqrt2 and row hi becomes factor (lo - hi)/sqrt2."""
+    a, b = m[lo], m[hi]
+    a *= _SQRT_HALF
+    b *= _SQRT_HALF
+    m[lo] = a + b
+    a -= b
+    a *= factor
+    m[hi] = a
+
+
+def _env_adjoint(basis: _MirrorBasis, x: np.ndarray) -> np.ndarray:
+    """W_env^dag x, for x with one row per environment basis state."""
+    lo = np.flatnonzero(np.arange(len(basis.mirror)) < basis.mirror)
+    y = x.astype(np.complex128)
+    _mix_pairs(y, lo, basis.mirror[lo], -1j)
+    return y
+
+
+def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarray | None:
+    """The real part of W^dag h W for the sector block h = H[idx, idx], made in place on ``h``.
+
+    None when the imaginary part exceeds HERMITIAN_ATOL.
+    """
+    de = len(basis.mirror)
+    s, e = np.divmod(idx, de)
+    phase = basis.phase[s]
+    h *= phase.conj()[:, None]
+    h *= phase
+    lo = np.flatnonzero(e < basis.mirror[e])
+    hi = np.searchsorted(idx, s[lo] * de + basis.mirror[e[lo]])  # a mirror pair shares its sector
+    _mix_pairs(h, lo, hi, -1j)  # W_env^dag on the rows
+    _mix_pairs(h.T, lo, hi, 1j)  # W_env on the columns
+    if max(h.imag.max(), -h.imag.min()) > HERMITIAN_ATOL:
+        return None
+    return h.real
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex ``b``; a real ``a`` makes one real product on b's (re, im) float view, half zgemm's flops."""
+    if np.iscomplexobj(a):
+        return a @ b
+    b = np.ascontiguousarray(b)
+    return (a @ b.view(np.float64)).view(np.complex128)
+
+
 class _Propagated:
     """The eigendecomposition of H_total, one parity sector at a time, shared by every curve on the model.
 
@@ -154,6 +245,15 @@ class _Propagated:
     sector (even, then odd), its basis indices and its slice of ``lam``.  A
     Hamiltonian with an entry between the sectors, or a sector block that is
     not Hermitian, raises ValueError.
+
+    When the modes pair one-to-one with exact mirrors, ``basis`` is the
+    T-invariant basis W (``_MirrorBasis``): each block is diagonalised as the
+    real symmetric W^dag H W, ``vec`` holds its real eigenvectors Q, and basis
+    state i is W's column i, so H's eigenvectors are W Q.  Otherwise (no
+    exact one-to-one pairing, or a block whose imaginary part in W exceeds
+    HERMITIAN_ATOL) ``basis`` is None, W = 1, and ``vec`` is complex.  The
+    curves (``_Curve``) take their inputs into W; nothing else depends on
+    which case holds but the dtype of ``vec``.
     """
 
     def __init__(self, model: ModelHamiltonian):
@@ -163,12 +263,12 @@ class _Propagated:
             raise ValueError("H_total couples the two parity sectors")
         n = len(parity)
         self.lam = np.empty(n)
-        self.vec = np.empty((n, n // 2), dtype=np.complex128)
         self.sectors = [(even, slice(0, len(even))), (odd, slice(len(even), n))]
-        for idx, cols in self.sectors:
-            h = DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix
-            self.lam[cols], self.vec[idx] = np.linalg.eigh(h)
-            del h  # the next sector's block is built without this one
+        self.basis = _mirror_basis(model)
+        self.vec = None if self.basis is None else self._diagonalise(model)
+        if self.vec is None:  # no basis in which every block is real
+            self.basis = None
+            self.vec = self._diagonalise(model)
         self.h0_diag = model.h0_diag
         ds = len(self.h0_diag)
         self.parity = parity.reshape(ds, n // ds)  # (system, env)
@@ -206,6 +306,20 @@ class _Propagated:
                 out[i:i + step] += weight * np.sum(np.abs(w) ** 2, axis=(1, 2))
         out[times == 0.0] = 1.0  # exact, as the fit's first sample assumes
         return out
+
+    def _diagonalise(self, model: ModelHamiltonian) -> np.ndarray | None:
+        """Fills ``lam`` and returns ``vec`` in ``basis`` (complex without one); None if a block is not real in it."""
+        n = len(self.lam)
+        vec = np.empty((n, n // 2), dtype=np.complex128 if self.basis is None else np.float64)
+        for idx, cols in self.sectors:
+            h = DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix
+            if self.basis is not None:
+                h = _real_block(h, idx, self.basis)
+                if h is None:
+                    return None
+            self.lam[cols], vec[idx] = np.linalg.eigh(h)
+            del h  # the next sector's block is built without this one
+        return vec
 
 
 def _env_ensemble(rho_env: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +363,12 @@ class _Curve:
     the sector and the environment-ensemble columns whose kets are not zero
     there: a single-parity class against a diagonal environment keeps half
     of each, so its two parts do a quarter of the dense product's work.
+
+    With a mirror basis W (``_Propagated.basis``) the system amplitudes take
+    conj(u^popcount(s)) and the environment-ensemble columns take W_env^dag;
+    the bra is still the conjugate of the amplitudes.  The sum of |w|^2 over
+    environment rows does not change, because W_env is unitary and keeps
+    each part's set of environment rows (it keeps the boson parity).
     """
 
     def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator,
@@ -258,6 +378,8 @@ class _Curve:
             raise ValueError("environment state does not live on the mode space")
         q, venv = _env_ensemble(rho_env)
         env_cols = venv * np.sqrt(q)[None, :]
+        if prop.basis is not None:
+            env_cols = _env_adjoint(prop.basis, env_cols)
         self.prop = prop
         self.env_cols = env_cols.shape[1]
         self.width = 0
@@ -272,6 +394,8 @@ class _Curve:
                 amps = purify(psi).amplitudes.reshape(system.dim, system.dim)
                 if ancilla_unitary is not None:
                     amps = ancilla_unitary @ amps
+            if prop.basis is not None:
+                amps = amps * prop.basis.phase.conj()  # diag(u^popcount(s))^dag
             amps = amps[np.any(amps != 0, axis=1)]
             self.width += amps.shape[0] * self.env_cols
             classes = [frozenset(system_parity[row != 0]) for row in amps]
@@ -308,7 +432,8 @@ def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_
         rows = np.where(in_sector[:, env_rows, None], prop.rows[support[:, None], env_rows], 0)
         s, e, n = rows.shape
         kets = np.einsum("rs,em->serm", amps, env_cols[env_rows]).reshape(s * e, r * m)
-        kets = (rows.reshape(s * e, n).conj().T @ kets).reshape(n, r, m)
+        flat = rows.reshape(s * e, n)
+        kets = _product(flat.T if prop.basis is not None else flat.conj().T, kets).reshape(n, r, m)
         ket_cols = np.flatnonzero(np.any(kets != 0, axis=(0, 1)))
         if len(ket_cols) == 0:
             continue
@@ -343,7 +468,7 @@ def taylor_coefficients(prop: _Propagated, curve: _Curve) -> np.ndarray:
             kets = part.kets.transpose(1, 0, 2)  # (n, r, mp)
             wp = np.zeros((len(k), e, mp), dtype=np.complex128)
             for l in k:
-                x = (rows @ (lam[l, :, None, None] * kets).reshape(n, -1)).reshape(s, e, r, mp)
+                x = _product(rows, (lam[l, :, None, None] * kets).reshape(n, -1)).reshape(s, e, r, mp)
                 wp[l:] += np.tensordot(bra[:len(k) - l], x, axes=([1, 2], [2, 0]))
             w[part.block] += wp
         v = w.reshape(len(k), -1).view(np.float64)  # Re <w_a, w_b> is a dot product of (re, im) pairs

@@ -208,6 +208,21 @@ def test_kind_table_rejects_other_kind_names(kind):
             call()
 
 
+@pytest.mark.parametrize("kind, name", [("io", "input_output_c2"), ("entanglement", "entanglement_c2"),
+                                        ("average", "average_c2")])
+def test_closed_form_calls_the_kind_function_bound_at_call_time(monkeypatch, x_model, kind, name):
+    # a tracer rebinds the module's functions; calls through the kind table must reach the rebinding
+    from decolab import fidelity
+
+    h, vac = x_model
+    state = Ensemble(((1.0, ket(1, 0)),)) if kind == "average" else ket(1, 0)
+    calls = []
+    original = getattr(fidelity, name)
+    monkeypatch.setattr(fidelity, name, lambda *args: calls.append(args) or original(*args))
+    assert closed_form_c2(kind, state, h, vac) == original(kind_state(kind, state), h, vac)
+    assert len(calls) == 1
+
+
 def _negative_by(a):
     """Each caller's variance-form quantity at exactly -a, for the input |0> under sx.
 

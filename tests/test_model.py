@@ -92,6 +92,23 @@ def test_build_hermiticity_with_symmetric_pair():
         assert np.abs(part - part.conj().T).max() < 1e-12
 
 
+def test_mirror_pairing_is_exact_and_one_to_one():
+    pair = BathModeSet.symmetric([(0.0, 1.0, 0.05), (0.9, 1.0, 0.04), (1.6, 1.2, 0.03)], 0.5)
+    assert pair.mirror_pairing() == (0, 2, 1, 4, 3)  # k = 0 pairs with itself
+    twice = BathModeSet((BathMode(0.9, 1.0, 0.04), BathMode(0.9, 1.0, 0.04),
+                         BathMode(-0.9, 1.0, 0.04), BathMode(-0.9, 1.0, 0.04)), 0.0)
+    partner = twice.mirror_pairing()
+    assert sorted(partner) == [0, 1, 2, 3] and all(partner[partner[i]] == i != partner[i] for i in range(4))
+    # accepted as +/-k symmetric, but with no exact one-to-one pairing
+    repeated = BathModeSet((BathMode(0.9, 1.0, 0.04), BathMode(0.9, 1.0, 0.04), BathMode(-0.9, 1.0, 0.04)), 0.0)
+    assert repeated.mirror_pairing() is None
+    for i, field in enumerate(("k", "omega", "g")):
+        near = [0.9, 1.0, 0.04]
+        near[i] *= 1 - 1e-13 if field == "k" else 1 + 1e-13
+        off = BathModeSet((BathMode(-0.9, 1.0, 0.04), BathMode(*near)), 0.0)
+        assert off.mirror_pairing() is None, field
+
+
 def _suite_models():
     """Every dense model that the quick and full suites build; the encoding suite builds none."""
     from decolab import oracle, suites
