@@ -36,7 +36,6 @@ from .operators import (
     _nonnegative,
 )
 
-MODE_MATCH_RTOL = 1e-12
 COVARIANCE_IMAG_ATOL = 1e-10
 
 
@@ -112,11 +111,11 @@ class BathMode:
 class BathModeSet:
     """Discrete boson modes (k, omega, g) plus a temperature.
 
-    Every mode with k != 0 must have a mirror (-k, omega, g), matched to
-    MODE_MATCH_RTOL; couplings are real (any phase is absorbable into the mode
-    operators).  Mirrors need not pair one-to-one: {+k, +k, -k} is accepted,
-    and so is a mirror within MODE_MATCH_RTOL.  ``mirror_pairing`` gives an
-    exact one-to-one pairing when there is one, which the oracle uses to
+    Every mode with k != 0 must have a mirror of its own, exactly (-k, omega,
+    g), and a k = 0 mode is its own mirror; couplings are real (any phase is
+    absorbable into the mode operators).  Any other mode set, such as
+    {+k, +k, -k} or a mirror off in its last digit, raises ValueError.
+    ``mirror_pairing`` gives the pairing, which the oracle uses to
     diagonalise in real arithmetic.
     """
 
@@ -134,13 +133,9 @@ class BathModeSet:
         for m in modes:
             if m.omega <= 0:
                 raise ValueError(f"mode frequencies must be positive, got {m.omega}")
-        for m in modes:
-            if m.k == 0.0:
-                continue
-            if not any(_mirrors(m, other) for other in modes):
-                raise ValueError(f"mode set is not +/-k symmetric: no mirror for k={m.k}")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "temperature", float(self.temperature))
+        self.mirror_pairing()  # raises on a mode without a mirror of its own
 
     @classmethod
     def symmetric(cls, pairs: Sequence[tuple[float, float, float]], temperature: float) -> "BathModeSet":
@@ -156,12 +151,11 @@ class BathModeSet:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def mirror_pairing(self) -> tuple[int, ...] | None:
-        """An involution pairing each mode with an exact mirror (k' = -k, omega' = omega, g' = g), or None.
+    def mirror_pairing(self) -> tuple[int, ...]:
+        """The involution pairing each mode with an exact mirror (k' = -k, omega' = omega, g' = g).
 
-        A k = 0 mode is paired with itself.  None when some mode has no exact
-        mirror left to pair with, as in {+k, +k, -k} or a mirror that only
-        matches to MODE_MATCH_RTOL.
+        A k = 0 mode is paired with itself.  A mode with no mirror left to
+        pair with raises ValueError naming its k.
         """
         partner = list(range(self.n_modes))
         waiting: dict[tuple[float, float, float], list[int]] = {}
@@ -174,15 +168,10 @@ class BathModeSet:
                 partner[i], partner[j] = j, i
             else:
                 waiting.setdefault((m.k, m.omega, m.g), []).append(i)
-        return None if any(waiting.values()) else tuple(partner)
-
-
-def _mirrors(m: BathMode, other: BathMode) -> bool:
-    return (
-        math.isclose(other.k, -m.k, rel_tol=MODE_MATCH_RTOL, abs_tol=0.0)
-        and math.isclose(other.omega, m.omega, rel_tol=MODE_MATCH_RTOL)
-        and math.isclose(other.g, m.g, rel_tol=MODE_MATCH_RTOL)
-    )
+        for (k, _, _), unpaired in waiting.items():
+            if unpaired:
+                raise ValueError(f"mode set is not +/-k symmetric: no mirror of its own for k={k}")
+        return tuple(partner)
 
 
 def _coth(x: float) -> float:

@@ -29,8 +29,11 @@ VARIANCE_NEGATIVE_ERROR = -1e-9
 TAIL_WEIGHT_TARGET = 1e-10
 N_MAX_FLOOR = 2
 CONJUGATION_TRACE_ATOL = 1e-10
-# the Hermiticity check and the coupling's second moment work on row blocks of at most this many entries
-HERMITIAN_CHECK_BLOCK_ELEMENTS = 1 << 18
+# the Hermiticity check works on row blocks of at most this many entries: an eighth of
+# the full-stack model's 512 x 512 sector blocks, so the check never sets the oracle's memory peak
+HERMITIAN_CHECK_BLOCK_ELEMENTS = 1 << 15
+# the coupling's second moment works on row blocks of at most this many entries
+MOMENT_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -382,8 +385,8 @@ def _second_moment(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOpera
     product per block, and a diagonal rho_env scales that block by its
     weights (the two factors commute), where any other rho_env takes one
     product per block first.  The work is ``n^2 ds`` or ``n^2 (ds + de)``,
-    and a block's arrays hold at most HERMITIAN_CHECK_BLOCK_ELEMENTS
-    entries (or one environment row).
+    and a block's arrays hold at most MOMENT_BLOCK_ELEMENTS entries (or one
+    environment row).
     """
     if not (h_i.hermitian and rho_s.density and rho_env.density):
         raise ValueError("coupling_moments requires Hermitian coupling and density-flagged states")
@@ -392,7 +395,7 @@ def _second_moment(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOpera
     h = h_i.matrix.reshape(ds, de, n)
     p = _diagonal(rho_env)
     # the non-diagonal path holds two block arrays at once: the rho_env product and W
-    step = max(1, HERMITIAN_CHECK_BLOCK_ELEMENTS // (ds * n * (1 if p is not None else 2)))
+    step = max(1, MOMENT_BLOCK_ELEMENTS // (ds * n * (1 if p is not None else 2)))
     m2 = 0.0
     for e in range(0, de, step):
         rows = h[:, e:e + step]

@@ -41,14 +41,14 @@ fitted c2's error bound (the t^5 and t^6 bias plus sample rounding), which
 must stay below the row's pass tolerance or raise ConvergenceError.
 
 The +/-k mirror symmetry that makes Omega^2(d) real also gives H_total an
-antiunitary symmetry T = (D x P) K with T^2 = 1 (``_MirrorBasis``).  In the
-T-invariant basis W = diag(u^popcount(s)) x W_env every sector block is real
-symmetric, so ``eigh`` runs on real blocks, the eigenvectors ``vec`` are real,
-and the curves take their inputs into W; a real eigenvector row times complex
-kets is one real product on the kets' (re, im) view.  Modes whose mirrors do
-not pair one-to-one and exactly ({+k, +k, -k}, or a mirror only within
-MODE_MATCH_RTOL), and any block whose imaginary part in W exceeds
-HERMITIAN_ATOL, keep W = 1 and a complex ``vec`` on the same code path.
+antiunitary symmetry T = (D x P) K with T^2 = 1 (``_MirrorBasis``); every
+``BathModeSet`` pairs its modes with exact mirrors one-to-one, so every model
+has it.  In the T-invariant basis W = diag(u^popcount(s)) x W_env every
+sector block is real symmetric, so ``eigh`` runs on real blocks, the
+eigenvectors ``vec`` are real, and the curves take their inputs into W; a
+real eigenvector row times complex kets is one real product on the kets'
+(re, im) view.  A block whose imaginary part in W exceeds HERMITIAN_ATOL
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -173,14 +173,11 @@ class _MirrorBasis(NamedTuple):
     mirror: np.ndarray  # sigma(e) per environment basis state
 
 
-def _mirror_basis(model: ModelHamiltonian) -> _MirrorBasis | None:
-    """The model's T-invariant basis, or None when its modes have no exact one-to-one mirror pairing."""
-    pairing = model.modes.mirror_pairing()
-    if pairing is None:
-        return None
+def _mirror_basis(model: ModelHamiltonian) -> _MirrorBasis:
+    """The model's T-invariant basis, from its modes' exact one-to-one mirror pairing."""
     dims = model.env_space().factor_dims
     occupations = np.indices(dims).reshape(len(dims), -1)
-    mirror = np.ravel_multi_index(tuple(occupations[list(pairing)]), dims)
+    mirror = np.ravel_multi_index(tuple(occupations[list(model.modes.mirror_pairing())]), dims)
     lam = complex(model.lattice.lambda1, model.lattice.lambda2)
     u = lam / abs(lam) if lam else 1.0 + 0.0j
     popcount = np.indices(model.system_space().factor_dims).reshape(model.lattice.n_qubits, -1).sum(axis=0)
@@ -206,10 +203,10 @@ def _env_adjoint(basis: _MirrorBasis, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarray | None:
+def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarray:
     """The real part of W^dag h W for the sector block h = H[idx, idx], made in place on ``h``.
 
-    None when the imaginary part exceeds HERMITIAN_ATOL.
+    An imaginary part above HERMITIAN_ATOL raises ValueError.
     """
     de = len(basis.mirror)
     s, e = np.divmod(idx, de)
@@ -220,15 +217,14 @@ def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarr
     hi = np.searchsorted(idx, s[lo] * de + basis.mirror[e[lo]])  # a mirror pair shares its sector
     _mix_pairs(h, lo, hi, -1j)  # W_env^dag on the rows
     _mix_pairs(h.T, lo, hi, 1j)  # W_env on the columns
-    if max(h.imag.max(), -h.imag.min()) > HERMITIAN_ATOL:
-        return None
+    imag = max(h.imag.max(), -h.imag.min())
+    if imag > HERMITIAN_ATOL:
+        raise ValueError(f"a sector block is not real in the mirror basis (max imaginary part {imag:.3e})")
     return h.real
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for complex ``b``; a real ``a`` makes one real product on b's (re, im) float view, half zgemm's flops."""
-    if np.iscomplexobj(a):
-        return a @ b
+    """a @ b for real ``a`` and complex ``b``: one real product on b's (re, im) float view, half zgemm's flops."""
     b = np.ascontiguousarray(b)
     return (a @ b.view(np.float64)).view(np.complex128)
 
@@ -244,16 +240,12 @@ class _Propagated:
     i's coefficients in its own sector's eigenbasis.  ``sectors`` holds, per
     sector (even, then odd), its basis indices and its slice of ``lam``.  A
     Hamiltonian with an entry between the sectors, or a sector block that is
-    not Hermitian, raises ValueError.
+    not Hermitian, or not real in W, raises ValueError.
 
-    When the modes pair one-to-one with exact mirrors, ``basis`` is the
-    T-invariant basis W (``_MirrorBasis``): each block is diagonalised as the
-    real symmetric W^dag H W, ``vec`` holds its real eigenvectors Q, and basis
-    state i is W's column i, so H's eigenvectors are W Q.  Otherwise (no
-    exact one-to-one pairing, or a block whose imaginary part in W exceeds
-    HERMITIAN_ATOL) ``basis`` is None, W = 1, and ``vec`` is complex.  The
-    curves (``_Curve``) take their inputs into W; nothing else depends on
-    which case holds but the dtype of ``vec``.
+    ``basis`` is the T-invariant basis W (``_MirrorBasis``): each block is
+    diagonalised as the real symmetric W^dag H W, ``vec`` holds its real
+    eigenvectors Q, and basis state i is W's column i, so H's eigenvectors
+    are W Q.  The curves (``_Curve``) take their inputs into W.
     """
 
     def __init__(self, model: ModelHamiltonian):
@@ -265,10 +257,11 @@ class _Propagated:
         self.lam = np.empty(n)
         self.sectors = [(even, slice(0, len(even))), (odd, slice(len(even), n))]
         self.basis = _mirror_basis(model)
-        self.vec = None if self.basis is None else self._diagonalise(model)
-        if self.vec is None:  # no basis in which every block is real
-            self.basis = None
-            self.vec = self._diagonalise(model)
+        self.vec = np.empty((n, n // 2))
+        for idx, cols in self.sectors:
+            h = DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix
+            self.lam[cols], self.vec[idx] = np.linalg.eigh(_real_block(h, idx, self.basis))
+            del h  # the next sector's block is built without this one
         self.h0_diag = model.h0_diag
         ds = len(self.h0_diag)
         self.parity = parity.reshape(ds, n // ds)  # (system, env)
@@ -306,20 +299,6 @@ class _Propagated:
                 out[i:i + step] += weight * np.sum(np.abs(w) ** 2, axis=(1, 2))
         out[times == 0.0] = 1.0  # exact, as the fit's first sample assumes
         return out
-
-    def _diagonalise(self, model: ModelHamiltonian) -> np.ndarray | None:
-        """Fills ``lam`` and returns ``vec`` in ``basis`` (complex without one); None if a block is not real in it."""
-        n = len(self.lam)
-        vec = np.empty((n, n // 2), dtype=np.complex128 if self.basis is None else np.float64)
-        for idx, cols in self.sectors:
-            h = DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix
-            if self.basis is not None:
-                h = _real_block(h, idx, self.basis)
-                if h is None:
-                    return None
-            self.lam[cols], vec[idx] = np.linalg.eigh(h)
-            del h  # the next sector's block is built without this one
-        return vec
 
 
 def _env_ensemble(rho_env: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -364,11 +343,12 @@ class _Curve:
     there: a single-parity class against a diagonal environment keeps half
     of each, so its two parts do a quarter of the dense product's work.
 
-    With a mirror basis W (``_Propagated.basis``) the system amplitudes take
-    conj(u^popcount(s)) and the environment-ensemble columns take W_env^dag;
-    the bra is still the conjugate of the amplitudes.  The sum of |w|^2 over
-    environment rows does not change, because W_env is unitary and keeps
-    each part's set of environment rows (it keeps the boson parity).
+    The inputs go into the mirror basis W (``_Propagated.basis``): the
+    system amplitudes take conj(u^popcount(s)) and the environment-ensemble
+    columns take W_env^dag; the bra is still the conjugate of the amplitudes.
+    The sum of |w|^2 over environment rows does not change, because W_env is
+    unitary and keeps each part's set of environment rows (it keeps the boson
+    parity).
     """
 
     def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator,
@@ -377,9 +357,7 @@ class _Curve:
         if rho_env.space != model.env_space():
             raise ValueError("environment state does not live on the mode space")
         q, venv = _env_ensemble(rho_env)
-        env_cols = venv * np.sqrt(q)[None, :]
-        if prop.basis is not None:
-            env_cols = _env_adjoint(prop.basis, env_cols)
+        env_cols = _env_adjoint(prop.basis, venv * np.sqrt(q)[None, :])
         self.prop = prop
         self.env_cols = env_cols.shape[1]
         self.width = 0
@@ -394,8 +372,7 @@ class _Curve:
                 amps = purify(psi).amplitudes.reshape(system.dim, system.dim)
                 if ancilla_unitary is not None:
                     amps = ancilla_unitary @ amps
-            if prop.basis is not None:
-                amps = amps * prop.basis.phase.conj()  # diag(u^popcount(s))^dag
+            amps = amps * prop.basis.phase.conj()  # diag(u^popcount(s))^dag
             amps = amps[np.any(amps != 0, axis=1)]
             self.width += amps.shape[0] * self.env_cols
             classes = [frozenset(system_parity[row != 0]) for row in amps]
@@ -432,8 +409,7 @@ def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_
         rows = np.where(in_sector[:, env_rows, None], prop.rows[support[:, None], env_rows], 0)
         s, e, n = rows.shape
         kets = np.einsum("rs,em->serm", amps, env_cols[env_rows]).reshape(s * e, r * m)
-        flat = rows.reshape(s * e, n)
-        kets = _product(flat.T if prop.basis is not None else flat.conj().T, kets).reshape(n, r, m)
+        kets = _product(rows.reshape(s * e, n).T, kets).reshape(n, r, m)
         ket_cols = np.flatnonzero(np.any(kets != 0, axis=(0, 1)))
         if len(ket_cols) == 0:
             continue

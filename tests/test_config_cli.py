@@ -560,6 +560,24 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["rates", "--config", missing]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("name", ["repeated", "near-k", "near-omega", "near-g"])
+def test_cli_rejects_a_mode_set_without_one_to_one_mirrors(tmp_path, capsys, name):
+    from dataclasses import asdict
+
+    from test_model import _unpaired_mode_sets
+
+    modes = [asdict(m) for m in _unpaired_mode_sets()[name]]
+    path = write_config(tmp_path, base_config(bath={"discrete": {"temperature": 0.5, "modes": modes}}))
+    assert main(["rates", "--config", path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: bath.discrete.modes: mode set is not +/-k symmetric: "
+                                   "no mirror of its own for k=")
+    exact = [{"k": 0.9, "omega": 1.0, "g": 0.04}, {"k": -0.9, "omega": 1.0, "g": 0.04}]
+    path = write_config(tmp_path, base_config(bath={"discrete": {"temperature": 0.5, "modes": exact}}))
+    assert main(["rates", "--config", path]) == EXIT_OK  # JSON's -0.9 is the exact negation of 0.9
+
+
 def test_cli_verify_requires_exactly_one_source(tmp_path):
     path = write_config(tmp_path, base_config())
     assert main(["verify"]) == EXIT_CONFIG

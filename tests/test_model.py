@@ -99,14 +99,19 @@ def test_mirror_pairing_is_exact_and_one_to_one():
                          BathMode(-0.9, 1.0, 0.04), BathMode(-0.9, 1.0, 0.04)), 0.0)
     partner = twice.mirror_pairing()
     assert sorted(partner) == [0, 1, 2, 3] and all(partner[partner[i]] == i != partner[i] for i in range(4))
-    # accepted as +/-k symmetric, but with no exact one-to-one pairing
-    repeated = BathModeSet((BathMode(0.9, 1.0, 0.04), BathMode(0.9, 1.0, 0.04), BathMode(-0.9, 1.0, 0.04)), 0.0)
-    assert repeated.mirror_pairing() is None
+    for modes in _unpaired_mode_sets().values():
+        with pytest.raises(ValueError, match=r"not \+/-k symmetric: no mirror of its own for k=-?0\.9"):
+            BathModeSet(modes, 0.0)
+
+
+def _unpaired_mode_sets():
+    """Mode sets with no exact one-to-one mirror pairing: a repeated mode, and a mirror off in one field."""
+    sets = {"repeated": (BathMode(0.9, 1.0, 0.04), BathMode(0.9, 1.0, 0.04), BathMode(-0.9, 1.0, 0.04))}
     for i, field in enumerate(("k", "omega", "g")):
         near = [0.9, 1.0, 0.04]
         near[i] *= 1 - 1e-13 if field == "k" else 1 + 1e-13
-        off = BathModeSet((BathMode(-0.9, 1.0, 0.04), BathMode(*near)), 0.0)
-        assert off.mirror_pairing() is None, field
+        sets[f"near-{field}"] = (BathMode(-0.9, 1.0, 0.04), BathMode(*near))
+    return sets
 
 
 def _suite_models():

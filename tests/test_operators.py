@@ -54,7 +54,7 @@ def test_kron_sigma_x_involution():
 def test_hermitian_deviation_blocks_match_the_whole_matrix(monkeypatch, block, dim):
     from decolab import operators
 
-    # at the default 2^18 entries 8 takes one block and 600 two; 7 fits in one block
+    # at the default 2^15 entries 8 takes one block and 600 twelve; 7 fits in one block
     # of 100 entries, and 30 and 31 take 10 and 11 row blocks
     if block is not None:
         monkeypatch.setattr(operators, "HERMITIAN_CHECK_BLOCK_ELEMENTS", block)
@@ -389,25 +389,25 @@ def _rotated_env(model, seed):
 
 def test_coupling_moments_equal_the_one_shot_product_in_one_block():
     from decolab.model import build_hamiltonian
-    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS
+    from decolab.operators import MOMENT_BLOCK_ELEMENTS
     from decolab.states import ghz_ket, maximally_mixed_density, plus_all_ket
     from decolab.suites import _grid_lattice, _grid_modes
 
     model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 2)  # the grid's largest model, n = 324
     env = model.thermal_env_state()
     ds, de = model.system_space().dim, model.env_space().dim
-    assert HERMITIAN_CHECK_BLOCK_ELEMENTS // (ds * model.space.dim) >= de  # every environment row in one block
+    assert MOMENT_BLOCK_ELEMENTS // (ds * model.space.dim) >= de  # every environment row in one block
     for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), plus_all_ket(2).projector()):
         _assert_one_shot_moments(model.h_i, rho_s, env)
 
 
 def test_coupling_moments_equal_the_one_shot_product_in_row_blocks():
-    from decolab.operators import HERMITIAN_CHECK_BLOCK_ELEMENTS
+    from decolab.operators import MOMENT_BLOCK_ELEMENTS
     from decolab.states import ghz_ket, ground_ket, maximally_mixed_density
 
     model, env = _full_stack_model()
     ds, de = model.system_space().dim, model.env_space().dim
-    assert HERMITIAN_CHECK_BLOCK_ELEMENTS // (ds * model.space.dim) < de  # more than one block
+    assert MOMENT_BLOCK_ELEMENTS // (ds * model.space.dim) < de  # more than one block
     for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), ground_ket(2).projector()):
         _assert_one_shot_moments(model.h_i, rho_s, env)
 
