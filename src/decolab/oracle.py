@@ -21,24 +21,33 @@ dropped).  The total Hamiltonian is diagonalised once per model
 per verify run (``ModelMemo`` shares it between scenarios), and per parity
 sector: every coupling term flips one qubit and adds or removes one boson,
 so (excited qubits + total boson number) mod 2 is conserved and the two
-sectors are diagonalised as independent half-size blocks.  Memory, for a
-model of dimension n: the model keeps one n x n complex matrix (the
-coupling) and its free parts as two energy vectors.  Each sector's n/2 x n/2
-block is the coupling's block with the free energies on its diagonal
-(``ModelHamiltonian.block``), diagonalised in turn, so H_total is never
-formed (only ``evolve_exact``, the tests' dense reference, forms it), and
-the eigenvectors stay as one n x n/2 array, each basis state's row in its
+sectors are diagonalised as independent half-size blocks.  The Hamiltonian
+does not depend on the temperature, so ``ModelMemo`` diagonalises it once
+for every temperature a run lists.  Memory, for a model of dimension n: the
+model keeps one n x n complex matrix (the coupling) and its free parts as
+two energy vectors.  Each sector's n/2 x n/2 block is the coupling's block
+with the free energies on its diagonal (``ModelHamiltonian.block``), made
+real and diagonalised in turn, so H_total is never formed (only
+``evolve_exact``, the tests' dense reference, forms it), and the
+eigenvectors stay as one real n x n/2 array, each basis state's row in its
 own sector's eigenbasis, for as long as the model is in use.  Per curve,
 ancilla rows and system-basis entries with zero amplitude are dropped, and
 each sector keeps only the environment rows and ensemble columns that the
 input reaches in it: a single-parity input against a diagonal environment
-does a quarter of the dense product's work.  The eigenvector rows are
-projected onto <psi_r(t)| x <e| before the product, the sectors' amplitudes
-are summed before |.|^2 is taken, and all times of a curve are propagated
-in one batched call.  A row is fitted once: the same eigenpairs give the
-exact Taylor coefficients c1..c6 of 1 - F(t), and ``t_max`` minimises the
-fitted c2's error bound (the t^5 and t^6 bias plus sample rounding), which
-must stay below the row's pass tolerance or raise ConvergenceError.
+does a quarter of the dense product's work.  A curve keeps those rows and
+its kets.  The mirror-basis mixing of a sector block, the making of the
+kets, the propagation and the Taylor terms work in chunks whose temporaries
+hold at most BATCH_ELEMENTS complex entries together, so the oracle's peak
+is the model, its eigenvectors, one sector block (while it is
+diagonalised) or one curve's parts and environment columns, plus one
+budget, whatever the model's size.  Propagation and the Taylor terms share
+one product per part and chunk, the eigenvector rows against the kets
+weighted by exp(-i (lam - h0) t) or its Taylor coefficients, and the
+sectors' amplitudes are summed before |.|^2 is taken.  A row is fitted
+once: the same eigenpairs give the exact Taylor coefficients c1..c6 of
+1 - F(t), and ``t_max`` minimises the fitted c2's error bound (the t^5 and
+t^6 bias plus sample rounding), which must stay below the row's pass
+tolerance or raise ConvergenceError.
 
 The +/-k mirror symmetry that makes Omega^2(d) real also gives H_total an
 antiunitary symmetry T = (D x P) K with T^2 = 1 (``_MirrorBasis``); every
@@ -83,6 +92,7 @@ from .operators import (
     herm_propagator,
     n_max_for_tail,
     purify,
+    _diagonal,
     _second_moment,
 )
 
@@ -97,7 +107,9 @@ FLAT_C2_FRACTION = 1e-12
 FLAT_PASS_FRACTION = 1e-4
 C1_PASS_FRACTION = 1e-4
 ENV_WEIGHT_CUTOFF = 1e-15
-BATCH_ELEMENTS = 1 << 17  # complex entries per batched propagation intermediate (2 MiB)
+# complex entries (2 MiB) that the temporaries of one step of any of the oracle's chunked loops hold together;
+# what stays resident (the model, its eigenvectors, a curve's parts) is not counted
+BATCH_ELEMENTS = 1 << 17
 DEFAULT_DIM_CAP = 4096
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -184,27 +196,37 @@ def _mirror_basis(model: ModelHamiltonian) -> _MirrorBasis:
     return _MirrorBasis(u ** popcount, mirror)
 
 
+def _chunk(per_item: int) -> int:
+    """How many items of ``per_item`` complex entries each fit in BATCH_ELEMENTS together; at least one."""
+    return max(1, BATCH_ELEMENTS // max(per_item, 1))
+
+
 def _mix_pairs(m: np.ndarray, lo: np.ndarray, hi: np.ndarray, factor: complex) -> None:
-    """In place on the rows of ``m``: row lo becomes (lo + hi)/sqrt2 and row hi becomes factor (lo - hi)/sqrt2."""
-    a, b = m[lo], m[hi]
-    a *= _SQRT_HALF
-    b *= _SQRT_HALF
-    m[lo] = a + b
-    a -= b
-    a *= factor
-    m[hi] = a
+    """In place on the rows of ``m``: row lo becomes (lo + hi)/sqrt2 and row hi becomes factor (lo - hi)/sqrt2.
+
+    The pairs go through in chunks whose three row copies fit in BATCH_ELEMENTS.
+    """
+    step = _chunk(3 * m.shape[1])
+    for i in range(0, len(lo), step):
+        l, h = lo[i:i + step], hi[i:i + step]
+        a, b = m[l], m[h]
+        a *= _SQRT_HALF
+        b *= _SQRT_HALF
+        m[l] = a + b
+        a -= b
+        a *= factor
+        m[h] = a
 
 
-def _env_adjoint(basis: _MirrorBasis, x: np.ndarray) -> np.ndarray:
-    """W_env^dag x, for x with one row per environment basis state."""
+def _env_adjoint(basis: _MirrorBasis, x: np.ndarray) -> None:
+    """x becomes W_env^dag x in place, for complex x with one row per environment basis state."""
     lo = np.flatnonzero(np.arange(len(basis.mirror)) < basis.mirror)
-    y = x.astype(np.complex128)
-    _mix_pairs(y, lo, basis.mirror[lo], -1j)
-    return y
+    _mix_pairs(x, lo, basis.mirror[lo], -1j)
 
 
 def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarray:
-    """The real part of W^dag h W for the sector block h = H[idx, idx], made in place on ``h``.
+    """The real part of W^dag h W for the sector block h = H[idx, idx], made in place on ``h`` and returned
+    as a contiguous copy: a caller that holds no other reference to ``h`` frees it before ``eigh``.
 
     An imaginary part above HERMITIAN_ATOL raises ValueError.
     """
@@ -220,7 +242,7 @@ def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarr
     imag = max(h.imag.max(), -h.imag.min())
     if imag > HERMITIAN_ATOL:
         raise ValueError(f"a sector block is not real in the mirror basis (max imaginary part {imag:.3e})")
-    return h.real
+    return np.ascontiguousarray(h.real)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,70 +281,104 @@ class _Propagated:
         self.basis = _mirror_basis(model)
         self.vec = np.empty((n, n // 2))
         for idx, cols in self.sectors:
-            h = DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix
-            self.lam[cols], self.vec[idx] = np.linalg.eigh(_real_block(h, idx, self.basis))
-            del h  # the next sector's block is built without this one
+            # the complex block lives only inside _real_block, and the next sector's block is built without this one
+            block = _real_block(DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix,
+                                idx, self.basis)
+            self.lam[cols], self.vec[idx] = np.linalg.eigh(block)
+            del block
         self.h0_diag = model.h0_diag
         ds = len(self.h0_diag)
         self.parity = parity.reshape(ds, n // ds)  # (system, env)
         self.rows = self.vec.reshape(ds, n // ds, n // 2)  # (system, env, sector eigenvector)
 
     def advance(self, curve: _Curve, t) -> np.ndarray:
-        """The curve's F at every time in ``t`` (a scalar or 1D array).
+        """The curve's F at every time in ``t`` (a scalar or 1D array); F(0) = 1 exactly, unpropagated.
 
         F = sum_b p_b sum_{e,m} |sum_r <psi_br(t)| x <e| exp(-i H t) |col_brm>|^2,
-        where psi_br(t) carries the free co-rotation.  Each sector part
-        projects its eigenvector rows onto <psi_br(t)| x <e| for its own
-        environment rows e, makes its dense product, and adds it into the
-        member's amplitudes w[t, e, m] before |w|^2 is taken: a mixed-parity
-        input feeds both sectors into the same (e, m).  The times go through
-        in batches of at most BATCH_ELEMENTS entries per intermediate.
+        where psi_br(t) carries the free co-rotation.  Each sector part adds
+        sum_{s,n} rows[s, e, n] exp(-i (lam_n - h0_s) t) b[s, n, m] into the
+        member's amplitudes w[t, e, m] before |w|^2 is taken (``_amplitudes``;
+        a mixed-parity input feeds both sectors into the same (e, m)).  The
+        times go through in spans whose phases fit in BATCH_ELEMENTS, each
+        span's ensemble columns in chunks.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(times.shape)
+        live = times[times != 0.0]
+        f = np.zeros(len(live))
         de, m = self.rows.shape[1], curve.env_cols
         for weight, parts in curve.members:
-            # the largest intermediate per time: w, or a part's projected rows or phased kets
-            size = max([de * m] + [max(p.rows.shape[1] * p.kets.shape[0] * p.kets.shape[1], p.kets.size)
-                                   for p in parts])
-            step = max(1, BATCH_ELEMENTS // size)
-            for i in range(0, len(times), step):
-                tc = times[i:i + step]
-                w = np.zeros((len(tc), de, m), dtype=np.complex128)
-                for part in parts:
-                    r, n, mp = part.kets.shape
-                    rotated = np.exp(1j * np.outer(tc, part.h0))[:, None, :] * part.bra
-                    proj = np.tensordot(rotated, part.rows, axes=(2, 0)).transpose(0, 2, 1, 3)
-                    proj = proj.reshape(len(tc), -1, r * n)
-                    phased = np.exp(-1j * np.outer(tc, self.lam[part.cols]))[:, None, :, None] * part.kets
-                    w[part.block] += proj @ phased.reshape(len(tc), r * n, mp)
-                out[i:i + step] += weight * np.sum(np.abs(w) ** 2, axis=(1, 2))
-        out[times == 0.0] = 1.0  # exact, as the fit's first sample assumes
+            span = _chunk(sum(p.gaps.size for p in parts))  # times whose phases fit in the budget
+            for i in range(0, len(live), span):
+                tc = live[i:i + span]
+                phases = [np.exp(-1j * np.multiply.outer(p.gaps, tc)) for p in parts]
+                for w in _amplitudes(parts, phases, de, m):
+                    # pairwise summation over each time's (e, m): a running row sum loses the fit's precision
+                    f[i:i + span] += weight * np.sum(np.abs(w) ** 2, axis=(1, 2))
+        out = np.ones(times.shape)
+        out[times != 0.0] = f
         return out
 
 
-def _env_ensemble(rho_env: DenseOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, eigenvector columns) of the environment state, pruned."""
-    m = rho_env.matrix
-    off = m - np.diag(np.diagonal(m))
-    if np.abs(off).max() < 1e-14:
-        q = np.diagonal(m).real.copy()
-        vec = np.eye(m.shape[0], dtype=np.complex128)
-    else:
-        q, vec = np.linalg.eigh(m)
-    keep = q > ENV_WEIGHT_CUTOFF
-    return q[keep], vec[:, keep]
+def _amplitudes(parts: list[_Part], coefs: list[np.ndarray], de: int, m: int):
+    """w[q, e, c] = sum over the parts of sum_{s,n} rows[s, e, n] coef[s, n, q] b[s, n, c], per chunk of the
+    ensemble columns c (yielded in order), where b[s] = sum_r bra[r, s] kets[r] and each part has one
+    coefficient array, shaped (support, sector, q).
+
+    A chunk's temporaries fit in BATCH_ELEMENTS, at one column or more; each part is one real product on
+    the (re, im) view of its coefficients times b.
+    """
+    q = coefs[0].shape[2]
+    # per column: w and |w|^2, then one part's b, coefficients times b, product and the product's gather from w
+    columns = min(m, _chunk(2 * q * de + max((q + 1) * p.rows.shape[0] * p.rows.shape[2] + 2 * q * p.rows.shape[1]
+                                             for p in parts)))
+    for c0 in range(0, m, columns):
+        w = np.zeros((q, de, min(columns, m - c0)), dtype=np.complex128)
+        for part, coef in zip(parts, coefs):
+            j0, j1 = np.searchsorted(part.ket_cols, (c0, c0 + w.shape[2]))
+            if j0 == j1:
+                continue
+            s, e, n = part.rows.shape
+            b = np.tensordot(part.bra, part.kets[:, :, j0:j1], axes=(0, 0))  # (s, n, c)
+            x = _product(part.rows.transpose(1, 0, 2).reshape(e, s * n),
+                         (coef[:, :, :, None] * b[:, :, None, :]).reshape(s * n, -1))
+            w[_at(part.env_rows, part.ket_cols[j0:j1] - c0)] += x.reshape(e, q, j1 - j0).transpose(1, 0, 2)
+        yield w
+
+
+def _at(rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """The index of w[:, rows, cols] for ascending, non-empty ``rows`` and ``cols``; a contiguous run is a
+    slice, so a part that covers its chunk adds in place, without a gather and a scatter."""
+    rows, cols = (slice(i[0], i[-1] + 1) if i[-1] - i[0] + 1 == len(i) else i for i in (rows, cols))
+    if not isinstance(rows, slice) and not isinstance(cols, slice):
+        rows = rows[:, None]
+    return slice(None), rows, cols
+
+
+def _env_columns(rho_env: DenseOperator) -> np.ndarray:
+    """The environment state's eigenvectors scaled by sqrt(weight), as complex columns; weights at or below
+    ENV_WEIGHT_CUTOFF are dropped.  A diagonal state needs no ``eigh``: its columns are basis vectors."""
+    p = _diagonal(rho_env)
+    if p is None:
+        q, vec = np.linalg.eigh(rho_env.matrix)
+        keep = q > ENV_WEIGHT_CUTOFF
+        return np.asarray(vec[:, keep] * np.sqrt(q[keep]), dtype=np.complex128)
+    keep = np.flatnonzero(p.real > ENV_WEIGHT_CUTOFF)
+    cols = np.zeros((len(p), len(keep)), dtype=np.complex128)
+    cols[keep, np.arange(len(keep))] = np.sqrt(p.real[keep])
+    return cols
 
 
 class _Part(NamedTuple):
     """One sector's share of one class of a member's ancilla rows (see ``_Curve``)."""
 
-    h0: np.ndarray  # free qubit energies on the support
+    gaps: np.ndarray  # lam_n - h0_s: the sector's eigenvalues less the support's free energies, (support, sector)
     bra: np.ndarray  # conjugate amplitudes, (rows, support)
-    cols: slice  # the sector's slice of the eigenvalues ``lam``
-    rows: np.ndarray  # eigenvector rows on the support and the kept environment rows, (support, env, sector)
+    # eigenvector rows on the support and the kept environment rows, (support, env, sector); stored env-major,
+    # so that its (env, support x sector) matrix is a view
+    rows: np.ndarray
     kets: np.ndarray  # the ancilla rows' kets in the sector's eigenbasis, (rows, sector, kept columns)
-    block: tuple  # where the part's amplitudes land in w[t, e, m]: all of it, or (kept rows, kept columns)
+    env_rows: np.ndarray  # the kept environment rows, ascending: where the part lands in w[., e, m]
+    ket_cols: np.ndarray  # the kept environment-ensemble columns, ascending
 
 
 class _Curve:
@@ -356,8 +412,8 @@ class _Curve:
         system = model.system_space()
         if rho_env.space != model.env_space():
             raise ValueError("environment state does not live on the mode space")
-        q, venv = _env_ensemble(rho_env)
-        env_cols = _env_adjoint(prop.basis, venv * np.sqrt(q)[None, :])
+        env_cols = _env_columns(rho_env)
+        _env_adjoint(prop.basis, env_cols)
         self.prop = prop
         self.env_cols = env_cols.shape[1]
         self.width = 0
@@ -397,59 +453,52 @@ def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_
     """The parts of one class of ancilla rows, ``amps`` shaped (rows, support).
 
     Each sector keeps the environment rows a support entry reaches in it and
-    the environment-ensemble columns whose kets are not zero there; a sector
-    with no such column gets no part.
+    the environment-ensemble columns whose input is not zero on them: the
+    sector's eigenvector rows are orthonormal, so a column's kets vanish
+    exactly when its input does.  A sector with no such column gets no part.
+    The kets are made for the kept columns alone, in chunks whose input and
+    product fit in BATCH_ELEMENTS.
     """
     parts = []
-    r, m = amps.shape[0], env_cols.shape[1]
+    r = amps.shape[0]
     for p, (_, cols) in enumerate(prop.sectors):
         in_sector = prop.parity[support] == p
         env_rows = np.flatnonzero(np.any(in_sector, axis=0))
-        # a row of the other sector holds that sector's coefficients: zero it
-        rows = np.where(in_sector[:, env_rows, None], prop.rows[support[:, None], env_rows], 0)
-        s, e, n = rows.shape
-        kets = np.einsum("rs,em->serm", amps, env_cols[env_rows]).reshape(s * e, r * m)
-        kets = _product(rows.reshape(s * e, n).T, kets).reshape(n, r, m)
-        ket_cols = np.flatnonzero(np.any(kets != 0, axis=(0, 1)))
+        ket_cols = np.flatnonzero(np.any(env_cols[env_rows] != 0, axis=0))
         if len(ket_cols) == 0:
             continue
-        if e == prop.rows.shape[1] and len(ket_cols) == m:
-            block = (slice(None),) * 3  # a plain in-place add: no scatter
-        else:
-            block = (slice(None), env_rows[:, None], ket_cols)
-        parts.append(_Part(prop.h0_diag[support], amps.conj(), cols, rows,
-                           kets[:, :, ket_cols].transpose(1, 0, 2).copy(), block))
+        # a row of the other sector holds that sector's coefficients: zero it
+        rows = prop.rows[support, env_rows[:, None]]  # (env, support, sector)
+        rows[~in_sector[:, env_rows].T] = 0.0
+        e, s, n = rows.shape
+        kets = np.empty((r, n, len(ket_cols)), dtype=np.complex128)
+        step = _chunk(r * (e * s + n))
+        for i in range(0, len(ket_cols), step):
+            c = ket_cols[i:i + step]
+            x = np.einsum("rs,em->esrm", amps, env_cols[np.ix_(env_rows, c)]).reshape(e * s, r * len(c))
+            kets[:, :, i:i + step] = _product(rows.reshape(e * s, n).T, x).reshape(n, r, len(c)).transpose(1, 0, 2)
+        parts.append(_Part(prop.lam[cols] - prop.h0_diag[support, None], amps.conj(), rows.transpose(1, 0, 2), kets,
+                           env_rows, ket_cols))
     return parts
 
 
 def taylor_coefficients(prop: _Propagated, curve: _Curve) -> np.ndarray:
     """c_0..c_TAYLOR_ORDER with 1 - F(t) = sum_k c_k t^k, from the parts ``prop.advance`` propagates.
 
-    Expanding both exponentials of ``advance``'s amplitude gives w_k = sum_{j+l=k} [bra (i h0)^j / j!]
-    rows [(-i lam)^l / l! kets], then F_k = sum_a <w_a, w_{k-a}> over the weighted members, c_0 = 1 - F_0
-    and c_k = -F_k, one order l at a time.
+    Expanding ``advance``'s phases exp(-i (lam_n - h0_s) t) gives the amplitude's order-k term w_k, with the
+    coefficients (-i (lam_n - h0_s))^k / k! in their place, for every order in one product (``_amplitudes``);
+    then F_k = sum_a <w_a, w_{k-a}> over the weighted members, c_0 = 1 - F_0 and c_k = -F_k.  F_k sums over
+    (e, m), so the ensemble columns go through in chunks.
     """
     k = np.arange(TAYLOR_ORDER + 1)
     inv_fact = 1.0 / np.cumprod(np.maximum(k, 1))
     f = np.zeros(len(k))
-    de, m = prop.rows.shape[1], curve.env_cols
     for weight, parts in curve.members:
-        w = np.zeros((len(k), de, m), dtype=np.complex128)
-        for part in parts:
-            r, n, mp = part.kets.shape
-            s, e = part.rows.shape[:2]
-            bra = ((1j * part.h0) ** k[:, None] * inv_fact[:, None])[:, None, :] * part.bra  # (j, r, s)
-            lam = (-1j * prop.lam[part.cols]) ** k[:, None] * inv_fact[:, None]  # (l, n)
-            rows = part.rows.reshape(s * e, n)
-            kets = part.kets.transpose(1, 0, 2)  # (n, r, mp)
-            wp = np.zeros((len(k), e, mp), dtype=np.complex128)
-            for l in k:
-                x = _product(rows, (lam[l, :, None, None] * kets).reshape(n, -1)).reshape(s, e, r, mp)
-                wp[l:] += np.tensordot(bra[:len(k) - l], x, axes=([1, 2], [2, 0]))
-            w[part.block] += wp
-        v = w.reshape(len(k), -1).view(np.float64)  # Re <w_a, w_b> is a dot product of (re, im) pairs
-        gram = v @ v.T
-        f += weight * np.bincount(np.add.outer(k, k).ravel(), gram.ravel())[:len(k)]
+        orders = [(-1j * p.gaps)[:, :, None] ** k * inv_fact for p in parts]
+        for w in _amplitudes(parts, orders, prop.rows.shape[1], curve.env_cols):
+            v = w.reshape(len(k), -1).view(np.float64)  # Re <w_a, w_b> is a dot product of (re, im) pairs
+            gram = v @ v.T
+            f += weight * np.bincount(np.add.outer(k, k).ravel(), gram.ravel())[:len(k)]
     return (k == 0) - f
 
 
@@ -623,30 +672,46 @@ class ModelMemo:
 
     Each model is built and diagonalised once and held only while a listed
     scenario still needs it, so grouped scenarios keep a single dense model
-    alive.  A model no listed scenario names (such as a convergence re-run)
-    is built for its one use.  Results never depend on a hit.
+    alive.  The Hamiltonian and its eigendecomposition do not depend on the
+    temperature, so models that differ only in it share them, and each keeps
+    its own thermal state and scale moment.  A model no listed scenario names
+    (such as a convergence re-run) is built for its one use.  Results never
+    depend on a hit.
     """
 
     def __init__(self, scenarios: Sequence[Scenario] = ()):
         self._uses = Counter()
+        self._spectrum_uses = Counter()
         for s in scenarios:
             try:
-                self._uses[s.lattice, s.modes, resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max)] += 1
+                n_max = resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max)
             except ConvergenceError:
-                pass  # a level over the dimension cap raises again in the scenario's own row
+                continue  # a level over the dimension cap raises again in the scenario's own row
+            self._uses[s.lattice, s.modes, n_max] += 1
+            self._spectrum_uses[s.lattice, s.modes.modes, n_max] += 1
         self._runs: dict[tuple, tuple] = {}
+        self._spectra: dict[tuple, tuple] = {}  # (model, eigendecomposition) per temperature-free key
 
     def get(self, lattice: QubitLattice, modes: BathModeSet, n_max: int) -> tuple:
         """(model, thermal environment state, scale moment, eigendecomposition)."""
-        key = (lattice, modes, n_max)
+        key, shared = (lattice, modes, n_max), (lattice, modes.modes, n_max)
+        spectrum = self._spectra.pop(shared, None)
         run = self._runs.pop(key, None)
         if run is None:
-            model = build_hamiltonian(lattice, modes, n_max)
+            if spectrum is None:
+                model = build_hamiltonian(lattice, modes, n_max)
+                spectrum = model, _Propagated(model)
+            model, prop = spectrum
+            if model.modes != modes:  # the same Hamiltonian at another temperature
+                model = replace(model, modes=modes)
             rho_env = model.thermal_env_state()
-            run = model, rho_env, _scale_moment(model, rho_env), _Propagated(model)
+            run = model, rho_env, _scale_moment(model, rho_env), prop
         self._uses[key] -= 1
+        self._spectrum_uses[shared] -= 1
         if self._uses[key] > 0:
             self._runs[key] = run
+        if self._spectrum_uses[shared] > 0 and spectrum is not None:
+            self._spectra[shared] = spectrum
         return run
 
 

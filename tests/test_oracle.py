@@ -497,6 +497,48 @@ def test_model_memo_builds_each_model_once_interleaved(monkeypatch):
     assert memo._runs == {}  # every planned use consumed: nothing kept alive
 
 
+def test_model_memo_shares_the_hamiltonian_across_temperatures(monkeypatch):
+    from decolab import oracle
+
+    lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
+    warm, hot = (BathModeSet((BathMode(0.0, 1.0, 0.05),), t) for t in (0.5, 2.0))
+    scenarios = [Scenario(f"s{i}", "io", lattice, modes, ground_ket(1), n_max=3)
+                 for i, modes in enumerate((warm, warm, hot))]
+    memo = oracle.ModelMemo(scenarios)
+    built = []
+    init = oracle._Propagated.__init__
+
+    def counting(self, model):
+        built.append(model.modes)
+        init(self, model)
+
+    monkeypatch.setattr(oracle._Propagated, "__init__", counting)
+    runs = [memo.get(lattice, s.modes, 3) for s in scenarios]
+    assert built == [warm]  # one diagonalisation for both temperatures
+    assert runs[0] is runs[1] and runs[2][3] is runs[0][3]
+    assert runs[2][0].modes == hot and runs[2][0].h_i is runs[0][0].h_i
+    for run, modes in zip(runs[1:], (warm, hot)):  # each temperature keeps its own state and scale
+        direct = build_hamiltonian(lattice, modes, 3)
+        rho_env = direct.thermal_env_state()
+        assert np.array_equal(run[1].matrix, rho_env.matrix)
+        assert run[2] == oracle._scale_moment(direct, rho_env)
+    assert memo._runs == {} and memo._spectra == {}  # nothing kept alive once every use is consumed
+
+
+def test_advance_returns_one_at_time_zero_without_propagating(monkeypatch):
+    from decolab import oracle
+
+    model, env = single_qubit_model(temperature=0.5)
+    prop = oracle._Propagated(model)
+    curve = oracle._Curve(prop, model, "io", plus_all_ket(1), env)
+    times = np.array([0.0, 0.3, 0.0, 0.7])
+    values = prop.advance(curve, times)
+    assert values[0] == 1.0 and values[2] == 1.0
+    assert np.array_equal(values[[1, 3]], prop.advance(curve, times[[1, 3]]))
+    monkeypatch.setattr(oracle, "_amplitudes", None)  # any propagation would fail
+    assert np.array_equal(prop.advance(curve, 0.0), [1.0])
+
+
 def test_propagated_rejects_a_hamiltonian_that_breaks_parity():
     from dataclasses import replace
 
@@ -558,9 +600,58 @@ def test_propagated_keeps_sector_sized_eigenvectors():
         tracemalloc.stop()
     assert prop.vec.shape[0] == n  # perfbench's tracer reads it as the model's dimension
     assert prop.vec.dtype == np.float64 and prop.vec.nbytes <= 8 * n * n // 2
-    # the sector block, vec and _real_block's row copies: measured 0.855 x 16 n^2, plus a 5% margin. A Hermiticity
-    # check over a whole sector block at once reached 1.03; H_total plus n x n complex eigenvectors 2.5
-    assert peak - entry <= 0.9 * 16 * n * n
+    # vec, the complex sector block and one budget of mirror-pair mixing: measured 0.669 x 16 n^2, plus a 5%
+    # margin. Mixing the pairs in one piece reached 0.855, a Hermiticity check over a whole sector block at once
+    # 1.03, and H_total plus n x n complex eigenvectors 2.5
+    assert peak - entry <= 0.703 * 16 * n * n
+
+
+def test_propagated_mixes_the_mirror_pairs_in_chunks_bit_for_bit(monkeypatch):
+    from decolab import oracle
+
+    model, _ = _mirror_mode_model()
+    whole = oracle._Propagated(model)
+    monkeypatch.setattr(oracle, "BATCH_ELEMENTS", 1)  # one mirror pair per chunk
+    paired = oracle._Propagated(model)
+    assert np.array_equal(paired.lam, whole.lam) and np.array_equal(paired.vec, whole.vec)
+
+
+def _traced_growth(run):
+    """(result, peak and kept tracemalloc growth of ``run()`` above its entry)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = run()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - entry, now - entry
+
+
+def test_oracle_temporaries_stay_within_one_budget():
+    # on the full-stack row's model, every curve stage holds at most two budgets of temporaries beyond what it
+    # keeps: measured at most 1.52 (advance on plus_all). Before their temporaries were chunked,
+    # taylor_coefficients peaked at up to 12.5 budgets, advance at 7.5 and the curve at 3.5
+    from decolab import oracle
+    from decolab.suites import _grid_lattice, _grid_modes
+
+    model = build_hamiltonian(_grid_lattice(2), _grid_modes(4, 0.5), 3)
+    env = model.thermal_env_state()
+    prop = oracle._Propagated(model)
+    budget = 16 * oracle.BATCH_ELEMENTS
+    times = np.linspace(0.0, 0.5, oracle.FIT_POINTS)
+    for kind, state in (("entanglement", ghz_ket(2).projector()), ("io", plus_all_ket(2)),
+                        ("entanglement", maximally_mixed_density(2))):
+        curve, peak, kept = _traced_growth(lambda: oracle._Curve(prop, model, kind, state, env))
+        parts = sum(p.rows.nbytes + p.kets.nbytes for _, ps in curve.members for p in ps)
+        env_columns = 16 * model.env_space().dim * curve.env_cols  # the input, as wide as the environment
+        assert parts <= kept <= parts + budget // 8, kind  # the parts are what a curve keeps
+        assert peak <= parts + env_columns + 2 * budget, kind
+        for stage in (lambda: oracle.taylor_coefficients(prop, curve), lambda: prop.advance(curve, times)):
+            _, peak, kept = _traced_growth(stage)
+            assert peak <= 2 * budget and kept <= budget // 64, kind
 
 
 def _mirror_mode_model():
