@@ -36,13 +36,14 @@ each sector keeps only the environment rows and ensemble columns that the
 input reaches in it: a single-parity input against a diagonal environment
 does a quarter of the dense product's work.  A curve keeps those rows and
 its kets.  The mirror-basis mixing of a sector block, the making of the
-kets, the propagation and the Taylor terms work in chunks whose temporaries
-hold at most BATCH_ELEMENTS complex entries together, so the oracle's peak
-is the model, its eigenvectors, one sector block (while it is
-diagonalised) or one curve's parts and environment columns, plus one
-budget, whatever the model's size.  Propagation and the Taylor terms share
-one product per part and chunk, the eigenvector rows against the kets
-weighted by exp(-i (lam - h0) t) or its Taylor coefficients, and the
+kets, the propagation and the Taylor terms work in chunks sized so that
+their temporaries hold BATCH_ELEMENTS complex entries together (numpy's
+own copies keep a chunk's peak below about twice that), so the oracle's
+peak is the model, its eigenvectors, one sector block (while it is
+diagonalised) or one curve's parts and environment columns, plus about
+one budget, whatever the model's size.  Propagation and the Taylor terms
+share one product per part and chunk, the eigenvector rows against the
+kets weighted by exp(-i (lam - h0) t) or its Taylor coefficients, and the
 sectors' amplitudes are summed before |.|^2 is taken.  A row is fitted
 once: the same eigenpairs give the exact Taylor coefficients c1..c6 of
 1 - F(t), and ``t_max`` minimises the fitted c2's error bound (the t^5 and
@@ -107,8 +108,8 @@ FLAT_C2_FRACTION = 1e-12
 FLAT_PASS_FRACTION = 1e-4
 C1_PASS_FRACTION = 1e-4
 ENV_WEIGHT_CUTOFF = 1e-15
-# complex entries (2 MiB) that the temporaries of one step of any of the oracle's chunked loops hold together;
-# what stays resident (the model, its eigenvectors, a curve's parts) is not counted
+# complex entries (2 MiB) that the temporaries of one step of any of the oracle's chunked loops are sized to
+# hold together; what stays resident (the model, its eigenvectors, a curve's parts) is not counted
 BATCH_ELEMENTS = 1 << 17
 DEFAULT_DIM_CAP = 4096
 _SQRT_HALF = math.sqrt(0.5)
