@@ -119,7 +119,8 @@ def kind_state(kind: str, state):
 
 
 def kind_members(kind: str, state) -> tuple:
-    """The weighted inputs ``(p, state)`` the oracle purifies: the ensemble's members, or the state as given."""
+    """The weighted inputs ``(p, state)`` the oracle evolves as densities: the ensemble's members, or the state
+    as given."""
     kind_state(kind, state)
     return state.members if kind == "average" else ((1.0, state),)
 

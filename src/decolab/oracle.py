@@ -12,53 +12,51 @@ one test of the paper's identity (factorized rate = variance form) on a
 truncated model, to a tolerance set by the truncation tail.
 
 All three fidelities go through one core.  Each input is a weighted set of
-purifications (the kind's members: io one ancilla row; entanglement the
-purification of rho_s, or one row for a pure state; average one row per
-ensemble state), and a mixed environment state is expanded into its
-eigenvector ensemble, so evolution propagates a block of kets instead of a
-full density (exact up to environment weights below 1e-15, which are
-dropped).  The total Hamiltonian is diagonalised once per model
-per verify run (``ModelMemo`` shares it between scenarios), and per parity
-sector: every coupling term flips one qubit and adds or removes one boson,
-so (excited qubits + total boson number) mod 2 is conserved and the two
-sectors are diagonalised as independent half-size blocks.  The Hamiltonian
-does not depend on the temperature, so ``ModelMemo`` diagonalises it once
-for every temperature a run lists.  Memory, for a model of dimension n: the
-model keeps one n x n complex matrix (the coupling) and its free parts as
-two energy vectors.  Each sector's n/2 x n/2 block is the coupling's block
-with the free energies on its diagonal (``ModelHamiltonian.block``), made
-real and diagonalised in turn, so H_total is never formed (only
-``evolve_exact``, the tests' dense reference, forms it), and the
-eigenvectors stay as one real n x n/2 array, each basis state's row in its
-own sector's eigenbasis, for as long as the model is in use.  Per curve,
-ancilla rows and system-basis entries with zero amplitude are dropped, and
-each sector keeps only the environment rows and ensemble columns that the
-input reaches in it: a single-parity input against a diagonal environment
-does a quarter of the dense product's work.  A curve keeps those rows and
-its kets.  The mirror-basis mixing of a sector block, the making of the
-kets, the propagation and the Taylor terms work in chunks sized so that
-their temporaries hold BATCH_ELEMENTS complex entries together (numpy's
-own copies keep a chunk's peak below about twice that), so the oracle's
-peak is the model, its eigenvectors, one sector block (while it is
-diagonalised) or one curve's parts and environment columns, plus about
-one budget, whatever the model's size.  Propagation and the Taylor terms
-share one product per part and chunk, the eigenvector rows against the
-kets weighted by exp(-i (lam - h0) t) or its Taylor coefficients, and the
-sectors' amplitudes are summed before |.|^2 is taken.  A row is fitted
-once: the same eigenpairs give the exact Taylor coefficients c1..c6 of
-1 - F(t), and ``t_max`` minimises the fitted c2's error bound (the t^5 and
-t^6 bias plus sample rounding), which must stay below the row's pass
-tolerance or raise ConvergenceError.
+system densities (the kind's members: io the input's projector; entanglement
+rho_s itself, on which alone its fidelity depends; average one projector per
+ensemble state), and the environment's Fock states, weighted by sqrt(p), are
+the columns that evolution propagates instead of a full density (weights at
+or below ENV_WEIGHT_CUTOFF are dropped).  The total Hamiltonian is
+diagonalised once per model per verify run (``ModelMemo`` shares it between
+scenarios), and per parity sector: every coupling term flips one qubit and
+adds or removes one boson, so (excited qubits + total boson number) mod 2 is
+conserved and the two sectors are diagonalised as independent half-size
+blocks.  The Hamiltonian does not depend on the temperature, so
+``ModelMemo`` diagonalises it once for every temperature a run lists.
+Memory, for a model of dimension n: the model keeps one n x n complex matrix
+(the coupling) and its free parts as two energy vectors.  Each sector's n/2
+x n/2 block is the coupling's block with the free energies on its diagonal
+(``ModelHamiltonian.block``), made real and diagonalised in turn, so H_total
+is never formed (only ``evolve_exact``, the tests' dense reference, forms
+it), and the eigenvectors stay as one real n x n/2 array, each basis state's
+row in its own sector's eigenbasis, for as long as the model is in use.  Per
+curve, each sector keeps only the environment rows and Fock columns that the
+input's support reaches in it: a single-parity input does a quarter of the
+dense product's work.  A curve keeps those rows and its members' densities.
+The mirror-basis mixing of a sector block, the propagation and the Taylor
+terms work in chunks sized so that their temporaries hold BATCH_ELEMENTS
+complex entries together (numpy's own copies keep a chunk's peak below about
+twice that), so the oracle's peak is the model, its eigenvectors, one sector
+block (while it is diagonalised) or one curve's parts, plus about one
+budget, whatever the model's size.  Propagation and the Taylor terms share
+one product per part and chunk, the eigenvector rows against the density
+applied to the columns' eigenvector rows, weighted by exp(-i (lam - h0) t)
+or its Taylor coefficients, and the sectors' amplitudes are summed before
+|.|^2 is taken.  A row is fitted once: the same eigenpairs give the exact
+Taylor coefficients c1..c6 of 1 - F(t), and ``t_max`` minimises the fitted
+c2's error bound (the t^5 and t^6 bias plus sample rounding), which must
+stay below the row's pass tolerance or raise ConvergenceError.
 
 The +/-k mirror symmetry that makes Omega^2(d) real also gives H_total an
 antiunitary symmetry T = (D x P) K with T^2 = 1 (``_MirrorBasis``); every
-``BathModeSet`` pairs its modes with exact mirrors one-to-one, so every model
-has it.  In the T-invariant basis W = diag(u^popcount(s)) x W_env every
-sector block is real symmetric, so ``eigh`` runs on real blocks, the
-eigenvectors ``vec`` are real, and the curves take their inputs into W; a
-real eigenvector row times complex kets is one real product on the kets'
-(re, im) view.  A block whose imaginary part in W exceeds HERMITIAN_ATOL
-raises ValueError.
+``BathModeSet`` pairs its modes with exact mirrors one-to-one, so every
+model has it.  In the T-invariant basis W = diag(u^popcount(s)) x W_env
+every sector block is real symmetric, so ``eigh`` runs on real blocks, the
+eigenvectors ``vec`` are real, and the curves take their inputs into W: a
+density rho becomes D^dag rho D, and the Fock columns need no W_env, which
+mixes only mirrored Fock states, on which the environment state's weights
+are equal (``_env_weights``).  A block whose imaginary part in W exceeds
+HERMITIAN_ATOL raises ValueError.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError
 from .fidelity import (FIDELITY_KINDS, C2_ZERO_FLOOR, closed_form_c2, entanglement_c2, kind_members,
-                       kind_state)
+                       kind_state, _density)
 from .model import (
     BathModeSet,
     ModelHamiltonian,
@@ -87,12 +85,10 @@ from .operators import (
     TAIL_WEIGHT_TARGET,
     DenseOperator,
     HilbertSpace,
-    Ket,
     conjugate_density,
     gibbs_tail_weight,
     herm_propagator,
     n_max_for_tail,
-    purify,
     _diagonal,
     _second_moment,
 )
@@ -219,12 +215,6 @@ def _mix_pairs(m: np.ndarray, lo: np.ndarray, hi: np.ndarray, factor: complex) -
         m[h] = a
 
 
-def _env_adjoint(basis: _MirrorBasis, x: np.ndarray) -> None:
-    """x becomes W_env^dag x in place, for complex x with one row per environment basis state."""
-    lo = np.flatnonzero(np.arange(len(basis.mirror)) < basis.mirror)
-    _mix_pairs(x, lo, basis.mirror[lo], -1j)
-
-
 def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarray:
     """The real part of W^dag h W for the sector block h = H[idx, idx], made in place on ``h`` and returned
     as a contiguous copy: a caller that holds no other reference to ``h`` frees it before ``eigh``.
@@ -295,13 +285,14 @@ class _Propagated:
     def advance(self, curve: _Curve, t) -> np.ndarray:
         """The curve's F at every time in ``t`` (a scalar or 1D array); F(0) = 1 exactly, unpropagated.
 
-        F = sum_b p_b sum_{e,m} |sum_r <psi_br(t)| x <e| exp(-i H t) |col_brm>|^2,
-        where psi_br(t) carries the free co-rotation.  Each sector part adds
-        sum_{s,n} rows[s, e, n] exp(-i (lam_n - h0_s) t) b[s, n, m] into the
-        member's amplitudes w[t, e, m] before |w|^2 is taken (``_amplitudes``;
-        a mixed-parity input feeds both sectors into the same (e, m)).  The
-        times go through in spans whose phases fit in BATCH_ELEMENTS, each
-        span's ensemble columns in chunks.
+        F = sum_b p_b sum_{e,c} p_c |tr[rho_b exp(i h0 t) <e| exp(-i H t) |e_c>]|^2
+        over the member densities rho_b and the Fock columns e_c, with the
+        free co-rotation.  Each sector part adds sum_{s,n} rows[s, e, n]
+        exp(-i (lam_n - h0_s) t) b[s, n, c] into the member's amplitudes
+        w[t, e, c] before |w|^2 is taken (``_amplitudes``; a mixed-parity
+        input feeds both sectors into the same (e, c)).  The times go through
+        in spans whose phases fit in BATCH_ELEMENTS, each span's columns in
+        chunks.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
         live = times[times != 0.0]
@@ -322,16 +313,16 @@ class _Propagated:
 
 def _amplitudes(parts: list[_Part], coefs: list[np.ndarray], de: int, m: int):
     """w[q, e, c] = sum over the parts of sum_{s,n} rows[s, e, n] coef[s, n, q] b[s, n, c], per chunk of the
-    ensemble columns c (yielded in order), where b[s] = sum_r bra[r, s] kets[r] and each part has one
-    coefficient array, shaped (support, sector, q).
+    Fock columns c (yielded in order), where b[s, n, c] = sqrt(p_c) sum_s' G[s, s'] rows[s', e_c, n] and each
+    part has one coefficient array, shaped (support, sector, q).
 
     A chunk's temporaries fit in BATCH_ELEMENTS, at one column or more; each part is one real product on
     the (re, im) view of its coefficients times b.
     """
     q = coefs[0].shape[2]
-    # per column: w and |w|^2, then one part's b, coefficients times b, product and the product's gather from w
-    columns = min(m, _chunk(2 * q * de + max((q + 1) * p.rows.shape[0] * p.rows.shape[2] + 2 * q * p.rows.shape[1]
-                                             for p in parts)))
+    # per column: w and |w|^2, then one part's column rows (real, then complex), b, coefficients times b,
+    # product and the product's gather from w
+    columns = min(m, _chunk(2 * q * de + max((q + 3) * s * n + 2 * q * e for s, e, n in (p.rows.shape for p in parts))))
     for c0 in range(0, m, columns):
         w = np.zeros((q, de, min(columns, m - c0)), dtype=np.complex128)
         for part, coef in zip(parts, coefs):
@@ -339,10 +330,12 @@ def _amplitudes(parts: list[_Part], coefs: list[np.ndarray], de: int, m: int):
             if j0 == j1:
                 continue
             s, e, n = part.rows.shape
-            b = np.tensordot(part.bra, part.kets[:, :, j0:j1], axes=(0, 0))  # (s, n, c)
-            x = _product(part.rows.transpose(1, 0, 2).reshape(e, s * n),
-                         (coef[:, :, :, None] * b[:, :, None, :]).reshape(s * n, -1))
-            w[_at(part.env_rows, part.ket_cols[j0:j1] - c0)] += x.reshape(e, q, j1 - j0).transpose(1, 0, 2)
+            env_major = part.rows.transpose(1, 0, 2)  # (e, s, n), contiguous
+            x = env_major[part.col_rows[j0:j1]]
+            x *= part.col_amps[j0:j1, None, None]
+            b = np.matmul(part.gram, x).transpose(1, 2, 0)  # (s, n, c)
+            y = _product(env_major.reshape(e, s * n), (coef[:, :, :, None] * b[:, :, None, :]).reshape(s * n, -1))
+            w[_at(part.env_rows, part.ket_cols[j0:j1] - c0)] += y.reshape(e, q, j1 - j0).transpose(1, 0, 2)
         yield w
 
 
@@ -355,94 +348,79 @@ def _at(rows: np.ndarray, cols: np.ndarray) -> tuple:
     return slice(None), rows, cols
 
 
-def _env_columns(rho_env: DenseOperator) -> np.ndarray:
-    """The environment state's eigenvectors scaled by sqrt(weight), as complex columns; weights at or below
-    ENV_WEIGHT_CUTOFF are dropped.  A diagonal state needs no ``eigh``: its columns are basis vectors."""
+def _env_weights(rho_env: DenseOperator, mirror: np.ndarray) -> np.ndarray:
+    """The environment state's Fock weights.  It must be diagonal in the Fock basis, with weights on each
+    mirror pair equal to within ENV_WEIGHT_CUTOFF, as every thermal state is (W_env then leaves it as it is);
+    any other state raises ValueError."""
     p = _diagonal(rho_env)
     if p is None:
-        q, vec = np.linalg.eigh(rho_env.matrix)
-        keep = q > ENV_WEIGHT_CUTOFF
-        return np.asarray(vec[:, keep] * np.sqrt(q[keep]), dtype=np.complex128)
-    keep = np.flatnonzero(p.real > ENV_WEIGHT_CUTOFF)
-    cols = np.zeros((len(p), len(keep)), dtype=np.complex128)
-    cols[keep, np.arange(len(keep))] = np.sqrt(p.real[keep])
-    return cols
+        raise ValueError("the environment state must be diagonal in the Fock basis")
+    gap = np.abs(p - p[mirror]).max()
+    if gap > ENV_WEIGHT_CUTOFF:
+        raise ValueError(f"the environment state's weights on a mirror pair differ by {gap:.3e}")
+    return p.real
 
 
 class _Part(NamedTuple):
-    """One sector's share of one class of a member's ancilla rows (see ``_Curve``)."""
+    """One sector's share of one class of a member's support states (see ``_Curve``)."""
 
     gaps: np.ndarray  # lam_n - h0_s: the sector's eigenvalues less the support's free energies, (support, sector)
-    bra: np.ndarray  # conjugate amplitudes, (rows, support)
+    gram: np.ndarray  # G = (D^dag rho D)^T on the class's support, (support, support)
     # eigenvector rows on the support and the kept environment rows, (support, env, sector); stored env-major,
     # so that its (env, support x sector) matrix is a view
     rows: np.ndarray
-    kets: np.ndarray  # the ancilla rows' kets in the sector's eigenbasis, (rows, sector, kept columns)
-    env_rows: np.ndarray  # the kept environment rows, ascending: where the part lands in w[., e, m]
-    ket_cols: np.ndarray  # the kept environment-ensemble columns, ascending
+    env_rows: np.ndarray  # the kept environment rows, ascending: where the part lands in w[., e, c]
+    ket_cols: np.ndarray  # the kept Fock columns, as indices among the curve's columns, ascending
+    col_rows: np.ndarray  # each kept column's Fock state, as a position in env_rows
+    col_amps: np.ndarray  # each kept column's sqrt(p)
 
 
 class _Curve:
     """Exact F(t) of one fidelity kind on one model.
 
-    Every kind is a weighted set of purified inputs, where row r of a member's
-    amplitudes holds the system amplitudes paired with ancilla state r: ``io``
-    is one single-row member, ``entanglement`` of a mixed state is one member
-    holding the purification (the ancilla is untouched by the dynamics and by
-    the free co-rotation; an optional ancilla unitary probes purification
-    independence), and ``average`` is one single-row member per ensemble state.
+    Every kind is a weighted set of system densities (``kind_members``):
+    ``io`` is the input's projector, ``entanglement`` the density itself and
+    ``average`` one projector per ensemble state.  A member enters the mirror
+    basis W (``_Propagated.basis``) as G = (D^dag rho D)^T, and the
+    environment as its Fock columns, which need no W_env (``_env_weights``).
 
-    ``members`` keeps ``(weight, parts)`` per member.  Its nonzero ancilla rows
-    are classed by the parities their system support carries (even, odd or
-    both), and each class gets one ``_Part`` per parity sector that its kets
-    reach.  A part keeps only the environment rows its support reaches in
-    the sector and the environment-ensemble columns whose kets are not zero
-    there: a single-parity class against a diagonal environment keeps half
-    of each, so its two parts do a quarter of the dense product's work.
-
-    The inputs go into the mirror basis W (``_Propagated.basis``): the
-    system amplitudes take conj(u^popcount(s)) and the environment-ensemble
-    columns take W_env^dag; the bra is still the conjugate of the amplitudes.
-    The sum of |w|^2 over environment rows does not change, because W_env is
-    unitary and keeps each part's set of environment rows (it keeps the boson
-    parity).
+    ``members`` keeps ``(weight, parts)`` per member.  The member's support
+    splits into its even and its odd states when G has no entry between
+    them, and is one class otherwise; each class gets one ``_Part`` per
+    parity sector that its columns reach.  A part keeps only the environment
+    rows its support reaches in the sector and the Fock columns among them:
+    a single-parity class keeps half of each, so its two parts do a quarter
+    of the dense product's work.
     """
 
-    def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator,
-                 ancilla_unitary: np.ndarray | None = None):
+    def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator):
         system = model.system_space()
         if rho_env.space != model.env_space():
             raise ValueError("environment state does not live on the mode space")
-        env_cols = _env_columns(rho_env)
-        _env_adjoint(prop.basis, env_cols)
+        p = _env_weights(rho_env, prop.basis.mirror)
+        states = np.flatnonzero(p > ENV_WEIGHT_CUTOFF)
+        amps = np.sqrt(p[states])
         self.prop = prop
-        self.env_cols = env_cols.shape[1]
-        self.width = 0
+        self.env_cols = len(states)
         self.members = []
         system_parity = prop.parity[:, 0]  # environment index 0 is the boson vacuum
+        phase = prop.basis.phase
         for weight, psi in kind_members(kind, state):
-            if psi.space != system:
-                raise ValueError("input state does not live on the system space")
-            if isinstance(psi, Ket):
-                amps = psi.amplitudes[None, :]
-            else:
-                amps = purify(psi).amplitudes.reshape(system.dim, system.dim)
-                if ancilla_unitary is not None:
-                    amps = ancilla_unitary @ amps
-            amps = amps * prop.basis.phase.conj()  # diag(u^popcount(s))^dag
-            amps = amps[np.any(amps != 0, axis=1)]
-            self.width += amps.shape[0] * self.env_cols
-            classes = [frozenset(system_parity[row != 0]) for row in amps]
-            parts = []
-            for cls in dict.fromkeys(classes):
-                group = amps[[c == cls for c in classes]]
-                support = np.flatnonzero(np.any(group != 0, axis=0))
-                parts += _sector_parts(prop, group[:, support], support, env_cols)
-            self.members.append((weight, parts))
+            rho = _density(psi)
+            if rho.space != system or not rho.density:
+                raise ValueError("input state is not a density-flagged state on the system space")
+            gram = phase[:, None] * rho.matrix.T * phase.conj()  # (D^dag rho D)^T
+            live = (gram != 0) | (gram.T != 0)
+            support = np.flatnonzero(np.any(live, axis=0))
+            even, odd = (support[system_parity[support] == q] for q in (0, 1))
+            classes = [support] if np.any(live[np.ix_(even, odd)]) else [even, odd]
+            self.members.append((weight, [part for cls in classes if len(cls)
+                                          for part in _sector_parts(prop, gram[np.ix_(cls, cls)], cls, states, amps)]))
+        self.width = sum(len(part.ket_cols) for _, parts in self.members for part in parts)
 
     @property
     def shape(self) -> tuple[int, int]:
-        """(n, propagated ket columns); perfbench's tracer reads it as ``advance``'s width."""
+        """(n, columns propagated, summed over the parts); perfbench's tracer reads it as ``advance``'s width."""
         return self.prop.vec.shape[0], self.width
 
     def curve(self, times) -> FidelityCurve:
@@ -450,36 +428,27 @@ class _Curve:
         return FidelityCurve(times, self.prop.advance(self, times))
 
 
-def _sector_parts(prop: _Propagated, amps: np.ndarray, support: np.ndarray, env_cols: np.ndarray) -> list[_Part]:
-    """The parts of one class of ancilla rows, ``amps`` shaped (rows, support).
+def _sector_parts(prop: _Propagated, gram: np.ndarray, support: np.ndarray, states: np.ndarray,
+                  amps: np.ndarray) -> list[_Part]:
+    """The parts of one class of support states, with ``gram`` its G; ``states`` are the curve's Fock columns
+    (ascending environment states) and ``amps`` their sqrt(p).
 
     Each sector keeps the environment rows a support entry reaches in it and
-    the environment-ensemble columns whose input is not zero on them: the
-    sector's eigenvector rows are orthonormal, so a column's kets vanish
-    exactly when its input does.  A sector with no such column gets no part.
-    The kets are made for the kept columns alone, in chunks whose input and
-    product fit in BATCH_ELEMENTS.
+    the columns whose Fock state is one of them: no other column reaches the
+    sector.  A sector with no such column gets no part.
     """
     parts = []
-    r = amps.shape[0]
     for p, (_, cols) in enumerate(prop.sectors):
         in_sector = prop.parity[support] == p
         env_rows = np.flatnonzero(np.any(in_sector, axis=0))
-        ket_cols = np.flatnonzero(np.any(env_cols[env_rows] != 0, axis=0))
+        ket_cols = np.flatnonzero(np.isin(states, env_rows))
         if len(ket_cols) == 0:
             continue
         # a row of the other sector holds that sector's coefficients: zero it
         rows = prop.rows[support, env_rows[:, None]]  # (env, support, sector)
         rows[~in_sector[:, env_rows].T] = 0.0
-        e, s, n = rows.shape
-        kets = np.empty((r, n, len(ket_cols)), dtype=np.complex128)
-        step = _chunk(r * (e * s + n))
-        for i in range(0, len(ket_cols), step):
-            c = ket_cols[i:i + step]
-            x = np.einsum("rs,em->esrm", amps, env_cols[np.ix_(env_rows, c)]).reshape(e * s, r * len(c))
-            kets[:, :, i:i + step] = _product(rows.reshape(e * s, n).T, x).reshape(n, r, len(c)).transpose(1, 0, 2)
-        parts.append(_Part(prop.lam[cols] - prop.h0_diag[support, None], amps.conj(), rows.transpose(1, 0, 2), kets,
-                           env_rows, ket_cols))
+        parts.append(_Part(prop.lam[cols] - prop.h0_diag[support, None], gram, rows.transpose(1, 0, 2), env_rows,
+                           ket_cols, np.searchsorted(env_rows, states[ket_cols]), amps[ket_cols]))
     return parts
 
 
@@ -489,7 +458,7 @@ def taylor_coefficients(prop: _Propagated, curve: _Curve) -> np.ndarray:
     Expanding ``advance``'s phases exp(-i (lam_n - h0_s) t) gives the amplitude's order-k term w_k, with the
     coefficients (-i (lam_n - h0_s))^k / k! in their place, for every order in one product (``_amplitudes``);
     then F_k = sum_a <w_a, w_{k-a}> over the weighted members, c_0 = 1 - F_0 and c_k = -F_k.  F_k sums over
-    (e, m), so the ensemble columns go through in chunks.
+    (e, c), so the Fock columns go through in chunks.
     """
     k = np.arange(TAYLOR_ORDER + 1)
     inv_fact = 1.0 / np.cumprod(np.maximum(k, 1))
@@ -503,14 +472,14 @@ def taylor_coefficients(prop: _Propagated, curve: _Curve) -> np.ndarray:
     return (k == 0) - f
 
 
-def fidelity_curve(model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator, times,
-                   ancilla_unitary: np.ndarray | None = None) -> FidelityCurve:
+def fidelity_curve(model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator, times) -> FidelityCurve:
     """Exact fidelity curve of one kind on the given time grid.
 
-    ``ancilla_unitary`` rotates the purifying ancilla of a mixed input, which
-    probes the entanglement fidelity's purification independence.
+    ``rho_env`` must be diagonal in the Fock basis, with equal weights on
+    mirrored Fock states to within ENV_WEIGHT_CUTOFF, as every thermal state
+    is; any other state raises ValueError.
     """
-    return _Curve(_Propagated(model), model, kind, state, rho_env, ancilla_unitary).curve(times)
+    return _Curve(_Propagated(model), model, kind, state, rho_env).curve(times)
 
 
 def estimate_c2(curve: FidelityCurve) -> ExpansionEstimate:
@@ -571,7 +540,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in self.VALID_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        # a check only: a Ket stays a Ket, which the oracle propagates as one row
+        # a check only: the scenario keeps its state as given
         kind_state(self.fidelity_kind, self.state)
 
     @property

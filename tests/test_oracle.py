@@ -93,18 +93,6 @@ def test_entanglement_curve_pure_state_equals_io():
     assert np.abs(io.values - ent.values).max() < 1e-12
 
 
-def test_entanglement_curve_purification_invariance():
-    model, env = single_qubit_model(temperature=0.5)
-    rho_s = maximally_mixed_density(1)
-    times = np.linspace(0.0, 0.6, 9)
-    base = fidelity_curve(model, "entanglement", rho_s, env, times)
-    rng = Xoshiro256pp(2024)
-    for _ in range(20):
-        u = random_unitary_matrix(rng, 2)
-        rotated = fidelity_curve(model, "entanglement", rho_s, env, times, ancilla_unitary=u)
-        assert np.abs(rotated.values - base.values).max() < 1e-10
-
-
 def test_entanglement_curve_fits_mixed_coefficient():
     model, env = single_qubit_model()
     sc = Scenario("mixed", "entanglement", model.lattice, model.modes, maximally_mixed_density(1))
@@ -261,6 +249,15 @@ def test_curve_validation():
         FidelityCurve(np.array([0.0, 1.0]), np.array([1.0, 1.5]))  # leaves [0, 1]
 
 
+def test_entanglement_curve_needs_a_density():
+    model, env = single_qubit_model(temperature=0.5)
+    times = np.linspace(0.0, 0.6, 5)
+    half = DenseOperator.hermitian_op(model.system_space(), np.eye(2) / 2)  # the right matrix, not flagged
+    with pytest.raises(ValueError, match="density-flagged"):
+        fidelity_curve(model, "entanglement", half, env, times)
+    fidelity_curve(model, "entanglement", maximally_mixed_density(1), env, times)
+
+
 @pytest.mark.parametrize("g", [0.3, 1e-4])
 def test_window_selection_across_coupling_scales(g):
     lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
@@ -414,8 +411,8 @@ def test_entanglement_curve_matches_dense_evolution(rank):
     rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(rng, 4, rank=rank))
     u = random_unitary_matrix(rng, 4)
     times = np.linspace(0.0, 2.5, 6)
-    for unitary in (None, u):
-        curve = fidelity_curve(model, "entanglement", rho_s, env, times, ancilla_unitary=unitary)
+    curve = fidelity_curve(model, "entanglement", rho_s, env, times)
+    for unitary in (None, u):  # any purification of rho_s gives the reference the same curve
         ref = [_reference_entanglement(model, env, rho_s, t, unitary) for t in times]
         assert np.abs(curve.values - ref).max() < 1e-12
     assert curve.values[-1] < 0.99  # the dynamics is far from trivial on this window
@@ -631,9 +628,9 @@ def _traced_growth(run):
 
 
 def test_oracle_temporaries_stay_within_one_budget():
-    # on the full-stack row's model, every curve stage holds at most two budgets of temporaries beyond what it
-    # keeps: measured at most 1.52 (advance on plus_all). Before their temporaries were chunked,
-    # taylor_coefficients peaked at up to 12.5 budgets, advance at 7.5 and the curve at 3.5
+    # on the full-stack row's model, taylor_coefficients and advance hold at most two budgets of temporaries
+    # beyond what they keep (unchunked, they reached 12.5 and 7.5), and a curve at most a quarter budget beyond
+    # its parts (measured 0.04; with kets and dense environment columns it grew 1.26-2.01 budgets)
     from decolab import oracle
     from decolab.suites import _grid_lattice, _grid_modes
 
@@ -645,10 +642,9 @@ def test_oracle_temporaries_stay_within_one_budget():
     for kind, state in (("entanglement", ghz_ket(2).projector()), ("io", plus_all_ket(2)),
                         ("entanglement", maximally_mixed_density(2))):
         curve, peak, kept = _traced_growth(lambda: oracle._Curve(prop, model, kind, state, env))
-        parts = sum(p.rows.nbytes + p.kets.nbytes for _, ps in curve.members for p in ps)
-        env_columns = 16 * model.env_space().dim * curve.env_cols  # the input, as wide as the environment
+        parts = sum(p.rows.nbytes + p.gram.nbytes for _, ps in curve.members for p in ps)
         assert parts <= kept <= parts + budget // 8, kind  # the parts are what a curve keeps
-        assert peak <= parts + env_columns + 2 * budget, kind
+        assert peak <= parts + budget // 4, kind  # no dense environment columns and no kets
         for stage in (lambda: oracle.taylor_coefficients(prop, curve), lambda: prop.advance(curve, times)):
             _, peak, kept = _traced_growth(stage)
             assert peak <= 2 * budget and kept <= budget // 64, kind
@@ -744,6 +740,7 @@ def test_mirror_basis_is_fixed_by_the_bath_symmetry(lambdas):
 
 
 def test_sector_curves_match_dense_evolution_on_mirror_modes():
+    from decolab import oracle
     from decolab.model import pair_encode
     from decolab.rng import random_density_matrix
     from decolab.states import computational_ensemble
@@ -757,10 +754,19 @@ def test_sector_curves_match_dense_evolution_on_mirror_modes():
         assert np.abs(io.values - [_reference_io(model, env, ket, t) for t in times]).max() < 1e-12
     rng = Xoshiro256pp(11)
     rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(rng, 4, rank=4))
+    ent = fidelity_curve(model, "entanglement", rho_s, env, times)
     for unitary in (None, random_unitary_matrix(rng, 4)):
-        ent = fidelity_curve(model, "entanglement", rho_s, env, times, ancilla_unitary=unitary)
         ref = [_reference_entanglement(model, env, rho_s, t, unitary) for t in times]
         assert np.abs(ent.values - ref).max() < 1e-12
+    # an even block and an odd block with no entry between them: each block is its own class, in both sectors
+    ghz, odd = ghz_ket(2).projector().matrix, np.diag([0.0, 1.0, 0.0, 0.0])  # |01><01|
+    split = DenseOperator.density_op(model.system_space(), 0.5 * ghz + 0.5 * odd)
+    prop = oracle._Propagated(model)
+    for rho in (maximally_mixed_density(2), split):
+        (_, parts), = oracle._Curve(prop, model, "entanglement", rho, env).members
+        assert len(parts) == 4
+        ent = fidelity_curve(model, "entanglement", rho, env, times)
+        assert np.abs(ent.values - [_reference_entanglement(model, env, rho, t) for t in times]).max() < 1e-12
     ensemble = computational_ensemble(2)
     avg = fidelity_curve(model, "average", ensemble, env, times)
     ref = [sum(p * _reference_io(model, env, m, t) for p, m in ensemble.members) for t in times]
@@ -786,37 +792,72 @@ def test_a_block_that_is_not_real_in_the_mirror_basis_keeps_the_complex_path():
 
 def test_real_and_complex_paths_agree():
     # the name is kept from when a complex path ran beside the real one; the real path's curves are
-    # checked against the dense reference and its Taylor c2 against the closed form, also under an
-    # environment state with no mirror symmetry
+    # checked against the dense reference and its Taylor c2 against the closed form, and an environment
+    # state with no mirror symmetry is rejected
     from decolab import oracle
     from decolab.fidelity import closed_form_c2
     from decolab.rng import random_density_matrix
     from decolab.states import computational_ensemble
 
-    model, thermal = _mirror_mode_model()
+    model, env = _mirror_mode_model()
     rng = Xoshiro256pp(3)
     rho_s = DenseOperator.density_op(model.system_space(), random_density_matrix(rng, 4, rank=3))
-    # its ensemble columns must go into W_env as well
-    de = model.env_space().dim
-    rho_env = DenseOperator.density_op(model.env_space(), random_density_matrix(rng, de, rank=de))
     times = np.linspace(0.0, 2.5, 9)
     prop = oracle._Propagated(model)
     assert prop.vec.dtype == np.float64
     ket = plus_all_ket(2)
     ensemble = computational_ensemble(2)
-    for env in (thermal, rho_env):
-        references = {
-            "io": [_reference_io(model, env, ket, t) for t in times],
-            "entanglement": [_reference_entanglement(model, env, rho_s, t) for t in times],
-            "average": [sum(p * _reference_io(model, env, m, t) for p, m in ensemble.members) for t in times],
-        }
-        for kind, state in (("io", ket), ("entanglement", rho_s), ("average", ensemble)):
-            curve = oracle._Curve(prop, model, kind, state, env)
-            values = curve.curve(times).values
-            assert np.abs(values - references[kind]).max() < 1e-12, kind
-            assert values[-1] < 0.999, kind  # the window sees real decay
-            c2 = closed_form_c2(kind, state, model.h_i, env)
-            assert abs(oracle.taylor_coefficients(prop, curve)[2] - c2) <= 1e-10 * c2, kind
+    references = {
+        "io": [_reference_io(model, env, ket, t) for t in times],
+        "entanglement": [_reference_entanglement(model, env, rho_s, t) for t in times],
+        "average": [sum(p * _reference_io(model, env, m, t) for p, m in ensemble.members) for t in times],
+    }
+    for kind, state in (("io", ket), ("entanglement", rho_s), ("average", ensemble)):
+        curve = oracle._Curve(prop, model, kind, state, env)
+        values = curve.curve(times).values
+        assert np.abs(values - references[kind]).max() < 1e-12, kind
+        assert values[-1] < 0.999, kind  # the window sees real decay
+        c2 = closed_form_c2(kind, state, model.h_i, env)
+        assert abs(oracle.taylor_coefficients(prop, curve)[2] - c2) <= 1e-10 * c2, kind
+    de = model.env_space().dim
+    rho_env = DenseOperator.density_op(model.env_space(), random_density_matrix(rng, de, rank=de))
+    with pytest.raises(ValueError, match="diagonal in the Fock basis"):
+        oracle._Curve(prop, model, "entanglement", rho_s, rho_env)
+
+
+def _four_mirror_mode_model():
+    """One qubit and the modes k = 0.9, 1.6, -0.9, -1.6: each mirror pair is two positions apart."""
+    lattice = QubitLattice((0.0,), 1.0, 0.5, (1.0,))
+    modes = BathModeSet(tuple(BathMode(k, 1.0 + 0.2 * abs(k), 0.05) for k in (0.9, 1.6, -0.9, -1.6)), 1.0)
+    model = build_hamiltonian(lattice, modes, 2)
+    return model, model.thermal_env_state()
+
+
+def test_fidelity_curve_takes_only_a_mirror_symmetric_fock_diagonal_environment():
+    from decolab import oracle
+    from decolab.oracle import _mirror_basis
+
+    model, env = _four_mirror_mode_model()
+    times = np.linspace(0.0, 2.5, 5)
+    psi = plus_all_ket(1)
+    weights, mirror = np.diagonal(env.matrix).real, _mirror_basis(model).mirror
+    gap = np.abs(weights - weights[mirror]).max()
+    assert 0.0 < gap <= oracle.ENV_WEIGHT_CUTOFF  # unequal at rounding level, so an exact check would refuse it
+    curve = fidelity_curve(model, "io", psi, env, times)
+    assert np.abs(curve.values - [_reference_io(model, env, psi, t) for t in times]).max() < 1e-12
+    assert curve.values[-1] < 0.999  # the window sees real decay
+
+    de = len(weights)
+    off = env.matrix.copy()
+    off[0, 1] = off[1, 0] = 1e-3
+    with pytest.raises(ValueError, match="diagonal in the Fock basis"):
+        fidelity_curve(model, "io", psi, DenseOperator.density_op(model.env_space(), off), times)
+    e = int(np.flatnonzero(mirror != np.arange(de))[0])  # one state of a mirror pair
+    skewed = np.diag(weights).astype(complex)
+    skewed[e, e] += 1e-3
+    skewed[mirror[e], mirror[e]] -= 1e-3
+    with pytest.raises(ValueError, match="mirror pair differ by 2.000e-03"):
+        fidelity_curve(model, "io", psi, DenseOperator.density_op(model.env_space(), skewed), times)
 
 
 def test_sector_parts_keep_half_of_a_single_parity_input():
@@ -830,7 +871,7 @@ def test_sector_parts_keep_half_of_a_single_parity_input():
     (_, parts), = ghz.members
     assert len(parts) == 2
     for part in parts:
-        rows, kept_cols = part.rows.shape[1], part.kets.shape[2]
+        rows, kept_cols = part.rows.shape[1], len(part.ket_cols)
         assert (rows, kept_cols) == (128, 128)  # of 256 environment rows and 256 ensemble columns
     (_, parts), = _Curve(prop, model, "io", plus_all_ket(2), env).members
     assert [part.rows.shape[1] for part in parts] == [256, 256]
