@@ -14,7 +14,7 @@ class ConfigError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical procedure (quadrature, truncation, fit) failed to converge.
+    """A numerical procedure (truncation, fit) failed to converge.
 
     ``achieved`` reports the best error estimate reached before giving up.
     """

@@ -15,13 +15,10 @@ collectively.
 
 The Ohmic bath has spectral weight ``w exp(-w / omega_c)`` with linear
 dispersion ``w = v k``; its correlation admits closed forms in the high- and
-low-temperature limits and is evaluated by quadrature in between.  The
-quadrature's Gauss-Legendre rule is built once per process, on first use;
-the quadrature tolerance, the spectrum moments and the correlation at each
-``|delta_r|`` are computed once per ``OhmicBath`` object, which the points
-of a ``d`` sweep share.  A pass never holds more than ``_QUAD_MAX_PANELS``
-panels: a separation that needs more raises ``ConvergenceError`` instead of
-building it.
+low-temperature limits, and at any temperature it and the spectrum moments
+are exact series in the Hurwitz zeta function (``_ohmic_integral``).  The
+spectrum moments and the correlation at each ``|delta_r|`` are computed
+once per ``OhmicBath`` object, which the points of a ``d`` sweep share.
 
 Every correlation here is even in the separation, bit for bit, so a memo may
 key on ``|delta_r|``.
@@ -35,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .model import BathModeSet, _check_finite, correlation_fn_discrete, thermal_occupation_factor
 
 # "much greater / much smaller than one" thresholds for the regime ratios;
@@ -48,13 +44,9 @@ OHMIC_FORMS = ("quad", "highT", "lowT")
 # the lowT form's largest T / omega_c: there it stays within 1e-2 of quad, relative to Omega^2(0)
 LOWT_MAX_T_OVER_OMEGA_C = 0.05
 
-QUAD_REL_TOL = 1e-9
-_QUAD_NODES = 24
-_QUAD_MAX_HALVINGS = 10
-# a pass materializes every node: 24 * 2^18 floats is 50 MB per temporary
-_QUAD_MAX_PANELS = 1 << 18
-# exp(-w/omega_c) below ~1e-12 contributes nothing at double precision
-_CUTOFF_IN_OMEGA_C = math.log(1e12) + 8.0
+# B_2k / (2k)! for k = 1..8, the Euler-Maclaurin coefficients of the Hurwitz zeta tail
+_EULER_MACLAURIN = tuple(b / math.factorial(2 * k) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), start=1))
 
 REGIME_INDEPENDENT = "independent"
 REGIME_COLLECTIVE = "collective"
@@ -105,11 +97,6 @@ class OhmicBath:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.amplitude <= 0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-
-    @functools.cached_property
-    def _quad_atol(self) -> float:
-        """QUAD_REL_TOL of the zero-separation integral, whose first refinement pass fixes the scale."""
-        return QUAD_REL_TOL * abs(_refine(self, 0.0, atol=math.inf))
 
     @functools.cached_property
     def _correlation(self):
@@ -199,89 +186,62 @@ def ohmic_correlation_lowT(bath: OhmicBath, delta_r: float) -> float:
     return bath.amplitude * 2.0 * bath.omega_c ** 2 * (1.0 - u * u) / (1.0 + u * u) ** 2
 
 
-def _thermal_weight(omega: np.ndarray, temperature: float) -> np.ndarray:
-    """omega * coth(omega / 2T), continuous at omega -> 0 (limit 2T)."""
-    if temperature == 0.0:
-        return omega
-    y = omega / (2.0 * temperature)
-    out = np.empty_like(omega)
-    small = y < 1e-4
-    ys = y[small]
-    out[small] = 2.0 * temperature * (1.0 + ys * ys / 3.0 - ys ** 4 / 45.0)
-    out[~small] = omega[~small] / np.tanh(y[~small])
-    return out
+def _hurwitz_zeta(s: int, q: complex, h: float) -> complex:
+    """sum_{m >= 0} (q + m h)^(-s) = h^(-s) zeta(s, q / h), the Hurwitz zeta function in steps of h.
+
+    Needs an integer s >= 2, h > 0 and Re q >= h.  The first terms are
+    summed directly until |q| >= 20 h (at most 20 steps), and the rest is the
+    Euler-Maclaurin tail with the Bernoulli numbers B_2..B_16 (DLMF §25.11).
+    Every power is taken of a reciprocal, so a large |q| underflows instead
+    of overflowing.
+    """
+    head = 0j
+    while abs(q) < 20.0 * h:
+        head += (1.0 / q) ** s
+        q += h
+    r = 1.0 / q
+    x = h * r
+    tail = 0.5 + sum(b * math.perm(s + 2 * k - 2, 2 * k - 1) * x ** (2 * k - 1)
+                     for k, b in enumerate(_EULER_MACLAURIN, start=1))
+    return head + r ** (s - 1) / (h * (s - 1)) + r ** s * tail
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the _QUAD_NODES-point rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+def _ohmic_integral(bath: OhmicBath, d: float, s: int) -> float:
+    """I_s(d) = integral over w > 0 of w^(s-1) coth(w / 2T) exp(-w / omega_c) cos(w d / v).
 
-
-def _ohmic_panel_integral(bath: OhmicBath, delta_r: float, n_panels: int,
-                          extra_power: int = 0) -> float:
-    """Gauss-Legendre sum of w^extra_power * thermal_weight(w) e^(-w/wc) cos(w d / v)."""
-    omega_max = _CUTOFF_IN_OMEGA_C * bath.omega_c
-    nodes, gl_weights = _gauss_legendre()
-    edges = np.linspace(0.0, omega_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    omega = (mid[:, None] + half[:, None] * nodes[None, :]).reshape(-1)
-    f = _thermal_weight(omega, bath.temperature) * np.exp(-omega / bath.omega_c)
-    f = f * np.cos(omega * delta_r / bath.v)
-    if extra_power:
-        f = f * omega ** extra_power
-    w = (half[:, None] * gl_weights[None, :]).reshape(-1)
-    return float(f @ w)
-
-
-def _panel_count(bath: OhmicBath, delta_r: float) -> int:
-    # panels must resolve both the cutoff (scale omega_c) and the oscillation
-    # (half-period pi v / |d|); width = pi omega_c / max(u, 1)
-    u = abs(bath.omega_c * delta_r / bath.v)
-    width = math.pi * bath.omega_c / max(u, 1.0)
-    return max(4, math.ceil(_CUTOFF_IN_OMEGA_C * bath.omega_c / width))
-
-
-def _refine(bath: OhmicBath, delta_r: float, atol: float, extra_power: int = 0) -> float:
-    n = _panel_count(bath, delta_r)
-    prev = err = None
-    for _ in range(_QUAD_MAX_HALVINGS + 1):
-        if n > _QUAD_MAX_PANELS:
-            raise ConvergenceError(f"quadrature at separation {delta_r!r} needs more than "
-                                   f"{_QUAD_MAX_PANELS} panels", achieved=err)
-        cur = _ohmic_panel_integral(bath, delta_r, n, extra_power)
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= atol:
-                return cur
-        prev = cur
-        n *= 2
-    raise ConvergenceError("quadrature did not converge", achieved=err)
+    With coth(w / 2T) = 1 + 2 sum_{m >= 1} exp(-m w / T) every term is a
+    Laplace transform: I_s = (s-1)! Re[z^(-s) + 2 sum_{m >= 1} (z + m / T)^(-s)],
+    z = 1 / omega_c - i d / v, and the sum is 2 T^s zeta(s, 1 + T z).  It is
+    evaluated as c^s zeta in steps of c / T with c = min(T, 1), so neither
+    T^s nor 1 / T can overflow.
+    """
+    z = complex(1.0 / bath.omega_c, -d / bath.v)
+    total = (1.0 / z) ** s
+    t = bath.temperature
+    if t > 0.0:
+        c = min(t, 1.0)
+        h = c / t
+        # c z + h by parts: a complex product would make 0 * inf = nan of an infinite d / v
+        total += 2.0 * c ** s * _hurwitz_zeta(s, complex(c * z.real + h, c * z.imag), h)
+    return math.factorial(s - 1) * total.real
 
 
 def ohmic_correlation_quad(bath: OhmicBath, delta_r: float) -> float:
-    """Correlation at any temperature: 2 * integral of the thermal Ohmic weight.
+    """Correlation at any temperature: 2 amplitude I_2(|delta_r|), the thermal Ohmic weight's cosine transform.
 
-    Adaptive panel quadrature with oscillation-aware panel widths; converged
-    to 1e-9 relative to the zero-separation value.
+    Exact up to rounding, from the Hurwitz-zeta series of :func:`_ohmic_integral`.
     """
-    return bath.amplitude * 2.0 * _refine(bath, delta_r, bath._quad_atol)
+    return bath.amplitude * 2.0 * _ohmic_integral(bath, abs(delta_r), 2)
 
 
 def ohmic_spectrum_moments(bath: OhmicBath) -> GaussianSpectrum:
     """Carrier, width and weight of the thermally weighted Ohmic spectrum.
 
-    Moments are taken in frequency and mapped to wavevectors through the
-    linear dispersion: k_bar = <w>/v, delta_k = std(w)/v.
+    The frequency moments m0, m1, m2 are I_2, I_3, I_4 at zero separation,
+    mapped to wavevectors through the linear dispersion:
+    k_bar = <w>/v, delta_k = std(w)/v.
     """
-    atol = bath._quad_atol
-    m0 = _refine(bath, 0.0, atol)
-    m1 = _refine(bath, 0.0, atol * bath.omega_c, extra_power=1)
-    m2 = _refine(bath, 0.0, atol * bath.omega_c ** 2, extra_power=2)
+    m0, m1, m2 = (_ohmic_integral(bath, 0.0, s) for s in (2, 3, 4))
     mean = m1 / m0
     var = max(m2 / m0 - mean * mean, 0.0)
     return GaussianSpectrum(mean / bath.v, math.sqrt(var) / bath.v, bath.amplitude * 2.0 * m0)

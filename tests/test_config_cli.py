@@ -19,6 +19,7 @@ from decolab.cli import (
 )
 from decolab.config import parse_config
 from decolab.errors import ConfigError
+from decolab.spectral import OhmicBath, ohmic_correlation_highT
 
 
 def base_config(**overrides):
@@ -252,26 +253,14 @@ def _d_sweep_config(values):
 
 def test_d_sweep_reuses_the_parsed_config(monkeypatch):
     import decolab.cli
-    import decolab.spectral as spectral
 
     parses = []
     parse = decolab.cli.parse_config
     monkeypatch.setattr(decolab.cli, "parse_config", lambda raw: parses.append(raw) or parse(raw))
-    scale_passes = []
-    refine = spectral._refine
-
-    def counting(bath, delta_r, atol, extra_power=0):
-        if atol == math.inf:
-            scale_passes.append(bath)
-        return refine(bath, delta_r, atol, extra_power)
-
-    monkeypatch.setattr(spectral, "_refine", counting)
     cfg = parse_config(_d_sweep_config([0.5, 1.0, 2.0]))
     rows, _ = cmd_sweep(cfg)
     assert [r["error"] for r in rows] == ["", "", ""]
     assert parses == []  # each point replaces the lattice of the parsed config
-    # the points share the parsed bath object and its quadrature tolerance
-    assert len(scale_passes) == 1 and scale_passes[0] is cfg.bath
     # the same rows as configs parsed point by point
     for row, d in zip(rows, (0.5, 1.0, 2.0)):
         point = parse_config(_d_sweep_config([d]) | {"qubits": [{"position": i * d} for i in range(3)]})
@@ -424,22 +413,42 @@ def test_cli_correlation_rejects_infinite_config_separation(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: delta_r[0]: must be finite\n"
 
 
-def test_cli_correlation_beyond_panel_budget_exits_4(monkeypatch, tmp_path, capsys):
-    import decolab.spectral as spectral
-
-    integral = spectral._ohmic_panel_integral
-
-    def guarded(bath, delta_r, n_panels, extra_power=0):
-        assert n_panels <= spectral._QUAD_MAX_PANELS
-        return integral(bath, delta_r, n_panels, extra_power)
-
-    monkeypatch.setattr(spectral, "_ohmic_panel_integral", guarded)
+def test_cli_correlation_at_a_large_separation_is_the_highT_limit(tmp_path, capsys):
     cfg = base_config(bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}})
     path = write_config(tmp_path, cfg)
-    assert main(["correlation", "--config", path, "--delta-r", "1e8"]) == 4
+    assert main(["correlation", "--config", path, "--delta-r", "1e8"]) == EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("numerical non-convergence: quadrature at separation 100000000.0 needs more")
+    assert captured.err == ""
+    row = list(csv.DictReader(io.StringIO(captured.out)))[0]
+    high = ohmic_correlation_highT(OhmicBath(1.0, 1.0, 0.3), 1e8)  # 1.2e-16
+    assert abs(float(row["omega2"]) - high) <= 1e-9 * high
+
+
+@pytest.mark.parametrize("temperature", [1e300, 1e-300])
+def test_cli_ohmic_extreme_temperatures_stay_finite(tmp_path, capsys, temperature):
+    cfg = base_config(
+        qubits=[{"position": 0.0}, {"position": 1.0}],
+        h0_splittings=[],
+        bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": temperature}},
+        state="ghz",
+        fidelity_kind=["io", "entanglement", "average"],
+        delta_r=[0.0, 1.0],
+    )
+    path = write_config(tmp_path, cfg)
+    outputs = {}
+    for command in ("rates", "correlation"):
+        assert main([command, "--config", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs[command] = list(csv.DictReader(io.StringIO(captured.out)))
+    values = [float(r[c]) for r in outputs["rates"] for c in ("c2", "tau2")]
+    values += [float(r[c]) for r in outputs["correlation"] for c in ("omega2", "normalized")]
+    assert all(math.isfinite(x) for x in values)
+    if temperature == 1e300:
+        # the high-temperature limit 4 T omega_c / (1 + u^2) at u = 1
+        at_one = outputs["correlation"][1]
+        assert abs(float(at_one["omega2"]) - 2e300) <= 1e-12 * 2e300
+        assert abs(float(at_one["normalized"]) - 0.5) <= 1e-12 * 0.5
 
 
 # --- highT at zero temperature -------------------------------------------------

@@ -11,6 +11,7 @@ from decolab.spectral import (
     LOWT_MAX_T_OVER_OMEGA_C,
     GaussianSpectrum,
     OhmicBath,
+    _ohmic_integral,
     classify_regime,
     correlation,
     gaussian_correlation,
@@ -18,6 +19,7 @@ from decolab.spectral import (
     ohmic_correlation_lowT,
     ohmic_correlation_quad,
     ohmic_spectrum_moments,
+    spectrum,
     spectrum_moments,
 )
 
@@ -110,22 +112,58 @@ def test_ohmic_low_temperature_profile():
     assert abs(u2 - ohmic_correlation_quad(bath, 2 * bath.v / bath.omega_c)) < 1e-9 * abs(expected)
 
 
+# --- reference: the Ohmic integrals by adaptive Gauss-Legendre panel quadrature -----------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+# exp(-w / omega_c) is below 1e-19 beyond 44 omega_c
+_CUTOFF_IN_OMEGA_C = 44.0
+
+
+def _panel_sum(bath, d, s, n_panels):
+    """Sum of I_s's integrand over n_panels equal panels, plus 8 panels of 5T each where exp(-w/T) varies."""
+    t, omega_max = bath.temperature, _CUTOFF_IN_OMEGA_C * bath.omega_c
+    edges = np.linspace(0.0, omega_max, n_panels + 1)
+    if t > 0.0:
+        edges = np.union1d(edges, np.linspace(0.0, min(40.0 * t, omega_max), 9))
+    half = 0.5 * np.diff(edges)
+    w = ((edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES).ravel()
+    coth = 1.0 / np.tanh(w / (2.0 * t)) if t > 0.0 else 1.0
+    f = w ** (s - 1) * coth * np.exp(-w / bath.omega_c) * np.cos(w * d / bath.v)
+    return float(f @ (half[:, None] * _GL_WEIGHTS).ravel())
+
+
+def reference_ohmic_integral(bath, d, s, atol=None):
+    """I_s(d) with the panel count doubled until two passes agree to atol (default 1e-14 of the value).
+
+    The first pass's panels are half an oscillation period wide, or pi omega_c at small separation.
+    """
+    u = abs(bath.omega_c * d / bath.v)
+    n = max(4, math.ceil(_CUTOFF_IN_OMEGA_C * max(u, 1.0) / math.pi))
+    prev = _panel_sum(bath, d, s, n)
+    for _ in range(6):
+        n *= 2
+        cur = _panel_sum(bath, d, s, n)
+        if abs(cur - prev) <= (1e-14 * abs(cur) if atol is None else atol):
+            return cur
+        prev = cur
+    raise AssertionError(f"reference quadrature did not converge at d = {d!r}")
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1e-3, 0.3, 1e3])
+@pytest.mark.parametrize("omega_c, v", [(0.5, 1.5), (2.0, 0.7)])
+def test_series_matches_the_panel_quadrature(omega_c, v, temperature):
+    bath = OhmicBath(omega_c, v, temperature)
+    for s in (2, 3, 4):
+        scale = abs(reference_ohmic_integral(bath, 0.0, s))
+        for d in (0.0, 0.5, 3.0, 40.0, 300.0):
+            ref = reference_ohmic_integral(bath, d, s, atol=1e-14 * scale)
+            assert abs(_ohmic_integral(bath, d, s) - ref) <= 1e-12 * scale, (s, d)
+
+
 def test_quad_zero_temperature_zero_separation_moment():
     bath = OhmicBath(1.7, 1.0, 0.0, amplitude=1.3)
     got = ohmic_correlation_quad(bath, 0.0)
     assert abs(got - 1.3 * 2 * bath.omega_c ** 2) / got < 1e-12
-
-
-def test_quad_even_in_separation_and_rule_read_only():
-    from decolab.spectral import _gauss_legendre
-
-    bath = OhmicBath(1.0, 1.0, 0.3)
-    for d in (0.0, 0.5, 3.0, 40.0):
-        assert ohmic_correlation_quad(bath, -d) == ohmic_correlation_quad(bath, d)
-    # the rule is shared by every later integral, so no caller may write to it
-    for arr in _gauss_legendre():
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
 
 
 _EVEN_FORMS = {
@@ -152,48 +190,30 @@ def test_ohmic_bath_rejects_an_unknown_form():
         OhmicBath(1, 1, 0.3, form="bogus")
 
 
-def test_quad_scale_pass_runs_once_per_bath(monkeypatch):
-    import decolab.spectral as spectral
-
-    scale_passes = []
-    refine = spectral._refine
-
-    def counting(bath, delta_r, atol, extra_power=0):
-        if atol == math.inf:
-            scale_passes.append(bath)
-        return refine(bath, delta_r, atol, extra_power)
-
-    monkeypatch.setattr(spectral, "_refine", counting)
+def test_quad_equal_baths_evaluate_their_own_memos_to_the_same_values():
     bath = OhmicBath(1.0, 1.0, 0.3)
-    first = [ohmic_correlation_quad(bath, d) for d in (0.0, 0.5, 3.0, 0.5)]
-    ohmic_spectrum_moments(bath)
-    assert len(scale_passes) == 1
-    # the tolerance belongs to the object: an equal bath computes its own, to the same values
+    first = [correlation(bath, d) for d in (0.0, 0.5, 3.0, 0.5)]
     twin = OhmicBath(1.0, 1.0, 0.3)
-    assert [ohmic_correlation_quad(twin, d) for d in (0.0, 0.5, 3.0, 0.5)] == first
-    assert len(scale_passes) == 2 and scale_passes[1] is twin
+    assert [correlation(twin, d) for d in (0.0, 0.5, 3.0, 0.5)] == first
+    # the memos belong to the object: an equal bath computes its own
+    assert twin._correlation is not bath._correlation
+    assert spectrum(twin) == spectrum(bath) and spectrum(twin) is not spectrum(bath)
 
 
-def test_quad_panel_budget_fails_before_any_pass(monkeypatch):
-    import decolab.spectral as spectral
-    from decolab.errors import ConvergenceError
-
-    bath = OhmicBath(1.0, 1.0, 0.3)
-    # ~1.1e9 panels (27e9 nodes) from the start: no pass of that size may be built
-    assert spectral._panel_count(bath, 1e8) > spectral._QUAD_MAX_PANELS
-    sizes = []
-    integral = spectral._ohmic_panel_integral
-
-    def guarded(bath_, delta_r, n_panels, extra_power=0):
-        assert n_panels <= spectral._QUAD_MAX_PANELS
-        sizes.append(n_panels)
-        return integral(bath_, delta_r, n_panels, extra_power)
-
-    monkeypatch.setattr(spectral, "_ohmic_panel_integral", guarded)
-    for d in (1e8, -1e8):
-        with pytest.raises(ConvergenceError, match="panels"):
-            ohmic_correlation_quad(bath, d)
-    assert max(sizes) < 100  # only the zero-separation scale pass ran
+@pytest.mark.parametrize("bath", [OhmicBath(1.0, 1.0, 0.3), OhmicBath(2.0, 0.7, 5.0, amplitude=0.8),
+                                  OhmicBath(0.5, 1.5, 1e3)], ids=lambda b: f"T{b.temperature:g}")
+@pytest.mark.parametrize("u", [1e4, 1e8])
+def test_quad_tends_to_the_highT_form_at_large_separation(bath, u):
+    # at w << T the weight w coth(w/2T) is 2T + w^2/(6T): highT is the first term, and the second
+    # adds the relative correction -(omega_c / T)^2 / (2 u^2), 5.6e-8 at T = 0.3 omega_c and u = 1e4
+    d = u * bath.v / bath.omega_c
+    high = ohmic_correlation_highT(bath, d)
+    correction = (bath.omega_c / bath.temperature) ** 2 / (2.0 * u * u)
+    for sep in (d, -d):
+        quad = ohmic_correlation_quad(bath, sep)
+        assert abs(quad - high * (1.0 - correction)) <= 1e-9 * high
+        if correction < 1e-10:
+            assert abs(quad - high) <= 1e-9 * high
 
 
 def test_quad_matches_lowT_closed_form_at_zero_temperature():
