@@ -17,12 +17,12 @@ rho_s itself, on which alone its fidelity depends; average one projector per
 ensemble state), and the environment's Fock states, weighted by sqrt(p), are
 the columns that evolution propagates instead of a full density (weights at
 or below ENV_WEIGHT_CUTOFF are dropped).  The total Hamiltonian is
-diagonalised once per model per verify run (``ModelMemo`` shares it between
-scenarios), and per parity sector: every coupling term flips one qubit and
-adds or removes one boson, so (excited qubits + total boson number) mod 2 is
+diagonalised per parity sector: every coupling term flips one qubit and adds
+or removes one boson, so (excited qubits + total boson number) mod 2 is
 conserved and the two sectors are diagonalised as independent half-size
-blocks.  The Hamiltonian does not depend on the temperature, so
-``ModelMemo`` diagonalises it once for every temperature a run lists.
+blocks.  ``ModelMemo`` holds the current model's diagonalisation: the
+consecutive scenarios of a verify run on one model share it, at any
+temperature, and a model the run comes back to is diagonalised again.
 Memory, for a model of dimension n: the model keeps one n x n complex matrix
 (the coupling) and its free parts as two energy vectors.  Each sector's n/2
 x n/2 block is the coupling's block with the free energies on its diagonal
@@ -64,9 +64,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -638,51 +637,31 @@ def _scale_moment(model: ModelHamiltonian, rho_env: DenseOperator) -> float:
 
 
 class ModelMemo:
-    """Shared oracle state per truncated model, for the scenarios of one verify run.
+    """The current truncated model's oracle state, shared by consecutive scenarios of one verify run.
 
-    Each model is built and diagonalised once and held only while a listed
-    scenario still needs it, so grouped scenarios keep a single dense model
-    alive.  The Hamiltonian and its eigendecomposition do not depend on the
-    temperature, so models that differ only in it share them, and each keeps
-    its own thermal state and scale moment.  A model no listed scenario names
-    (such as a convergence re-run) is built for its one use.  Results never
-    depend on a hit.
+    It holds one model and its eigendecomposition, keyed without the temperature, on which the Hamiltonian
+    does not depend, and one temperature's thermal state and scale moment.  Another model drops both before
+    it is built, so a run never holds two dense models, and a list that comes back to a model rebuilds it.
     """
 
-    def __init__(self, scenarios: Sequence[Scenario] = ()):
-        self._uses = Counter()
-        self._spectrum_uses = Counter()
-        for s in scenarios:
-            try:
-                n_max = resolve_n_max(s.modes, s.lattice.n_qubits, s.n_max)
-            except ConvergenceError:
-                continue  # a level over the dimension cap raises again in the scenario's own row
-            self._uses[s.lattice, s.modes, n_max] += 1
-            self._spectrum_uses[s.lattice, s.modes.modes, n_max] += 1
-        self._runs: dict[tuple, tuple] = {}
-        self._spectra: dict[tuple, tuple] = {}  # (model, eigendecomposition) per temperature-free key
+    def __init__(self):
+        self._spectrum: tuple | None = None  # ((lattice, modes.modes, n_max), (model, eigendecomposition))
+        self._run: tuple | None = None  # ((lattice, modes, n_max), what ``get`` returns)
 
     def get(self, lattice: QubitLattice, modes: BathModeSet, n_max: int) -> tuple:
         """(model, thermal environment state, scale moment, eigendecomposition)."""
         key, shared = (lattice, modes, n_max), (lattice, modes.modes, n_max)
-        spectrum = self._spectra.pop(shared, None)
-        run = self._runs.pop(key, None)
-        if run is None:
-            if spectrum is None:
-                model = build_hamiltonian(lattice, modes, n_max)
-                spectrum = model, _Propagated(model)
-            model, prop = spectrum
+        if self._spectrum is None or self._spectrum[0] != shared:
+            self._spectrum = self._run = None  # the held model goes before the next one is built
+            model = build_hamiltonian(lattice, modes, n_max)
+            self._spectrum = shared, (model, _Propagated(model))
+        if self._run is None or self._run[0] != key:
+            model, prop = self._spectrum[1]
             if model.modes != modes:  # the same Hamiltonian at another temperature
                 model = replace(model, modes=modes)
             rho_env = model.thermal_env_state()
-            run = model, rho_env, _scale_moment(model, rho_env), prop
-        self._uses[key] -= 1
-        self._spectrum_uses[shared] -= 1
-        if self._uses[key] > 0:
-            self._runs[key] = run
-        if self._spectrum_uses[shared] > 0 and spectrum is not None:
-            self._spectra[shared] = spectrum
-        return run
+            self._run = key, (model, rho_env, _scale_moment(model, rho_env), prop)
+        return self._run[1]
 
 
 def verify_expansion(scenario: Scenario, check_convergence: bool = False,
@@ -696,10 +675,9 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False,
     fitted coefficient move by less than 1e-8 relative (raises otherwise).
 
     ``memo`` shares the model, its eigendecomposition and the scale moment
-    with the other scenarios it lists.
+    with the scenarios run next to this one on the same model.
     """
-    if memo is None:
-        memo = ModelMemo()
+    memo = ModelMemo() if memo is None else memo
     result = _verify_once(scenario, memo)
     if check_convergence:
         again = _verify_once(replace(scenario, n_max=2 * result.n_max), memo)

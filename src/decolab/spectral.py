@@ -18,7 +18,8 @@ dispersion ``w = v k``; its correlation admits closed forms in the high- and
 low-temperature limits, and at any temperature it and the spectrum moments
 are exact series in the Hurwitz zeta function (``_ohmic_integral``).  The
 spectrum moments and the correlation at each ``|delta_r|`` are computed
-once per ``OhmicBath`` object, which the points of a ``d`` sweep share.
+once per ``OhmicBath`` object, which the points of a ``d`` sweep share.  One
+that leaves the float range raises ConfigError naming ``bath.ohmic``.
 
 Every correlation here is even in the separation, bit for bit, so a memo may
 key on ``|delta_r|``.
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import BathModeSet, _check_finite, correlation_fn_discrete, thermal_occupation_factor
 
 # "much greater / much smaller than one" thresholds for the regime ratios;
@@ -100,12 +102,26 @@ class OhmicBath:
 
     @functools.cached_property
     def _correlation(self):
-        """The form's correlation once per |delta_r|, looked up at call time so a rebound name is the one called."""
-        return functools.cache(lambda d: globals()[f"ohmic_correlation_{self.form}"](self, d))
+        """The form's correlation once per |delta_r|, looked up at call time so a rebound name is the one called.
+        Omega^2(0) is positive, so a 0 there has underflowed."""
+        return functools.cache(lambda d: _in_float_range(
+            f"Omega^2({d!r})", d == 0.0, lambda: globals()[f"ohmic_correlation_{self.form}"](self, d)))
 
     @functools.cached_property
     def _spectrum(self) -> GaussianSpectrum:
         return ohmic_spectrum_moments(self)
+
+
+def _in_float_range(what: str, positive: bool, evaluate):
+    """``evaluate()``, a float or a tuple of floats; ConfigError naming ``bath.ohmic`` if it overflows, divides by
+    an underflowed 0, or has a value that is not finite or, with ``positive``, not above 0."""
+    try:
+        value = evaluate()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not all(math.isfinite(v) and (v > 0.0 or not positive) for v in np.atleast_1d(value)):
+        raise ConfigError("bath.ohmic", f"{what} = {value} is beyond the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -153,6 +169,8 @@ def classify_regime(d: float, spec: GaussianSpectrum) -> RegimeReport:
         raise ValueError("degenerate spectrum (delta_k = 0) cannot be classified")
     dk_d = spec.delta_k * d
     kbar_d = spec.k_bar * d
+    if not (math.isfinite(dk_d) and math.isfinite(kbar_d)):
+        raise ValueError(f"(kbar_d, dk_d) = ({kbar_d}, {dk_d}) at d = {d!r} is beyond the float range")
     if dk_d >= INDEPENDENT_THRESHOLD:
         regime = REGIME_INDEPENDENT
     elif dk_d <= COLLECTIVE_THRESHOLD and kbar_d <= COLLECTIVE_THRESHOLD:
@@ -241,10 +259,12 @@ def ohmic_spectrum_moments(bath: OhmicBath) -> GaussianSpectrum:
     mapped to wavevectors through the linear dispersion:
     k_bar = <w>/v, delta_k = std(w)/v.
     """
-    m0, m1, m2 = (_ohmic_integral(bath, 0.0, s) for s in (2, 3, 4))
-    mean = m1 / m0
-    var = max(m2 / m0 - mean * mean, 0.0)
-    return GaussianSpectrum(mean / bath.v, math.sqrt(var) / bath.v, bath.amplitude * 2.0 * m0)
+    def moments():
+        m0, m1, m2 = (_ohmic_integral(bath, 0.0, s) for s in (2, 3, 4))
+        mean = m1 / m0
+        var = max(m2 / m0 - mean * mean, 0.0)
+        return mean / bath.v, math.sqrt(var) / bath.v, bath.amplitude * 2.0 * m0
+    return GaussianSpectrum(*_in_float_range("(k_bar, delta_k, x)", True, moments))
 
 
 def correlation(bath, delta_r: float) -> float:

@@ -4,10 +4,10 @@ Each suite is a list of named zero-argument tasks returning one report row
 ``{scenario, c2_analytic, c2_fitted, rel_err, pass}``.  Tasks are built
 deterministically from the seed up front, so they can run in any order and
 still produce identical rows in the listed order.  The tasks of one ``quick``
-or ``full`` list share a ``ModelMemo``, so scenarios on the same truncated
-model reuse its Hamiltonian and eigendecomposition.  Every truncation level
-comes from ``oracle.resolve_n_max``; the grid only lowers the tail policy's
-level further through ``GRID_NMAX_CAP``.
+or ``full`` list share a ``ModelMemo``, so consecutive scenarios on one
+truncated model reuse its Hamiltonian and eigendecomposition.  Every
+truncation level comes from ``oracle.resolve_n_max``; the grid only lowers
+the tail policy's level further through ``GRID_NMAX_CAP``.
 
 Row semantics per suite:
 
@@ -92,11 +92,11 @@ def _row(scenario: str, c2_analytic: float, c2_fitted: float, rel_err: float, pa
 
 
 def _verify_tasks(scenarios: list[Scenario], checked: tuple[str, ...] = ()) -> list[Task]:
-    """One task per scenario, all sharing one ModelMemo.
+    """One task per scenario, all sharing one ModelMemo: consecutive scenarios on one model share its build.
 
     Scenarios named in ``checked`` also re-run the fit at doubled n_max.
     """
-    memo = ModelMemo(scenarios)
+    memo = ModelMemo()
 
     def run(sc: Scenario) -> dict:
         r = verify_expansion(sc, sc.name in checked, memo)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -19,6 +20,7 @@ from decolab.cli import (
 )
 from decolab.config import parse_config
 from decolab.errors import ConfigError
+from decolab.fidelity import C2_ZERO_FLOOR
 from decolab.spectral import OhmicBath, ohmic_correlation_highT
 
 
@@ -449,6 +451,75 @@ def test_cli_ohmic_extreme_temperatures_stay_finite(tmp_path, capsys, temperatur
         at_one = outputs["correlation"][1]
         assert abs(float(at_one["omega2"]) - 2e300) <= 1e-12 * 2e300
         assert abs(float(at_one["normalized"]) - 0.5) <= 1e-12 * 0.5
+
+
+# the scan grid of an Ohmic bath across the float range: decades of omega_c and v, temperatures from 0 through
+# the smallest subnormal to 1e300, separations from 0 to 1e300
+_FLOAT_RANGE_OMEGA_C = (1e-300, 1e-100, 1.0, 1e10, 1e80, 1e300)
+_FLOAT_RANGE_V = (1e-300, 1.0, 1e300)
+_FLOAT_RANGE_T = (0.0, 5e-324, 0.3, 1e300)
+_FLOAT_RANGE_D = (0.0, 1e-300, 1.0, 1e300)
+
+
+def _ohmic_config(omega_c, v, temperature, d=1.0, **overrides):
+    return base_config(qubits=[{"position": 0.0}, {"position": d or 1.0}], h0_splittings=[],
+                       bath={"ohmic": {"omega_c": omega_c, "v": v, "temperature": temperature}}, state="ghz",
+                       fidelity_kind=["io", "entanglement", "average"], **overrides)
+
+
+def test_cli_ohmic_bath_across_the_float_range_prints_finite_cells_or_names_the_bath(tmp_path, capsys):
+    codes = set()
+    for omega_c, v, temperature, d in itertools.product(_FLOAT_RANGE_OMEGA_C, _FLOAT_RANGE_V, _FLOAT_RANGE_T,
+                                                        _FLOAT_RANGE_D):
+        path = write_config(tmp_path, _ohmic_config(omega_c, v, temperature, d))
+        commands = [["correlation", "--delta-r", repr(d)], ["rates"]] + ([["regime", "--d", repr(d)]] if d else [])
+        for command in commands:
+            code = main([command[0], "--config", path, *command[1:]])
+            out, err = capsys.readouterr()
+            where = (command, omega_c, v, temperature, d)
+            codes.add((command[0], code))
+            if code == EXIT_CONFIG:
+                prefixes = ["config error: bath.ohmic: "]
+                if command[0] == "regime":  # the classifier rejects its ratios for every bath kind, naming none
+                    prefixes.append("error: (kbar_d, dk_d) = ")
+                assert out == "" and err.startswith(tuple(prefixes)), where
+                assert err.endswith(" is beyond the float range\n"), where
+                continue
+            assert code == EXIT_OK and err == "", where
+            for row in csv.DictReader(io.StringIO(out)):
+                cells = {c: float(x) for c, x in row.items() if c not in ("scenario_id", "kind", "method", "regime")}
+                if "tau2" in cells and cells["c2"] < C2_ZERO_FLOOR:
+                    assert cells.pop("tau2") == math.inf, where  # a vanishing rate's damping time, by definition
+                assert all(math.isfinite(x) for x in cells.values()), where
+    assert codes == {(c, code) for c in ("correlation", "rates", "regime") for code in (EXIT_OK, EXIT_CONFIG)}
+
+
+def test_cli_ohmic_bath_beyond_the_float_range_exits_2_where_its_output_needs_it(tmp_path, capsys):
+    huge = write_config(tmp_path, _ohmic_config(1e300, 1.0, 0.3), "huge.json")
+    for command in (["correlation", "--delta-r", "1"], ["rates"], ["regime", "--d", "1"]):
+        assert main([command[0], "--config", huge, *command[1:]]) == EXIT_CONFIG
+        assert "bath.ohmic" in capsys.readouterr().err
+    # Omega^2(0) = 2 omega_c^2 = 2e160 fits, so the correlation prints; the moment I_4 ~ omega_c^4 does not
+    large = write_config(tmp_path, _ohmic_config(1e80, 1.0, 0.3), "large.json")
+    assert main(["correlation", "--config", large, "--delta-r", "0"]) == EXIT_OK
+    row = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))[0]
+    assert abs(float(row["omega2"]) - 2e160) <= 1e-12 * 2e160 and row["normalized"] == "1.0"
+    assert main(["regime", "--config", large, "--d", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bath.ohmic: (k_bar, delta_k, x) = ")
+    # omega_c T beyond the float range: Omega^2(0) overflows at any separation
+    hot = write_config(tmp_path, _ohmic_config(1e10, 1.0, 1e300), "hot.json")
+    for command in (["correlation", "--delta-r", "1"], ["rates"]):
+        assert main([command[0], "--config", hot, *command[1:]]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: bath.ohmic: Omega^2(0.0) = inf")
+
+
+def test_sweep_point_beyond_the_float_range_reports_its_error():
+    columns = ["c2", "tau2", "omega2", "normalized", "regime"]
+    cfg = _ohmic_config(1.0, 1.0, 0.3, sweep={"parameter": "bath.ohmic.omega_c", "values": [1.0, 1e300],
+                                              "columns": columns})
+    fits, beyond = cmd_sweep(parse_config(cfg))[0]
+    assert fits["error"] == "" and all(math.isfinite(fits[c]) for c in columns if c != "regime")
+    assert beyond["error"].startswith("bath.ohmic: ") and all(beyond[c] is None for c in columns)
 
 
 # --- highT at zero temperature -------------------------------------------------

@@ -439,7 +439,7 @@ def test_io_and_average_curves_match_dense_evolution():
     assert np.abs(avg.values - ref).max() < 1e-12
 
 
-def test_quick_suite_diagonalises_each_model_once(monkeypatch, tmp_path):
+def test_quick_suite_diagonalises_each_run_of_a_model_once(monkeypatch, tmp_path):
     from decolab import oracle
     from decolab.cli import main
 
@@ -447,13 +447,33 @@ def test_quick_suite_diagonalises_each_model_once(monkeypatch, tmp_path):
     init = oracle._Propagated.__init__
 
     def counting(self, model):
-        keys.append((model.lattice, model.modes, model.n_max))
+        keys.append((model.lattice, model.modes.modes, model.n_max))
         init(self, model)
 
     monkeypatch.setattr(oracle._Propagated, "__init__", counting)
     assert main(["verify", "--suite", "quick", "--out", str(tmp_path / "quick.csv")]) == 0
-    assert len(keys) == len(set(keys))
-    assert len(keys) < 8  # fewer models than rows: scenarios share them
+    assert all(a != b for a, b in zip(keys, keys[1:]))  # consecutive rows on one model share its diagonalisation
+
+
+def test_full_suite_holds_one_diagonalised_model_at_a_time(monkeypatch, tmp_path):
+    import weakref
+
+    from decolab import oracle
+    from decolab.cli import main
+
+    held = []
+    init = oracle._Propagated.__init__
+
+    def diagonalising(self, model):
+        assert all(ref() is None for ref in held)  # every earlier model is gone before the next is diagonalised
+        init(self, model)
+        held.append(weakref.ref(self))
+
+    monkeypatch.setattr(oracle._Propagated, "__init__", diagonalising)
+    assert main(["verify", "--suite", "full", "--out", str(tmp_path / "full.csv")]) == 0
+    # the grid's 12 Hamiltonians (per L: K=1 at three levels, K=2 at two, K=4 at one; the temperatures that
+    # share a level share one), the full-stack model, and the convergence gate's model at its n_max and twice that
+    assert len(held) == 15
 
 
 def test_time_batches_agree_with_single_time_steps(monkeypatch):
@@ -472,26 +492,42 @@ def test_time_batches_agree_with_single_time_steps(monkeypatch):
     assert np.abs(oracle.taylor_coefficients(prop, curve) - taylor).max() < 1e-14
 
 
-def test_model_memo_builds_each_model_once_interleaved(monkeypatch):
+def test_model_memo_holds_one_model_at_a_time(monkeypatch):
+    import weakref
+
     from decolab import oracle
 
     lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
     mode_sets = [BathModeSet((BathMode(0.0, 1.0, g),), 0.0) for g in (0.05, 0.07)]
-    scenarios = [Scenario(f"s{i}", "io", lattice, mode_sets[i % 2], ground_ket(1), n_max=2) for i in range(12)]
-    memo = oracle.ModelMemo(scenarios)
-    built = []
-    init = oracle._Propagated.__init__
+    order = (0, 0, 0, 1, 1, 0)
+    memo = oracle.ModelMemo()
+    built, held = [], []
+    build, init = oracle.build_hamiltonian, oracle._Propagated.__init__
 
-    def counting(self, model):
-        built.append(model.modes)
+    def building(lattice, modes, n_max):
+        assert all(ref() is None for ref in held)  # the held model is dropped before the next one is built
+        built.append(modes)
+        return build(lattice, modes, n_max)
+
+    def diagonalising(self, model):
         init(self, model)
+        held.append(weakref.ref(self))
 
-    monkeypatch.setattr(oracle._Propagated, "__init__", counting)
-    got = [memo.get(lattice, s.modes, 2) for s in scenarios]
-    assert len(built) == 2 and set(built) == set(mode_sets)  # one build per model
-    for i, run in enumerate(got):
-        assert run is got[i % 2] and run[0].modes == mode_sets[i % 2]
-    assert memo._runs == {}  # every planned use consumed: nothing kept alive
+    monkeypatch.setattr(oracle, "build_hamiltonian", building)
+    monkeypatch.setattr(oracle._Propagated, "__init__", diagonalising)
+    props = [weakref.ref(memo.get(lattice, mode_sets[i], 2)[3]) for i in order]
+    assert built == [mode_sets[i] for i in (0, 1, 0)]  # consecutive uses share one build; a key change rebuilds
+    assert props[5]() is held[2]() is not None  # the memo holds the current model, and only that one
+
+    def failing(lattice, modes, n_max):
+        raise ValueError("no model")
+
+    monkeypatch.setattr(oracle, "build_hamiltonian", failing)
+    with pytest.raises(ValueError, match="no model"):
+        memo.get(lattice, mode_sets[1], 2)
+    assert held[2]() is None  # a build that raises leaves the memo empty
+    monkeypatch.setattr(oracle, "build_hamiltonian", building)
+    assert memo.get(lattice, mode_sets[1], 2)[0].modes == mode_sets[1]
 
 
 def test_model_memo_shares_the_hamiltonian_across_temperatures(monkeypatch):
@@ -501,7 +537,7 @@ def test_model_memo_shares_the_hamiltonian_across_temperatures(monkeypatch):
     warm, hot = (BathModeSet((BathMode(0.0, 1.0, 0.05),), t) for t in (0.5, 2.0))
     scenarios = [Scenario(f"s{i}", "io", lattice, modes, ground_ket(1), n_max=3)
                  for i, modes in enumerate((warm, warm, hot))]
-    memo = oracle.ModelMemo(scenarios)
+    memo = oracle.ModelMemo()
     built = []
     init = oracle._Propagated.__init__
 
@@ -519,7 +555,6 @@ def test_model_memo_shares_the_hamiltonian_across_temperatures(monkeypatch):
         rho_env = direct.thermal_env_state()
         assert np.array_equal(run[1].matrix, rho_env.matrix)
         assert run[2] == oracle._scale_moment(direct, rho_env)
-    assert memo._runs == {} and memo._spectra == {}  # nothing kept alive once every use is consumed
 
 
 def test_advance_returns_one_at_time_zero_without_propagating(monkeypatch):

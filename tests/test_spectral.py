@@ -88,6 +88,14 @@ def test_classify_regime_cases(dk_d, kbar_d, expected):
     assert abs(report.kbar_d - kbar_d) < 1e-12
 
 
+@pytest.mark.parametrize("k_bar,delta_k", [(1e10, 1.0), (1.0, 1e10), (-1e10, 1.0)])
+def test_classify_regime_rejects_ratios_beyond_the_float_range(k_bar, delta_k):
+    # at d = 1e300 a ratio is infinite, whatever the bath kind: no inf cell reaches the output
+    with pytest.raises(ValueError, match=r"at d = 1e\+300 is beyond the float range"):
+        classify_regime(1e300, GaussianSpectrum(k_bar, delta_k, 1.0))
+    assert classify_regime(1e290, GaussianSpectrum(k_bar, delta_k, 1.0)).regime == "independent"
+
+
 def test_classify_thresholds_are_module_constants():
     assert INDEPENDENT_THRESHOLD == 10.0
     assert COLLECTIVE_THRESHOLD == 0.1
