@@ -17,6 +17,7 @@ cancels exactly rather than approximately.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -174,15 +175,11 @@ class BathModeSet:
         return tuple(partner)
 
 
-def _coth(x: float) -> float:
-    return 1.0 / math.tanh(x)
-
-
 def thermal_occupation_factor(omega: float, temperature: float) -> float:
     """coth(omega / 2T) = 2<N> + 1; equals 1 at T = 0."""
     if temperature == 0.0:
         return 1.0
-    return _coth(omega / (2.0 * temperature))
+    return 1.0 / math.tanh(omega / (2.0 * temperature))
 
 
 @dataclass(frozen=True)
@@ -254,12 +251,25 @@ class ModelHamiltonian:
         return kron_all(parts)
 
 
+def _coupling_stack(lattice: QubitLattice) -> np.ndarray:
+    """The L couplings A_l = lambda1 sx_l + lambda2 sy_l as one (L, 2^L, 2^L) array, [l] = ``embed(A, l, ...)``.
+
+    Qubit 0 is a basis index's most significant bit, and A_l flips bit l: A[1, 0] takes a 0 to a 1, A[0, 1] back.
+    """
+    a = lattice.coupling_matrix()
+    L = lattice.n_qubits
+    cols = np.arange(1 << L)
+    masks = 1 << np.arange(L - 1, -1, -1)[:, None]
+    stack = np.zeros((L, len(cols), len(cols)), dtype=np.complex128)
+    stack[np.arange(L)[:, None], cols ^ masks, cols] = np.where(cols & masks, a[0, 1], a[1, 0])
+    return stack
+
+
 def qubit_coupling_op(lattice: QubitLattice, l: int) -> DenseOperator:
     """lambda1 sx + lambda2 sy on qubit ``l``, embedded in the qubit space."""
     if l < 0 or l >= lattice.n_qubits:
         raise IndexError(f"qubit index {l} out of range for {lattice.n_qubits} qubits")
-    a = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
-    return embed(a, l, lattice.qubit_space())
+    return DenseOperator(lattice.qubit_space(), _coupling_stack(lattice)[l], hermitian=True)
 
 
 def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> ModelHamiltonian:
@@ -282,15 +292,13 @@ def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> 
 
     a1, _, _ = boson_ops(n_max)
     a_embedded = [embed(a1, j, mspace).matrix for j in range(K)]
-    coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
     h_i_m = np.zeros((space.dim, space.dim), dtype=np.complex128)
     de = mspace.dim
-    for l, r in enumerate(lattice.positions):
+    for r, a_l in zip(lattice.positions, _coupling_stack(lattice)):
         field_m = np.zeros((de, de), dtype=np.complex128)
         for j, m in enumerate(modes.modes):
             phase = np.exp(-1j * m.k * r)
             field_m += m.g * (phase * a_embedded[j] + np.conj(phase) * a_embedded[j].conj().T)
-        a_l = embed(coupling, l, qspace).matrix
         for i, j in zip(*np.nonzero(a_l)):  # np.kron(a_l, field_m) added block by block, zero blocks skipped
             h_i_m[i * de:(i + 1) * de, j * de:(j + 1) * de] += a_l[i, j] * field_m
     h_i = DenseOperator.hermitian_op(space, h_i_m)
@@ -307,22 +315,19 @@ def correlation_fn_discrete(modes: BathModeSet, delta_r: float) -> float:
     )
 
 
-def _covariances(ops: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """Re <dO_i dO_j> matrix; an imaginary residue above tolerance raises."""
-    n = len(ops)
-    means = np.array([np.trace(rho @ op) for op in ops])
+def _covariances(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re <dO_i dO_j> of a stack ``ops`` in two contractions (every rho O_i, then every tr[rho O_i O_j]);
+    an imaginary residue above tolerance raises."""
+    rho_ops = rho @ ops
+    means = np.trace(rho_ops, axis1=1, axis2=2)
     if np.abs(means.imag).max() > COVARIANCE_IMAG_ATOL:
         raise ValueError("coupling operators have non-real means against the state")
-    cov = np.empty((n, n))
-    for i in range(n):
-        rho_oi = rho @ ops[i]
-        for j in range(n):
-            raw = np.sum(rho_oi * ops[j].T)  # tr[rho O_i O_j]
-            val = raw - means[i] * means[j]
-            if abs(val.imag) > COVARIANCE_IMAG_ATOL:
-                raise ValueError(f"covariance ({i},{j}) has imaginary residue {val.imag:.3e}")
-            cov[i, j] = val.real
-    return cov
+    cov = np.einsum("iab,jba->ij", rho_ops, ops) - np.outer(means, means)
+    residue = np.abs(cov.imag) > COVARIANCE_IMAG_ATOL
+    if residue.any():
+        i, j = np.argwhere(residue)[0]
+        raise ValueError(f"covariance ({i},{j}) has imaginary residue {cov[i, j].imag:.3e}")
+    return cov.real
 
 
 def _rate_sum(coords: Sequence[float], cov: np.ndarray, omega2: Callable[[float], float]) -> float:
@@ -335,19 +340,18 @@ def _rate_sum(coords: Sequence[float], cov: np.ndarray, omega2: Callable[[float]
 
 
 def rate_from_correlation(lattice: QubitLattice, omega2: Callable[[float], float],
-                          rho_s: DenseOperator) -> float:
+                          rho_s: DenseOperator, stack: np.ndarray | None = None) -> float:
     """Factorized damping rate for an arbitrary spatial correlation function.
 
     ``(1/2) sum_{l1,l2} omega2(r_l1 - r_l2) <dA_l1 dA_l2>`` over single
     qubits; equals the variance-form damping coefficient when ``omega2`` is
     the bath's thermal correlation.  The coupling operators of distinct qubits
     commute, so the plain (unsymmetrized) covariance is real; a residue above
-    1e-10 is rejected.
+    1e-10 is rejected.  A caller rating several states passes the lattice's ``_coupling_stack`` once built.
     """
     if rho_s.space != lattice.qubit_space():
         raise ValueError("state space does not match the lattice qubit space")
-    ops = [qubit_coupling_op(lattice, l).matrix for l in range(lattice.n_qubits)]
-    cov = _covariances(ops, rho_s.matrix)
+    cov = _covariances(_coupling_stack(lattice) if stack is None else stack, rho_s.matrix)
     return _rate_sum(lattice.positions, cov, omega2)
 
 
@@ -379,11 +383,9 @@ def pair_rate(lattice: QubitLattice, modes: BathModeSet, rho_s: DenseOperator,
         raise ValueError("state space does not match the lattice qubit space")
     if omega2 is None:
         omega2 = lambda d: correlation_fn_discrete(modes, d)
-    ops = []
     centers = []
     x = omega2(0.0)
     for a, b in _pairs(lattice):
-        ops.append(qubit_coupling_op(lattice, a).matrix + qubit_coupling_op(lattice, b).matrix)
         centers.append(0.5 * (lattice.positions[a] + lattice.positions[b]))
         intra = lattice.positions[b] - lattice.positions[a]
         if x != 0.0 and abs(omega2(intra) - x) > PAIR_CONSTANT_RTOL * abs(x):
@@ -392,7 +394,8 @@ def pair_rate(lattice: QubitLattice, modes: BathModeSet, rho_s: DenseOperator,
                 f"{centers[-1]}; the pair-constant approximation is outside its regime",
                 stacklevel=2,
             )
-    cov = _covariances(ops, rho_s.matrix)
+    stack = _coupling_stack(lattice)
+    cov = _covariances(stack[0::2] + stack[1::2], rho_s.matrix)  # A_l + A_l' for each pair (l, l') of _pairs
     return _rate_sum(centers, cov, omega2)
 
 
@@ -402,18 +405,9 @@ def pair_encode(logical: Ket, lattice: QubitLattice) -> Ket:
     In the eigenbasis of the coupling A the rule is |-> -> |-,+> and
     |+> -> |+,->, so every output is annihilated by each pair sum A_l + A_l'.
     """
-    pairs = _pairs(lattice)
-    n_logical = len(pairs)
+    n_logical = len(_pairs(lattice))
     if logical.space.factor_dims != (2,) * n_logical:
-        raise ValueError(
-            f"logical state has factors {logical.space.factor_dims}, expected {n_logical} qubits"
-        )
+        raise ValueError(f"logical state has factors {logical.space.factor_dims}, expected {n_logical} qubits")
     minus, plus = lattice.coupling_eigenstates()
-    step = (
-        np.outer(np.kron(minus, plus), minus.conj())
-        + np.outer(np.kron(plus, minus), plus.conj())
-    )
-    enc = step
-    for _ in range(n_logical - 1):
-        enc = np.kron(enc, step)
-    return Ket(lattice.qubit_space(), enc @ logical.amplitudes)
+    step = np.outer(np.kron(minus, plus), minus.conj()) + np.outer(np.kron(plus, minus), plus.conj())
+    return Ket(lattice.qubit_space(), functools.reduce(np.kron, [step] * n_logical) @ logical.amplitudes)

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -580,6 +581,24 @@ def test_correlation_ohmic_lowT_zero_crossing():
                                       "form": "lowT"}})
     rows = cmd_correlation(parse_config(cfg), [1.0])
     assert abs(rows[0]["omega2"]) < 1e-15
+
+
+@pytest.mark.parametrize("ohmic, delta_r, exact", [
+    # lowT at T = 0: u^2 = 1e200 fits, (1 + u^2)^2 does not; the value is about -2e-200
+    pytest.param({"omega_c": 1.0, "v": 1.0, "temperature": 0.0, "form": "lowT"}, "1e100",
+                 lambda u: 2 * (1 - u * u) / (1 + u * u) ** 2, id="lowT"),
+    # highT at d = 0: omega_c^2 = 1e400 does not fit, 4 T omega_c = 4e300 does
+    pytest.param({"omega_c": 1e200, "v": 1.0, "temperature": 1e100, "form": "highT"}, "0",
+                 lambda u: 4 * Fraction(1e100) * Fraction(1e200) / (1 + u * u), id="highT"),
+])
+def test_cli_closed_forms_divide_before_they_square(tmp_path, capsys, ohmic, delta_r, exact):
+    path = write_config(tmp_path, base_config(bath={"ohmic": ohmic}))
+    assert main(["correlation", "--config", path, "--delta-r", delta_r]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    omega2 = float(list(csv.DictReader(io.StringIO(captured.out)))[0]["omega2"])
+    expected = float(exact(Fraction(ohmic["omega_c"]) * Fraction(float(delta_r)) / Fraction(ohmic["v"])))
+    assert math.isfinite(omega2) and abs(omega2 - expected) <= 1e-12 * abs(expected)
 
 
 def test_correlation_discrete_cosine_profile():

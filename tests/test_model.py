@@ -11,6 +11,8 @@ from decolab.model import (
     BathModeSet,
     ModelHamiltonian,
     QubitLattice,
+    _covariances,
+    _coupling_stack,
     build_hamiltonian,
     correlation_fn_discrete,
     decoherence_rate,
@@ -209,20 +211,82 @@ def test_block_is_the_total_hamiltonian_entry_for_entry(monkeypatch):
         run()
 
 
+def _kron_coupling(model):
+    """sum_l np.kron(A_l, field_l) at full size, with each A_l embedded by np.kron: what build_hamiltonian adds
+    block by block."""
+    a1, _, _ = boson_ops(model.n_max)
+    a = [embed(a1, j, model.env_space()).matrix for j in range(model.modes.n_modes)]
+    coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), model.lattice.coupling_matrix())
+    expected = np.zeros_like(model.h_i.matrix)
+    for l, r in enumerate(model.lattice.positions):
+        field = np.zeros_like(a[0])
+        for j, m in enumerate(model.modes.modes):
+            phase = np.exp(-1j * m.k * r)
+            field += m.g * (phase * a[j] + np.conj(phase) * a[j].conj().T)
+        expected += np.kron(embed(coupling, l, model.system_space()).matrix, field)
+    return expected
+
+
 def test_coupling_equals_the_kron_sum_over_qubits():
-    # the reference: sum_l np.kron(A_l, field_l) at full size, which build_hamiltonian adds block by block
     for model in _suite_models():
-        a1, _, _ = boson_ops(model.n_max)
-        a = [embed(a1, j, model.env_space()).matrix for j in range(model.modes.n_modes)]
-        coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), model.lattice.coupling_matrix())
-        expected = np.zeros_like(model.h_i.matrix)
-        for l, r in enumerate(model.lattice.positions):
-            field = np.zeros_like(a[0])
-            for j, m in enumerate(model.modes.modes):
-                phase = np.exp(-1j * m.k * r)
-                field += m.g * (phase * a[j] + np.conj(phase) * a[j].conj().T)
-            expected += np.kron(embed(coupling, l, model.system_space()).matrix, field)
-        assert model.h_i.matrix.tobytes() == expected.tobytes()
+        assert model.h_i.matrix.tobytes() == _kron_coupling(model).tobytes()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("lambdas", [(1.0, 0.5), (0.0, 1.3), (-0.7, 0.0), (0.4, -1.1)])
+def test_coupling_from_the_stack_equals_the_kron_form(n_qubits, lambdas):
+    lattice = QubitLattice(tuple(0.6 * l for l in range(n_qubits)), *lambdas, (1.0, 0.8, 1.2)[:n_qubits])
+    model = build_hamiltonian(lattice, BathModeSet.symmetric([(1.3, 1.1, 0.04), (0.0, 0.9, 0.03)], 0.5), 2)
+    assert model.h_i.matrix.tobytes() == _kron_coupling(model).tobytes()
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_coupling_stack_is_each_embedded_coupling(n_qubits):
+    for lambdas in ((1.0, 0.5), (0.0, 1.3), (-0.7, 0.0), (0.4, -1.1), (0.0, 0.0)):
+        lattice = QubitLattice(tuple(float(l) for l in range(n_qubits)), *lambdas)
+        coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
+        stack = _coupling_stack(lattice)
+        assert stack.shape == (n_qubits, 2 ** n_qubits, 2 ** n_qubits)
+        for l in range(n_qubits):
+            expected = embed(coupling, l, lattice.qubit_space()).matrix  # np.kron may sign its zeros: compare values
+            assert np.array_equal(stack[l], expected)
+            assert np.array_equal(qubit_coupling_op(lattice, l).matrix, expected)
+
+
+def _dense_covariances(lattice, rho):
+    """Re <dA_i dA_j> one pair at a time, each A_l embedded by np.kron."""
+    coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
+    ops = [embed(coupling, l, lattice.qubit_space()).matrix for l in range(lattice.n_qubits)]
+    means = [np.trace(rho @ op).real for op in ops]
+    return np.array([[np.trace(rho @ oi @ oj).real - mi * mj for oj, mj in zip(ops, means)]
+                     for oi, mi in zip(ops, means)])
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def test_stacked_covariances_match_the_dense_per_pair_reference(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    n = 2 ** n_qubits
+    lambda_pairs = [(0.0, rng.normal()), (rng.normal(), 0.0)] + [tuple(rng.normal(size=2)) for _ in range(3)]
+    for lambdas in lambda_pairs:
+        lattice = QubitLattice(tuple(float(l) for l in range(n_qubits)), *lambdas)
+        for rank in (1, 2, n):  # pure, mixed, full rank
+            x = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            rho = x @ x.conj().T
+            rho = DenseOperator.density_op(lattice.qubit_space(), 0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+            got = _covariances(_coupling_stack(lattice), rho.matrix)
+            assert np.abs(got - _dense_covariances(lattice, rho.matrix)).max() <= 1e-13
+
+
+def test_covariances_reject_non_real_means_and_name_the_imaginary_pair():
+    space = HilbertSpace((2, 2))
+    xx = np.kron(pauli("x").matrix, pauli("x").matrix)
+    lattice = QubitLattice((0.0, 1.0), 1.0, 0.0)
+    skewed = DenseOperator(space, np.eye(4) / 4 + 0.25j * np.kron(pauli("x").matrix, np.eye(2)))  # <sx_0> = i
+    with pytest.raises(ValueError, match=r"^coupling operators have non-real means against the state$"):
+        rate_from_correlation(lattice, lambda d: 1.0, skewed)
+    crossed = DenseOperator(space, np.eye(4) / 4 + 0.05j * xx)  # real means, tr[rho sx_0 sx_1] = 0.2i
+    with pytest.raises(ValueError, match=r"^covariance \(0,1\) has imaginary residue 2\.000e-01$"):
+        rate_from_correlation(lattice, lambda d: 1.0, crossed)
 
 
 def test_free_energies_are_the_dense_free_diagonals():
