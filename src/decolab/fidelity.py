@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import QubitLattice, _coupling_stack, rate_from_correlation
+from .model import QubitLattice, rate_from_correlation
 from .operators import DenseOperator, Ket, variance_form, _env_mean_square, _nonnegative, _second_moment
 
 # rates below this are reported as zero (infinite characteristic time)
@@ -136,9 +136,8 @@ def closed_form_c2(kind: str, state, h_i: DenseOperator, rho_env: DenseOperator)
 
 
 def factorized_c2(kind: str, state, lattice: QubitLattice, omega2) -> float:
-    """The members' weighted factorized rates under the spatial correlation ``omega2``, on one coupling stack."""
-    stack = _coupling_stack(lattice)
-    return sum(p * rate_from_correlation(lattice, omega2, _density(psi), stack) for p, psi in kind_members(kind, state))
+    """The members' weighted factorized rates under the spatial correlation ``omega2``."""
+    return sum(p * rate_from_correlation(lattice, omega2, _density(psi)) for p, psi in kind_members(kind, state))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ cancels exactly rather than approximately.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -175,11 +174,15 @@ class BathModeSet:
         return tuple(partner)
 
 
+def _coth(x: float) -> float:
+    return 1.0 / math.tanh(x)
+
+
 def thermal_occupation_factor(omega: float, temperature: float) -> float:
     """coth(omega / 2T) = 2<N> + 1; equals 1 at T = 0."""
     if temperature == 0.0:
         return 1.0
-    return 1.0 / math.tanh(omega / (2.0 * temperature))
+    return _coth(omega / (2.0 * temperature))
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,8 @@ def qubit_coupling_op(lattice: QubitLattice, l: int) -> DenseOperator:
     """lambda1 sx + lambda2 sy on qubit ``l``, embedded in the qubit space."""
     if l < 0 or l >= lattice.n_qubits:
         raise IndexError(f"qubit index {l} out of range for {lattice.n_qubits} qubits")
-    return DenseOperator(lattice.qubit_space(), _coupling_stack(lattice)[l], hermitian=True)
+    a_l = _coupling_stack(lattice)[l].copy()  # a copy, so the rest of the stack is freed
+    return DenseOperator(lattice.qubit_space(), a_l, hermitian=True)
 
 
 def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> ModelHamiltonian:
@@ -316,13 +320,17 @@ def correlation_fn_discrete(modes: BathModeSet, delta_r: float) -> float:
 
 
 def _covariances(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Re <dO_i dO_j> of a stack ``ops`` in two contractions (every rho O_i, then every tr[rho O_i O_j]);
+    """Re <dO_i dO_j> of a stack ``ops``, one rho O_i at a time contracted against the whole stack for its row;
     an imaginary residue above tolerance raises."""
-    rho_ops = rho @ ops
-    means = np.trace(rho_ops, axis1=1, axis2=2)
+    means = np.empty(len(ops), dtype=np.complex128)
+    raw = np.empty((len(ops), len(ops)), dtype=np.complex128)
+    for i, op in enumerate(ops):
+        rho_oi = rho @ op
+        means[i] = np.trace(rho_oi)
+        raw[i] = np.einsum("ab,jba->j", rho_oi, ops)  # tr[rho O_i O_j] for every j
     if np.abs(means.imag).max() > COVARIANCE_IMAG_ATOL:
         raise ValueError("coupling operators have non-real means against the state")
-    cov = np.einsum("iab,jba->ij", rho_ops, ops) - np.outer(means, means)
+    cov = raw - np.outer(means, means)
     residue = np.abs(cov.imag) > COVARIANCE_IMAG_ATOL
     if residue.any():
         i, j = np.argwhere(residue)[0]
@@ -340,18 +348,18 @@ def _rate_sum(coords: Sequence[float], cov: np.ndarray, omega2: Callable[[float]
 
 
 def rate_from_correlation(lattice: QubitLattice, omega2: Callable[[float], float],
-                          rho_s: DenseOperator, stack: np.ndarray | None = None) -> float:
+                          rho_s: DenseOperator) -> float:
     """Factorized damping rate for an arbitrary spatial correlation function.
 
     ``(1/2) sum_{l1,l2} omega2(r_l1 - r_l2) <dA_l1 dA_l2>`` over single
     qubits; equals the variance-form damping coefficient when ``omega2`` is
     the bath's thermal correlation.  The coupling operators of distinct qubits
     commute, so the plain (unsymmetrized) covariance is real; a residue above
-    1e-10 is rejected.  A caller rating several states passes the lattice's ``_coupling_stack`` once built.
+    1e-10 is rejected.
     """
     if rho_s.space != lattice.qubit_space():
         raise ValueError("state space does not match the lattice qubit space")
-    cov = _covariances(_coupling_stack(lattice) if stack is None else stack, rho_s.matrix)
+    cov = _covariances(_coupling_stack(lattice), rho_s.matrix)
     return _rate_sum(lattice.positions, cov, omega2)
 
 
@@ -395,7 +403,8 @@ def pair_rate(lattice: QubitLattice, modes: BathModeSet, rho_s: DenseOperator,
                 stacklevel=2,
             )
     stack = _coupling_stack(lattice)
-    cov = _covariances(stack[0::2] + stack[1::2], rho_s.matrix)  # A_l + A_l' for each pair (l, l') of _pairs
+    stack[0::2] += stack[1::2]  # A_l + A_l' for each pair (l, l') of _pairs, in place
+    cov = _covariances(stack[0::2], rho_s.matrix)
     return _rate_sum(centers, cov, omega2)
 
 
@@ -405,9 +414,18 @@ def pair_encode(logical: Ket, lattice: QubitLattice) -> Ket:
     In the eigenbasis of the coupling A the rule is |-> -> |-,+> and
     |+> -> |+,->, so every output is annihilated by each pair sum A_l + A_l'.
     """
-    n_logical = len(_pairs(lattice))
+    pairs = _pairs(lattice)
+    n_logical = len(pairs)
     if logical.space.factor_dims != (2,) * n_logical:
-        raise ValueError(f"logical state has factors {logical.space.factor_dims}, expected {n_logical} qubits")
+        raise ValueError(
+            f"logical state has factors {logical.space.factor_dims}, expected {n_logical} qubits"
+        )
     minus, plus = lattice.coupling_eigenstates()
-    step = np.outer(np.kron(minus, plus), minus.conj()) + np.outer(np.kron(plus, minus), plus.conj())
-    return Ket(lattice.qubit_space(), functools.reduce(np.kron, [step] * n_logical) @ logical.amplitudes)
+    step = (
+        np.outer(np.kron(minus, plus), minus.conj())
+        + np.outer(np.kron(plus, minus), plus.conj())
+    )
+    enc = step
+    for _ in range(n_logical - 1):
+        enc = np.kron(enc, step)
+    return Ket(lattice.qubit_space(), enc @ logical.amplitudes)
