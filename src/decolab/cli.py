@@ -5,8 +5,9 @@ shortest round-trip float formatting, "inf" for infinite damping times, LF
 line endings and a header row even when there are no data rows.  Reruns with
 the same config and seed are byte-identical.
 
-Beyond "does it have explicit modes", the bath's kind is left to ``spectral``:
-its correlation comes from ``correlation``, its spectrum from ``spectrum``.
+``rates`` and ``sweep`` report every bath's factorized ``c2``, with no dense model.  Beyond "does it have
+explicit modes", which ``verify --config`` needs, the bath's kind is left to ``spectral``: its correlation comes
+from ``correlation``, its spectrum from ``spectrum``.
 
 Exit codes: 0 success, 2 config error, 3 verification failure,
 4 numerical non-convergence.
@@ -28,9 +29,10 @@ from .config import (
     set_config_path,
 )
 from .errors import ConfigError, ConvergenceError
-from .fidelity import closed_form_c2, damping_time, factorized_c2, kind_state
-from .model import BathModeSet, build_hamiltonian
-from .oracle import Scenario, dimension_cap, resolve_n_max  # noqa: F401  (perfbench calls cli.dimension_cap)
+from .fidelity import damping_time, factorized_c2, kind_state
+from .model import BathModeSet
+from .oracle import Scenario
+from .oracle import dimension_cap  # noqa: F401  (perfbench calls cli.dimension_cap)
 from .spectral import classify_regime, correlation, spectrum
 from .suites import SUITE_NAMES, _verify_tasks, suite_tasks
 
@@ -94,21 +96,13 @@ def _kind_state(cfg: ScenarioConfig, kind: str):
 
 
 def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
-    """One row per fidelity kind; a discrete bath's model is built once for all of them."""
-    if isinstance(cfg.bath, BathModeSet):
-        model = build_hamiltonian(cfg.lattice, cfg.bath, resolve_n_max(cfg.bath, cfg.lattice.n_qubits, cfg.n_max))
-        rho_env = model.thermal_env_state()
-        method = "closed-form"
-        c2_of = lambda kind, state: closed_form_c2(kind, state, model.h_i, rho_env)
-    else:
-        method = "factorized"
-        c2_of = lambda kind, state: factorized_c2(kind, state, cfg.lattice, lambda d: correlation(cfg.bath, d))
-    rows = []
-    for kind in cfg.fidelity_kinds:
-        c2 = c2_of(kind, _kind_state(cfg, kind))
-        rows.append({"scenario_id": cfg.name, "kind": kind, "c2": c2,
-                     "tau2": damping_time(c2), "method": method})
-    return rows
+    """One row per fidelity kind: the factorized ``c2`` under the bath's untruncated correlation ``Omega^2``."""
+    omega2 = lambda d: correlation(cfg.bath, d)
+    c2s = [factorized_c2(kind, _kind_state(cfg, kind), cfg.lattice, omega2) for kind in cfg.fidelity_kinds]
+    # the coupling scale is taken after the rates, so that their errors come first
+    scale = abs(omega2(0.0)) * (cfg.lattice.lambda1 ** 2 + cfg.lattice.lambda2 ** 2)
+    return [{"scenario_id": cfg.name, "kind": kind, "c2": c2, "tau2": damping_time(c2, scale), "method": "factorized"}
+            for kind, c2 in zip(cfg.fidelity_kinds, c2s)]
 
 
 def cmd_correlation(cfg: ScenarioConfig, delta_r: list[float]) -> list[dict]:
@@ -219,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; tasks run serially")
 
-    common(sub.add_parser("rates", help="closed-form or factorized damping coefficients"))
+    common(sub.add_parser("rates", help="factorized damping coefficients, one route for every bath"))
     p_corr = sub.add_parser("correlation", help="spatial correlation profile")
     common(p_corr)
     p_corr.add_argument("--delta-r", help="comma-separated separations (overrides config delta_r)")

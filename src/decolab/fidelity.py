@@ -22,16 +22,16 @@ import numpy as np
 from .model import QubitLattice, rate_from_correlation
 from .operators import DenseOperator, Ket, variance_form, _env_mean_square, _nonnegative, _second_moment
 
-# rates below this are reported as zero (infinite characteristic time)
+# damping_time reports a rate at most this fraction of its coupling scale as zero (infinite characteristic time)
 C2_ZERO_FLOOR = 1e-14
 INEQUALITY_SLACK = 1e-10
 ENSEMBLE_WEIGHT_ATOL = 1e-12
 ENSEMBLE_MIX_ATOL = 1e-10
 
 
-def damping_time(c2: float) -> float:
-    """Quadratic damping time c2**-0.5; infinite when the rate vanishes."""
-    return math.inf if c2 < C2_ZERO_FLOOR else c2 ** -0.5
+def damping_time(c2: float, scale: float) -> float:
+    """Quadratic damping time c2**-0.5; infinite when the rate vanishes against ``scale``, its coupling scale."""
+    return math.inf if c2 <= C2_ZERO_FLOOR * scale else c2 ** -0.5
 
 
 @dataclass(frozen=True)

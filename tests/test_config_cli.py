@@ -22,7 +22,7 @@ from decolab.cli import (
 from decolab.config import parse_config
 from decolab.errors import ConfigError
 from decolab.fidelity import C2_ZERO_FLOOR
-from decolab.spectral import OhmicBath, ohmic_correlation_highT
+from decolab.spectral import OhmicBath, correlation, ohmic_correlation_highT
 
 
 def base_config(**overrides):
@@ -98,7 +98,7 @@ def test_rates_single_qubit_vacuum():
     assert [r["kind"] for r in rows] == ["io", "entanglement"]
     for r in rows:
         assert abs(r["c2"] - 0.05 ** 2) < 1e-15
-        assert r["method"] == "closed-form"
+        assert r["method"] == "factorized"
         assert abs(r["tau2"] - 20.0) < 1e-9
 
 
@@ -131,15 +131,68 @@ def test_rates_average_requires_ensemble_for_generic_mixed_state():
     assert abs(rows[0]["c2"] - 0.05 ** 2) < 1e-15  # computational decomposition
 
 
-def test_rates_builds_a_discrete_model_once_for_all_kinds(monkeypatch):
-    import decolab.cli
+def _forbid_dense_models(monkeypatch):
+    """Make building or truncating a dense model raise."""
+    import decolab.model
+    import decolab.oracle
 
-    built = []
-    build = decolab.cli.build_hamiltonian
-    monkeypatch.setattr(decolab.cli, "build_hamiltonian", lambda *args: built.append(args) or build(*args))
+    def forbidden(*args):
+        raise AssertionError("a dense model was built")
+
+    monkeypatch.setattr(decolab.model, "build_hamiltonian", forbidden)
+    monkeypatch.setattr(decolab.oracle, "build_hamiltonian", forbidden)
+    monkeypatch.setattr(decolab.oracle, "resolve_n_max", forbidden)
+
+
+def test_rates_builds_no_discrete_model(monkeypatch):
+    _forbid_dense_models(monkeypatch)
     rows = cmd_rates(parse_config(base_config(fidelity_kind=["io", "entanglement", "average"])))
     assert [r["kind"] for r in rows] == ["io", "entanglement", "average"]
-    assert len(built) == 1
+    assert all(r["method"] == "factorized" and abs(r["c2"] - 0.05 ** 2) < 1e-15 for r in rows)
+
+
+def test_rates_answers_a_discrete_bath_beyond_the_dimension_cap(tmp_path, capsys):
+    from decolab.errors import ConvergenceError
+    from decolab.fidelity import factorized_c2
+    from decolab.model import correlation_fn_discrete
+    from decolab.oracle import resolve_n_max
+
+    # the README demo config plus one mirrored mode pair
+    modes = [{"k": k, "omega": omega, "g": g} for k, omega, g in
+             ((1.3, 1.1, 0.04), (-1.3, 1.1, 0.04), (0.6, 0.9, 0.03), (-0.6, 0.9, 0.03))]
+    cfg = base_config(name="demo", qubits=[{"position": 0.0}, {"position": 0.7}], lambda2=0.5,
+                      h0_splittings=[1.0, 0.8], bath={"discrete": {"temperature": 0.5, "modes": modes}},
+                      state="ghz", fidelity_kind=["io", "entanglement", "average"])
+    parsed = parse_config(cfg)
+    with pytest.raises(ConvergenceError, match="exceeds the cap 4096"):  # a dense model of this bath cannot be built
+        resolve_n_max(parsed.bath, parsed.lattice.n_qubits, None)
+    assert main(["rates", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert err == "" and [r["kind"] for r in rows] == ["io", "entanglement", "average"]
+    c2 = factorized_c2("io", parsed.state, parsed.lattice, lambda d: correlation_fn_discrete(parsed.bath, d))
+    assert all(r["method"] == "factorized" and float(r["c2"]) == c2 for r in rows)
+
+
+def test_discrete_d_sweep_builds_no_model(monkeypatch):
+    from decolab.fidelity import factorized_c2
+    from decolab.model import correlation_fn_discrete
+
+    _forbid_dense_models(monkeypatch)
+    ds = [0.05 * 1.5 ** i for i in range(12)]
+    cfg = base_config(qubits=[{"position": 0.1 * i} for i in range(4)], h0_splittings=[],
+                      bath={"discrete": {"temperature": 0.5, "modes": [{"k": 1.3, "omega": 1.1, "g": 0.04},
+                                                                       {"k": -1.3, "omega": 1.1, "g": 0.04}]}},
+                      state="encoded", fidelity_kind="entanglement",
+                      sweep={"parameter": "d", "values": ds, "columns": ["c2", "tau2", "method"]})
+    parsed = parse_config(cfg)
+    rows, _ = cmd_sweep(parsed)
+    assert [r["error"] for r in rows] == [""] * len(ds)
+    assert all(r["method"] == "factorized" for r in rows)
+    for d, row in zip(ds, rows):
+        point = parsed.with_spacing(d)
+        assert row["c2"] == factorized_c2("entanglement", point.state, point.lattice,
+                                          lambda r: correlation_fn_discrete(point.bath, r))
 
 
 def test_d_sweep_builds_the_state_once(monkeypatch):
@@ -175,6 +228,14 @@ def test_rates_io_rejects_mixed_state():
     cfg = base_config(state="maximally_mixed", fidelity_kind="io")
     with pytest.raises(ConfigError):
         cmd_rates(parse_config(cfg))
+
+
+def test_cli_weak_bath_keeps_a_finite_damping_time(tmp_path, capsys):
+    # omega_c = 1e-10: c2 = 4e-20 is far below an absolute floor of 1e-14 but not below the bath's own scale
+    cfg = base_config(qubits=[{"position": 0.0}, {"position": 1.0}], h0_splittings=[1.0, 1.0],
+                      bath={"ohmic": {"omega_c": 1e-10, "v": 1.0, "temperature": 0.0}}, state="ghz")
+    assert main(["rates", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert capsys.readouterr() == ("scenario_id,kind,c2,tau2,method\nt,io,4e-20,5000000000.0,factorized\n", "")
 
 
 def test_rates_ohmic_factorized():
@@ -489,7 +550,8 @@ def test_cli_ohmic_bath_across_the_float_range_prints_finite_cells_or_names_the_
             assert code == EXIT_OK and err == "", where
             for row in csv.DictReader(io.StringIO(out)):
                 cells = {c: float(x) for c, x in row.items() if c not in ("scenario_id", "kind", "method", "regime")}
-                if "tau2" in cells and cells["c2"] < C2_ZERO_FLOOR:
+                if "tau2" in cells and cells["c2"] <= C2_ZERO_FLOOR * abs(correlation(parse_config(
+                        _ohmic_config(omega_c, v, temperature, d)).bath, 0.0)):  # lambda1 = 1, lambda2 = 0
                     assert cells.pop("tau2") == math.inf, where  # a vanishing rate's damping time, by definition
                 assert all(math.isfinite(x) for x in cells.values()), where
     assert codes == {(c, code) for c in ("correlation", "rates", "regime") for code in (EXIT_OK, EXIT_CONFIG)}
@@ -741,7 +803,7 @@ def test_cli_nmax_cap_env(monkeypatch, tmp_path):
     monkeypatch.setenv("DECOLAB_NMAX_CAP", "8")
     cfg = base_config(n_max=12)
     path = write_config(tmp_path, cfg)
-    assert main(["rates", "--config", path]) == 4  # 13 levels > cap 8
+    assert main(["verify", "--config", path]) == 4  # 13 levels > cap 8
 
 
 def test_cli_malformed_nmax_cap_is_config_error(monkeypatch, capsys):
@@ -915,16 +977,25 @@ def test_encoding_rows_do_not_depend_on_run_order():
     assert forward == backward[::-1]
 
 
-def test_rates_rejects_unconverged_auto_truncation(tmp_path):
-    # 4 warm modes: the tail policy needs a space beyond the cap, and silently
-    # under-truncating the closed form would be wrong
+def test_only_verify_rejects_unconverged_auto_truncation(tmp_path, capsys):
+    # 4 warm modes: the tail policy needs a space beyond the cap, and silently under-truncating the oracle's
+    # model would be wrong; rates reports the untruncated bath, which n_max does not touch
+    from decolab.fidelity import factorized_c2
+    from decolab.model import correlation_fn_discrete
+
     cfg = base_config(bath={"discrete": {"temperature": 2.0, "modes": [
         {"k": k, "omega": 1.0, "g": 0.02} for k in (0.9, -0.9, 1.6, -1.6)]}})
     path = write_config(tmp_path, cfg)
-    assert main(["rates", "--config", path]) == 4
-    cfg["n_max"] = 2  # explicit request fits and is honored
-    path2 = write_config(tmp_path, cfg, "cfg2.json")
-    assert main(["rates", "--config", path2, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert main(["verify", "--config", path]) == 4
+    capsys.readouterr()
+    assert main(["rates", "--config", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    parsed = parse_config(cfg)
+    c2 = factorized_c2("io", parsed.state, parsed.lattice, lambda d: correlation_fn_discrete(parsed.bath, d))
+    assert float(list(csv.DictReader(io.StringIO(out)))[0]["c2"]) == c2
+    cfg["n_max"] = 2
+    assert main(["rates", "--config", write_config(tmp_path, cfg, "cfg2.json")]) == EXIT_OK
+    assert capsys.readouterr().out == out
 
 
 def test_cli_regime_degenerate_spectrum_is_config_error(tmp_path):

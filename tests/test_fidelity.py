@@ -51,7 +51,7 @@ def test_io_zero_coupling(x_model):
     h0 = DenseOperator.hermitian_op(HilbertSpace((2, N_MAX + 1)), np.zeros((2 * (N_MAX + 1),) * 2))
     out = input_output_c2(ket(1, 0), h0, vac)
     assert out == 0.0
-    assert damping_time(out) == math.inf
+    assert damping_time(out, 0.0) == math.inf
 
 
 def test_io_transverse_vacuum_coefficient(x_model):
@@ -59,7 +59,7 @@ def test_io_transverse_vacuum_coefficient(x_model):
     out = input_output_c2(ket(1, 0), h, vac)
     assert type(out) is float
     assert abs(out - G * G) < 1e-15
-    assert abs(damping_time(out) - 1.0 / G) < 1e-10
+    assert abs(damping_time(out, 2 * G * G) - 1.0 / G) < 1e-10  # scale Omega^2(0) = 2 g^2 at T = 0
 
 
 def test_io_coupling_eigenstate_gives_zero():
@@ -183,8 +183,12 @@ def test_ensemble_validation():
 
 
 def test_tau2_reporting():
-    assert damping_time(0.0) == math.inf
-    assert damping_time(4.0) == 0.5
+    assert damping_time(0.0, 0.0) == math.inf
+    assert damping_time(0.0, 1.0) == math.inf
+    assert damping_time(4.0, 1.0) == 0.5
+    # the floor is relative to the coupling scale: a weak bath keeps a finite damping time
+    assert damping_time(4e-20, 2e-20) == 5e9
+    assert damping_time(4e-20, 1.0) == math.inf
 
 
 @pytest.mark.parametrize("kind", ["entangelment", "factorized-rate"])
