@@ -11,10 +11,9 @@ from .errors import ConfigError, ConvergenceError
 from .fidelity import (
     Ensemble,
     RateInequalityReport,
-    average_c2,
     check_rate_inequality,
-    entanglement_c2,
-    input_output_c2,
+    closed_form_c2,
+    factorized_c2,
 )
 from .model import (
     BathMode,
@@ -23,10 +22,8 @@ from .model import (
     QubitLattice,
     build_hamiltonian,
     correlation_fn_discrete,
-    decoherence_rate,
     pair_encode,
     pair_rate,
-    qubit_coupling_op,
     rate_from_correlation,
 )
 from .operators import (
@@ -42,7 +39,6 @@ from .operators import (
     pauli,
     purify,
     thermal_boson_state,
-    variance_form,
 )
 from .oracle import (
     ExpansionEstimate,

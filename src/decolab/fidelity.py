@@ -1,26 +1,28 @@
 """Short-time damping coefficients of three decoherence fidelities.
 
 Every fidelity here admits the expansion ``F(t) = 1 - c2 t^2 + O(t^3)``,
-with no linear term; ``c2`` is the coupling variance form evaluated against
-the appropriate system mean, and plays the role of a squared damping rate
-(``tau2 = c2**-0.5``).  The closed forms return ``c2`` itself, a float,
-rather than a characteristic time, so vanishing rates stay representable.
+with no linear term; ``c2`` plays the role of a squared damping rate
+(``tau2 = c2**-0.5``).  It is returned itself, a float, rather than a
+characteristic time, so vanishing rates stay representable.
 
 The kinds, ``FIDELITY_KINDS`` (io, entanglement, average), differ only in the
-state they act on and how they average over it.  The kind table below holds
-those rules, and only it: ``kind_state``, ``kind_members``, ``closed_form_c2``
-and ``factorized_c2``.  Each raises ValueError for any other kind name.
+weighted set of system states they average over, ``kind_members``.  Both
+forms of ``c2`` iterate those members: ``closed_form_c2``, the coupling
+variance against a model's coupling and environment state, and
+``factorized_c2``, the factorized rate under a spatial correlation function.
+The kind table below holds the rules, and only it: ``kind_state``,
+``kind_members`` and both forms raise ValueError for any other kind name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import QubitLattice, rate_from_correlation
-from .operators import DenseOperator, Ket, variance_form, _env_mean_square, _nonnegative, _second_moment
+from .operators import DenseOperator, Ket, _env_mean_square, _nonnegative, _second_moment
 
 # damping_time reports a rate at most this fraction of its coupling scale as zero (infinite characteristic time)
 C2_ZERO_FLOOR = 1e-14
@@ -63,46 +65,15 @@ class Ensemble:
         return DenseOperator.density_op(self.space, m, check_spectrum=False)
 
 
-def input_output_c2(psi0: Ket, h_i: DenseOperator, rho_env: DenseOperator) -> float:
-    """Quadratic damping of the pure-input fidelity: c2 = variance form."""
-    return variance_form(h_i, psi0.projector(), rho_env)
-
-
-def entanglement_c2(rho_s: DenseOperator, h_i: DenseOperator, rho_env: DenseOperator) -> float:
-    """Quadratic damping of the entanglement fidelity.
-
-    Intrinsic to ``rho_s``: the system mean in the variance form is taken
-    against the density itself, so no purification enters.
-    """
-    return variance_form(h_i, rho_s, rho_env)
-
-
-def average_c2(ensemble: Ensemble, h_i: DenseOperator, rho_env: DenseOperator) -> float:
-    """Quadratic damping of the ensemble-average fidelity.
-
-    The squared system mean is averaged per member, which makes the result
-    depend on the chosen decomposition, not only on the mixed density.
-    Equals the probability-weighted mean of the members' pure-input c2.
-    """
-    m2 = _second_moment(h_i, ensemble.density(), rho_env)  # also checks the flags and the factor layout
-    ds, de = ensemble.space.dim, rho_env.space.dim
-    h4 = h_i.matrix.reshape(ds, de, ds, de)
-    msq = 0.0
-    for p, psi in ensemble.members:
-        amp = psi.amplitudes
-        msq += p * _env_mean_square(rho_env, np.einsum("u,uesf,s->ef", amp.conj(), h4, amp))
-    return _nonnegative(m2 - msq, "damping coefficient")
-
-
 def _density(state) -> DenseOperator:
     return state.projector() if isinstance(state, Ket) else state
 
 
-# per kind: the inputs it accepts, their description, and the name of its closed form
+# per kind: the inputs it accepts and their description
 _KINDS = {
-    "io": (Ket, "a pure state", "input_output_c2"),
-    "entanglement": ((Ket, DenseOperator), "a pure state or a density", "entanglement_c2"),
-    "average": (Ensemble, "an ensemble", "average_c2"),
+    "io": (Ket, "a pure state"),
+    "entanglement": ((Ket, DenseOperator), "a pure state or a density"),
+    "average": (Ensemble, "an ensemble"),
 }
 FIDELITY_KINDS = tuple(_KINDS)
 
@@ -112,27 +83,43 @@ def kind_state(kind: str, state):
     entanglement a ``Ket`` or a density, as the density.  Else ValueError."""
     if kind not in _KINDS:
         raise ValueError(f"unknown fidelity kind {kind!r}; expected one of {FIDELITY_KINDS}")
-    accepts, what, _ = _KINDS[kind]
+    accepts, what = _KINDS[kind]
     if not isinstance(state, accepts):
         raise ValueError(f"the {kind} fidelity needs {what}")
     return _density(state) if kind == "entanglement" else state
 
 
 def kind_members(kind: str, state) -> tuple:
-    """The weighted inputs ``(p, state)`` the oracle evolves as densities: the ensemble's members, or the state
-    as given."""
+    """The weighted inputs ``(p, state)`` that both forms of c2 and the oracle's curves iterate: the ensemble's
+    members, or the state as given."""
     kind_state(kind, state)
     return state.members if kind == "average" else ((1.0, state),)
 
 
 def closed_form_c2(kind: str, state, h_i: DenseOperator, rho_env: DenseOperator) -> float:
-    """The kind's variance-form damping coefficient.
+    """The kind's damping coefficient: the coupling variance over the kind's weighted members.
 
-    The closed form is looked up in the module by name at call time, so a
-    rebinding of ``input_output_c2`` (a tracer's, a test's) sees every call.
+    ``c2 = tr[(rho x rho_env) H^2] - sum_b p_b tr[rho_env B_b^2]``, where ``rho = sum_b p_b rho_b`` is the
+    members' mixture and ``B_b = tr_s[(rho_b x 1) H]`` is member b's system-averaged coupling, an operator on
+    the environment.  The squared mean is averaged per member, so the average kind depends on the chosen
+    decomposition, not only on the mixed density.  The result is >= 0 (Cauchy-Schwarz): rounding residue
+    below 0 is clamped to 0, and anything below -1e-9 raises.
     """
-    state = kind_state(kind, state)
-    return globals()[_KINDS[kind][2]](state, h_i, rho_env)
+    members = kind_members(kind, state)
+    first = _density(members[0][1])  # the mixture keeps its flags, so an unflagged density is still refused
+    mix = replace(first, matrix=sum(p * _density(psi).matrix for p, psi in members))
+    m2 = _second_moment(h_i, mix, rho_env)  # also checks the flags and the factor layout
+    ds, de = first.space.dim, rho_env.space.dim
+    h4 = h_i.matrix.reshape(ds, de, ds, de)
+    msq = sum(p * _env_mean_square(rho_env, _system_mean(psi, h4)) for p, psi in members)
+    return _nonnegative(m2 - msq, "damping coefficient")
+
+
+def _system_mean(member, h4: np.ndarray) -> np.ndarray:
+    """``tr_s[(rho x 1) H]`` for one member: a ket from its amplitudes, a density from its matrix."""
+    if isinstance(member, Ket):
+        return np.einsum("u,uesf,s->ef", member.amplitudes.conj(), h4, member.amplitudes)
+    return np.einsum("su,uesf->ef", member.matrix, h4)
 
 
 def factorized_c2(kind: str, state, lattice: QubitLattice, omega2) -> float:
@@ -157,6 +144,6 @@ def check_rate_inequality(rho_s: DenseOperator, ensemble: Ensemble,
     dev = np.abs(mix.matrix - rho_s.matrix).max()
     if dev > ENSEMBLE_MIX_ATOL:
         raise ValueError(f"ensemble does not reproduce the density (max deviation {dev:.3e})")
-    c2_e = entanglement_c2(rho_s, h_i, rho_env)
-    c2_a = average_c2(ensemble, h_i, rho_env)
+    c2_e = closed_form_c2("entanglement", rho_s, h_i, rho_env)
+    c2_a = closed_form_c2("average", ensemble, h_i, rho_env)
     return RateInequalityReport(c2_e, c2_a, c2_e >= c2_a - INEQUALITY_SLACK)

@@ -268,14 +268,6 @@ def _coupling_stack(lattice: QubitLattice) -> np.ndarray:
     return stack
 
 
-def qubit_coupling_op(lattice: QubitLattice, l: int) -> DenseOperator:
-    """lambda1 sx + lambda2 sy on qubit ``l``, embedded in the qubit space."""
-    if l < 0 or l >= lattice.n_qubits:
-        raise IndexError(f"qubit index {l} out of range for {lattice.n_qubits} qubits")
-    a_l = _coupling_stack(lattice)[l].copy()  # a copy, so the rest of the stack is freed
-    return DenseOperator(lattice.qubit_space(), a_l, hermitian=True)
-
-
 def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> ModelHamiltonian:
     """Assemble the dense model Hamiltonian at truncation level ``n_max``."""
     n_max = int(n_max)
@@ -363,11 +355,6 @@ def rate_from_correlation(lattice: QubitLattice, omega2: Callable[[float], float
     return _rate_sum(lattice.positions, cov, omega2)
 
 
-def decoherence_rate(lattice: QubitLattice, modes: BathModeSet, rho_s: DenseOperator) -> float:
-    """Factorized damping rate under the discrete thermal bath."""
-    return rate_from_correlation(lattice, lambda d: correlation_fn_discrete(modes, d), rho_s)
-
-
 def _pairs(lattice: QubitLattice) -> list[tuple[int, int]]:
     if lattice.n_qubits % 2:
         raise ValueError(f"pair operations need an even qubit count, got {lattice.n_qubits}")
@@ -377,8 +364,7 @@ def _pairs(lattice: QubitLattice) -> list[tuple[int, int]]:
 PAIR_CONSTANT_RTOL = 0.01
 
 
-def pair_rate(lattice: QubitLattice, modes: BathModeSet, rho_s: DenseOperator,
-              omega2: Callable[[float], float] | None = None) -> float:
+def pair_rate(lattice: QubitLattice, omega2: Callable[[float], float], rho_s: DenseOperator) -> float:
     """Damping rate of adjacent qubit pairs under a pair-constant correlation.
 
     Uses the summed pair couplings A_l + A_l' and evaluates the correlation at
@@ -389,8 +375,6 @@ def pair_rate(lattice: QubitLattice, modes: BathModeSet, rho_s: DenseOperator,
     """
     if rho_s.space != lattice.qubit_space():
         raise ValueError("state space does not match the lattice qubit space")
-    if omega2 is None:
-        omega2 = lambda d: correlation_fn_discrete(modes, d)
     centers = []
     x = omega2(0.0)
     for a, b in _pairs(lattice):

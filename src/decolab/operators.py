@@ -94,7 +94,7 @@ class DenseOperator:
     """A complex square matrix bound to a :class:`HilbertSpace`.
 
     ``hermitian`` / ``density`` record validated structure; operations that
-    rely on it (propagation, partial trace, variance forms) require the flag.
+    rely on it (propagation, partial trace, the coupling's second moment) require the flag.
     """
 
     space: HilbertSpace
@@ -389,7 +389,7 @@ def _second_moment(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOpera
     environment row).
     """
     if not (h_i.hermitian and rho_s.density and rho_env.density):
-        raise ValueError("coupling_moments requires Hermitian coupling and density-flagged states")
+        raise ValueError("the second moment requires Hermitian coupling and density-flagged states")
     ds, de = _split_system_env(h_i, rho_s, rho_env)
     n = ds * de
     h = h_i.matrix.reshape(ds, de, n)
@@ -407,27 +407,3 @@ def _second_moment(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOpera
         m2 += sum(np.vdot(rows[s], w[s]) for s in range(ds)).real
         del w  # so the next block's W is not made while this one is alive
     return float(m2)
-
-
-def coupling_moments(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOperator) -> tuple[float, float]:
-    """Second moment of the coupling and the env average of its squared system mean.
-
-    Returns ``(m2, msq)`` with ``m2 = tr[(rho_s x rho_env) H^2]`` (see
-    ``_second_moment``, which holds no n x n temporary) and
-    ``msq = tr[rho_env B^2]`` where ``B = tr_sys[(rho_s x I) H]`` is the
-    system-averaged coupling, an operator on the environment.
-    """
-    m2 = _second_moment(h_i, rho_s, rho_env)
-    ds, de = rho_s.space.dim, rho_env.space.dim
-    b = np.einsum("su,uesf->ef", rho_s.matrix, h_i.matrix.reshape(ds, de, ds, de))
-    return m2, _env_mean_square(rho_env, b)
-
-
-def variance_form(h_i: DenseOperator, rho_s: DenseOperator, rho_env: DenseOperator) -> float:
-    """<H^2>_{s,env} - <(<H>_s)^2>_env, the short-time damping kernel.
-
-    The result is mathematically >= 0 (Cauchy-Schwarz); tiny negative rounding
-    residue is clamped to 0 and anything below -1e-9 raises.
-    """
-    m2, msq = coupling_moments(h_i, rho_s, rho_env)
-    return _nonnegative(m2 - msq, "variance form")

@@ -8,8 +8,12 @@ a ``factorized-rate`` scenario fits the entanglement fidelity
 (``Scenario.fidelity_kind``).  ``resolve_n_max`` is the truncation rule for
 every model: a requested level, or else the tail-weight policy
 ``tail_n_max``, guarded by ``dimension_cap``.  ``factorization_check`` is the
-one test of the paper's identity (factorized rate = variance form) on a
-truncated model, to a tolerance set by the truncation tail.
+one test of the paper's identity (``factorized_c2`` under the discrete
+correlation = ``closed_form_c2``, both of the entanglement kind) on a
+truncated model, to a tolerance set by the truncation tail.  A row whose
+closed form is at most FLAT_C2_FRACTION of the model's coupling scale is
+flat, and is judged against that scale; only a model without coupling is
+judged on an absolute floor.
 
 All three fidelities go through one core.  Each input is a weighted set of
 system densities (the kind's members: io the input's projector; entanglement
@@ -70,14 +74,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .fidelity import (FIDELITY_KINDS, C2_ZERO_FLOOR, closed_form_c2, entanglement_c2, kind_members,
+from .fidelity import (FIDELITY_KINDS, C2_ZERO_FLOOR, closed_form_c2, factorized_c2, kind_members,
                        kind_state, _density)
 from .model import (
     BathModeSet,
     ModelHamiltonian,
     QubitLattice,
     build_hamiltonian,
-    decoherence_rate,
+    correlation_fn_discrete,
 )
 from .operators import (
     HERMITIAN_ATOL,
@@ -616,8 +620,9 @@ def factorization_check(model: ModelHamiltonian, rho_env: DenseOperator,
     The gap must be below FACTORIZATION_REL_TOL when the truncation tail is
     converged below TAIL_WEIGHT_TARGET, and below FIT_REL_TOL otherwise.
     """
-    rate = float(decoherence_rate(model.lattice, model.modes, rho_s))
-    vf = entanglement_c2(rho_s, model.h_i, rho_env)
+    rate = float(factorized_c2("entanglement", rho_s, model.lattice,
+                               lambda d: correlation_fn_discrete(model.modes, d)))
+    vf = closed_form_c2("entanglement", rho_s, model.h_i, rho_env)
     rel = abs(rate - vf) / max(vf, C2_ZERO_FLOOR)
     tol = FACTORIZATION_REL_TOL if _worst_tail(model.modes, model.n_max) < TAIL_WEIGHT_TARGET else FIT_REL_TOL
     return rate, vf, rel, rel < tol
@@ -704,7 +709,7 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
         c2_analytic = closed_form_c2(kind, scenario.state, model.h_i, rho_env)
 
     # flat rows are judged against the coupling scale (or absolutely, without coupling)
-    flat = c2_analytic <= FLAT_C2_FRACTION * max(scale, 1.0)
+    flat = c2_analytic <= FLAT_C2_FRACTION * scale
     denom, fit_tol = (scale or 1.0, FLAT_PASS_FRACTION) if flat else (c2_analytic, FIT_REL_TOL)
     curve = _Curve(prop, model, kind, scenario.state, rho_env)
     if scale == 0.0:  # no coupling: F is flat to rounding, and only rounding biases c2
@@ -722,7 +727,7 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
 
     rel_err = abs(est.c2_hat - c2_analytic) / denom
     if flat:
-        passed = abs(est.c2_hat) <= FLAT_PASS_FRACTION * scale + 1e-10
+        passed = abs(est.c2_hat) <= (FLAT_PASS_FRACTION * scale if scale else 1e-10)
     else:
         passed = rel_err < FIT_REL_TOL
         if est.c2_hat > 0:

@@ -36,7 +36,6 @@ from .model import (
     QubitLattice,
     build_hamiltonian,
     correlation_fn_discrete,
-    decoherence_rate,
     pair_encode,
     pair_rate,
     rate_from_correlation,
@@ -252,13 +251,14 @@ def encoding_tasks() -> list[Task]:
     naive = Ket(HilbertSpace((2, 2)),
                 (np.kron(plus, plus) + np.kron(minus, minus)) / math.sqrt(2.0))
     pair_bath = BathModeSet.symmetric([(0.05, 1.0, 0.05)], 0.0)
+    pair_omega2 = lambda dr: correlation_fn_discrete(pair_bath, dr)
 
     def encoded_constant() -> dict:
         rate = rate_from_correlation(enc_lattice, constant, encoded.projector())
         return _row("encoding-encoded-constant", 0.0, rate, abs(rate), rate < 1e-12)
 
     def encoded_pair_rate() -> dict:
-        rate = pair_rate(enc_lattice, pair_bath, encoded.projector())
+        rate = pair_rate(enc_lattice, pair_omega2, encoded.projector())
         return _row("encoding-encoded-pair-rate", 0.0, rate, abs(rate), rate < 1e-12)
 
     def unencoded_floor() -> dict:
@@ -268,7 +268,7 @@ def encoding_tasks() -> list[Task]:
         return _row("encoding-unencoded-floor", bound, rate, miss, rate >= bound * (1 - 1e-12))
 
     def naive_pair_positive() -> dict:
-        rate = pair_rate(bare_lattice, pair_bath, naive.projector())
+        rate = pair_rate(bare_lattice, pair_omega2, naive.projector())
         x_bath = correlation_fn_discrete(pair_bath, 0.0)
         expected = 2.0 * x_bath * a2  # variance of the pair sum is 4 a^2
         rel = abs(rate - expected) / expected
@@ -280,7 +280,7 @@ def encoding_tasks() -> list[Task]:
         lattice = QubitLattice((0.0, d), *lam)
         bath = BathModeSet.symmetric([(kd / d, 1.0, 0.05)], 0.0)
         state = pair_encode(ground_ket(1), lattice)
-        return decoherence_rate(lattice, bath, state.projector())
+        return rate_from_correlation(lattice, lambda dr: correlation_fn_discrete(bath, dr), state.projector())
 
     def scaling_row(kd: float) -> dict:
         rate = scaling_rate(kd)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -7,13 +8,10 @@ import pytest
 from decolab.fidelity import (
     FIDELITY_KINDS,
     Ensemble,
-    average_c2,
     check_rate_inequality,
     closed_form_c2,
     damping_time,
-    entanglement_c2,
     factorized_c2,
-    input_output_c2,
     kind_members,
     kind_state,
 )
@@ -49,14 +47,14 @@ def ket(*amps):
 def test_io_zero_coupling(x_model):
     _, vac = x_model
     h0 = DenseOperator.hermitian_op(HilbertSpace((2, N_MAX + 1)), np.zeros((2 * (N_MAX + 1),) * 2))
-    out = input_output_c2(ket(1, 0), h0, vac)
+    out = closed_form_c2("io", ket(1, 0), h0, vac)
     assert out == 0.0
     assert damping_time(out, 0.0) == math.inf
 
 
 def test_io_transverse_vacuum_coefficient(x_model):
     h, vac = x_model
-    out = input_output_c2(ket(1, 0), h, vac)
+    out = closed_form_c2("io", ket(1, 0), h, vac)
     assert type(out) is float
     assert abs(out - G * G) < 1e-15
     assert abs(damping_time(out, 2 * G * G) - 1.0 / G) < 1e-10  # scale Omega^2(0) = 2 g^2 at T = 0
@@ -67,7 +65,7 @@ def test_io_coupling_eigenstate_gives_zero():
     space = HilbertSpace((2, N_MAX + 1))
     h = DenseOperator.hermitian_op(space, G * np.kron(pauli("z").matrix, a.matrix + adag.matrix))
     vac = thermal_boson_state(1.0, 0.0, N_MAX)
-    assert input_output_c2(ket(1, 0), h, vac) == 0.0
+    assert closed_form_c2("io", ket(1, 0), h, vac) == 0.0
 
 
 def test_entanglement_pure_input_reduces_to_io(x_model):
@@ -76,22 +74,22 @@ def test_entanglement_pure_input_reduces_to_io(x_model):
     for _ in range(5):
         amp = rng.complex_normals(2)
         psi = Ket(Q1, amp / np.linalg.norm(amp))
-        io = input_output_c2(psi, h, vac)
-        ent = entanglement_c2(psi.projector(), h, vac)
+        io = closed_form_c2("io", psi, h, vac)
+        ent = closed_form_c2("entanglement", psi.projector(), h, vac)
         assert abs(io - ent) < 1e-14
 
 
 def test_entanglement_maximally_mixed_transverse(x_model):
     h, vac = x_model
     mixed = DenseOperator.density_op(Q1, np.eye(2) / 2)
-    assert abs(entanglement_c2(mixed, h, vac) - G * G) < 1e-15
+    assert abs(closed_form_c2("entanglement", mixed, h, vac) - G * G) < 1e-15
 
 
 def test_average_singleton_equals_io(x_model):
     h, vac = x_model
     psi = ket(0.6, 0.8)
     single = Ensemble(((1.0, psi),))
-    assert abs(average_c2(single, h, vac) - input_output_c2(psi, h, vac)) < 1e-15
+    assert abs(closed_form_c2("average", single, h, vac) - closed_form_c2("io", psi, h, vac)) < 1e-15
 
 
 def test_average_depends_on_decomposition(x_model):
@@ -100,8 +98,8 @@ def test_average_depends_on_decomposition(x_model):
     zero, one = ket(1, 0), ket(0, 1)
     eig_mix = Ensemble(((0.5, plus), (0.5, minus)))
     comp_mix = Ensemble(((0.5, zero), (0.5, one)))
-    assert average_c2(eig_mix, h, vac) == 0.0
-    assert abs(average_c2(comp_mix, h, vac) - G * G) < 1e-15
+    assert closed_form_c2("average", eig_mix, h, vac) == 0.0
+    assert abs(closed_form_c2("average", comp_mix, h, vac) - G * G) < 1e-15
 
 
 def test_average_equals_member_weighted_io(x_model):
@@ -111,8 +109,8 @@ def test_average_equals_member_weighted_io(x_model):
         rho = random_density_matrix(rng, 2)
         members = [(p, Ket(Q1, amp)) for p, amp in random_decomposition(rng, rho, 3)]
         ens = Ensemble(tuple(members))
-        direct = average_c2(ens, h, vac)
-        summed = sum(p * input_output_c2(psi, h, vac) for p, psi in members)
+        direct = closed_form_c2("average", ens, h, vac)
+        summed = sum(p * closed_form_c2("io", psi, h, vac) for p, psi in members)
         assert abs(direct - summed) < 1e-10
 
 
@@ -121,15 +119,15 @@ def test_scale_covariance_exact_for_binary_factors(x_model, lam):
     h, vac = x_model
     psi = ket(0.6, 0.8)
     scaled = DenseOperator.hermitian_op(h.space, lam * h.matrix)
-    assert input_output_c2(psi, scaled, vac) == lam * lam * input_output_c2(psi, h, vac)
+    assert closed_form_c2("io", psi, scaled, vac) == lam * lam * closed_form_c2("io", psi, h, vac)
 
 
 def test_scale_covariance_general_factor(x_model):
     h, vac = x_model
     psi = ket(1, 1j)
     scaled = DenseOperator.hermitian_op(h.space, 3.0 * h.matrix)
-    base = input_output_c2(psi, h, vac)
-    assert abs(input_output_c2(psi, scaled, vac) - 9.0 * base) <= 1e-14 * max(base, 1.0)
+    base = closed_form_c2("io", psi, h, vac)
+    assert abs(closed_form_c2("io", psi, scaled, vac) - 9.0 * base) <= 1e-14 * max(base, 1.0)
 
 
 def test_inequality_pure_state_is_equality(x_model):
@@ -212,21 +210,6 @@ def test_kind_table_rejects_other_kind_names(kind):
             call()
 
 
-@pytest.mark.parametrize("kind, name", [("io", "input_output_c2"), ("entanglement", "entanglement_c2"),
-                                        ("average", "average_c2")])
-def test_closed_form_calls_the_kind_function_bound_at_call_time(monkeypatch, x_model, kind, name):
-    # a tracer rebinds the module's functions; calls through the kind table must reach the rebinding
-    from decolab import fidelity
-
-    h, vac = x_model
-    state = Ensemble(((1.0, ket(1, 0)),)) if kind == "average" else ket(1, 0)
-    calls = []
-    original = getattr(fidelity, name)
-    monkeypatch.setattr(fidelity, name, lambda *args: calls.append(args) or original(*args))
-    assert closed_form_c2(kind, state, h, vac) == original(kind_state(kind, state), h, vac)
-    assert len(calls) == 1
-
-
 def _negative_by(a):
     """Each caller's variance-form quantity at exactly -a, for the input |0> under sx.
 
@@ -235,21 +218,20 @@ def _negative_by(a):
     rate gets the same -a from a negative correlation.
     """
     from decolab.model import QubitLattice, rate_from_correlation
-    from decolab.operators import variance_form
 
     env = DenseOperator(Q1, np.diag([1.0 + a, -a]), hermitian=True, density=True)
     h = DenseOperator.hermitian_op(HilbertSpace((2, 2)), np.kron(pauli("x").matrix, np.diag([0.0, 1.0])))
     zero = ket(1, 0)
     lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))  # coupling sx
-    return {
-        "variance_form": (lambda: variance_form(h, zero.projector(), env), "variance form"),
-        "average_c2": (lambda: average_c2(Ensemble(((1.0, zero),)), h, env), "damping coefficient"),
-        "rate_from_correlation": (lambda: rate_from_correlation(lattice, lambda d: -2.0 * a, zero.projector()),
-                                  "decoherence rate"),
-    }
+    states = {"io": zero, "entanglement": zero.projector(), "average": Ensemble(((1.0, zero),))}
+    calls = {kind: (functools.partial(closed_form_c2, kind, state, h, env), "damping coefficient")
+             for kind, state in states.items()}
+    calls["rate_from_correlation"] = (lambda: rate_from_correlation(lattice, lambda d: -2.0 * a, zero.projector()),
+                                      "decoherence rate")
+    return calls
 
 
-@pytest.mark.parametrize("caller", ["variance_form", "average_c2", "rate_from_correlation"])
+@pytest.mark.parametrize("caller", [*FIDELITY_KINDS, "rate_from_correlation"])
 def test_nonnegativity_rule(caller):
     call, what = _negative_by(1e-6)[caller]
     with pytest.raises(ValueError, match=re.escape(f"{what} is negative beyond rounding noise: -1.000e-06")):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from decolab.fidelity import entanglement_c2
+from decolab.fidelity import closed_form_c2
 from decolab.model import (
     BathMode,
     BathModeSet,
@@ -15,10 +15,8 @@ from decolab.model import (
     _coupling_stack,
     build_hamiltonian,
     correlation_fn_discrete,
-    decoherence_rate,
     pair_encode,
     pair_rate,
-    qubit_coupling_op,
     rate_from_correlation,
     thermal_occupation_factor,
 )
@@ -28,17 +26,16 @@ from decolab.states import ghz_ket, ground_ket, plus_all_ket
 
 def test_coupling_op_axis_cases():
     lat_x = QubitLattice((0.0,), 1.0, 0.0)
-    assert np.abs(qubit_coupling_op(lat_x, 0).matrix - pauli("x").matrix).max() == 0.0
+    assert np.abs(_coupling_stack(lat_x)[0] - pauli("x").matrix).max() == 0.0
     lat_y = QubitLattice((0.0,), 0.0, 1.0)
-    assert np.abs(qubit_coupling_op(lat_y, 0).matrix - pauli("y").matrix).max() == 0.0
+    assert np.abs(_coupling_stack(lat_y)[0] - pauli("y").matrix).max() == 0.0
 
 
 def test_coupling_op_eigenvalues_three_four():
-    lat = QubitLattice((0.0,), 3.0, 4.0)
-    eig = np.linalg.eigvalsh(qubit_coupling_op(lat, 0).matrix)
-    assert np.abs(eig - np.array([-5.0, 5.0])).max() < 1e-12
-    with pytest.raises(IndexError):
-        qubit_coupling_op(lat, 1)
+    lat = QubitLattice((0.0, 1.0), 3.0, 4.0)
+    for a_l in _coupling_stack(lat):
+        eig = np.linalg.eigvalsh(a_l)
+        assert np.abs(eig - np.array([-5.0, -5.0, 5.0, 5.0])).max() < 1e-12
 
 
 def test_lattice_validation():
@@ -250,7 +247,6 @@ def test_coupling_stack_is_each_embedded_coupling(n_qubits):
         for l in range(n_qubits):
             expected = embed(coupling, l, lattice.qubit_space()).matrix  # np.kron may sign its zeros: compare values
             assert np.array_equal(stack[l], expected)
-            assert np.array_equal(qubit_coupling_op(lattice, l).matrix, expected)
 
 
 def _dense_covariances(lattice, rho):
@@ -356,16 +352,21 @@ def test_correlation_high_temperature_limit():
     assert abs(got - series) / series < 1e-6
 
 
+def _discrete_rate(lattice, modes, rho):
+    """The factorized rate under the discrete bath's thermal correlation."""
+    return rate_from_correlation(lattice, lambda d: correlation_fn_discrete(modes, d), rho)
+
+
 def test_decoherence_rate_single_qubit_vacuum():
     g = 0.05
     lat = QubitLattice((0.0,), 1.0, 0.0)
     modes = BathModeSet((BathMode(0.0, 1.0, g),), 0.0)
     rho = ground_ket(1).projector()
-    rate = decoherence_rate(lat, modes, rho)
+    rate = _discrete_rate(lat, modes, rho)
     # Omega^2(0) = 2 g^2 and <(dA)^2> = 1; the half makes this the variance form
     assert abs(rate - g * g) < 1e-15
     model = build_hamiltonian(lat, modes, 3)
-    ent = entanglement_c2(rho, model.h_i, model.thermal_env_state())
+    ent = closed_form_c2("entanglement", rho, model.h_i, model.thermal_env_state())
     assert abs(rate - ent) < 1e-14
 
 
@@ -374,7 +375,7 @@ def test_rate_vanishes_for_coupling_eigenstates():
     modes = BathModeSet.symmetric([(0.8, 1.0, 0.1)], 0.3)
     minus, plus = lat.coupling_eigenstates()
     state = Ket(HilbertSpace((2, 2)), np.kron(plus, minus))
-    assert decoherence_rate(lat, modes, state.projector()) < 1e-14
+    assert _discrete_rate(lat, modes, state.projector()) < 1e-14
 
 
 def test_far_separated_qubits_decohere_additively():
@@ -387,12 +388,12 @@ def test_far_separated_qubits_decohere_additively():
     assert abs(correlation_fn_discrete(modes, 60.0) / correlation_fn_discrete(modes, 0.0)) < 1e-9
     lat = QubitLattice((0.0, 60.0), 1.0, 0.0, (1.0, 1.0))
     rho = ghz_ket(2).projector()
-    rate = decoherence_rate(lat, modes, rho)
+    rate = _discrete_rate(lat, modes, rho)
     singles = 0.0
     for l, pos in enumerate(lat.positions):
         single = QubitLattice((pos,), 1.0, 0.0)
         marginal = partial_trace(rho, keep={l})
-        singles += decoherence_rate(single, modes, marginal)
+        singles += _discrete_rate(single, modes, marginal)
     assert abs(rate - singles) / singles < 1e-8
 
 
@@ -412,8 +413,8 @@ def test_delta_correlated_rate_is_additive_exactly():
 def test_rate_translation_invariance():
     modes = BathModeSet.symmetric([(0.9, 1.0, 0.08)], 0.5)
     rho = plus_all_ket(2).projector()
-    base = decoherence_rate(QubitLattice((0.0, 0.8), 1.0, 0.2), modes, rho)
-    moved = decoherence_rate(QubitLattice((13.4, 14.2), 1.0, 0.2), modes, rho)
+    base = _discrete_rate(QubitLattice((0.0, 0.8), 1.0, 0.2), modes, rho)
+    moved = _discrete_rate(QubitLattice((13.4, 14.2), 1.0, 0.2), modes, rho)
     assert abs(base - moved) < 1e-12 * max(base, 1.0)
 
 
@@ -431,8 +432,8 @@ def test_factorization_identity_across_models():
         env = model.thermal_env_state()
         for rho in (ground_ket(lattice.n_qubits).projector(),
                     ghz_ket(lattice.n_qubits).projector() if lattice.n_qubits > 1 else plus_all_ket(1).projector()):
-            rate = decoherence_rate(lattice, modes, rho)
-            vf = entanglement_c2(rho, model.h_i, env)
+            rate = _discrete_rate(lattice, modes, rho)
+            vf = closed_form_c2("entanglement", rho, model.h_i, env)
             assert abs(rate - vf) / max(vf, 1e-14) < 1e-6
 
 
@@ -445,7 +446,7 @@ def test_pair_encode_annihilated_by_pair_sums():
     logical = plus_all_ket(2)
     out = pair_encode(logical, lat)
     for a, b in ((0, 1), (2, 3)):
-        s = qubit_coupling_op(lat, a).matrix + qubit_coupling_op(lat, b).matrix
+        s = _coupling_stack(lat)[a] + _coupling_stack(lat)[b]
         assert np.abs(s @ out.amplitudes).max() < 1e-12
 
 
@@ -464,7 +465,7 @@ def test_pair_encode_ghz_logical():
     lat = encoded_lattice()
     out = pair_encode(ghz_ket(2), lat)
     for a, b in ((0, 1), (2, 3)):
-        s = qubit_coupling_op(lat, a).matrix + qubit_coupling_op(lat, b).matrix
+        s = _coupling_stack(lat)[a] + _coupling_stack(lat)[b]
         assert np.abs(s @ out.amplitudes).max() < 1e-12
 
 
@@ -477,8 +478,8 @@ def test_pair_rate_zero_for_encoded_states():
     lat = encoded_lattice()
     modes = BathModeSet.symmetric([(0.01, 1.0, 0.1)], 0.7)
     out = pair_encode(ghz_ket(2), lat)
-    assert pair_rate(lat, modes, out.projector()) < 1e-12
-    assert pair_rate(lat, modes, out.projector(), omega2=lambda d: 0.4) < 1e-12
+    assert pair_rate(lat, lambda d: correlation_fn_discrete(modes, d), out.projector()) < 1e-12
+    assert pair_rate(lat, lambda d: 0.4, out.projector()) < 1e-12
 
 
 def test_pair_rate_positive_for_naive_superposition():
@@ -486,7 +487,7 @@ def test_pair_rate_positive_for_naive_superposition():
     minus, plus = lat.coupling_eigenstates()
     naive = Ket(HilbertSpace((2, 2)), (np.kron(plus, plus) + np.kron(minus, minus)) / math.sqrt(2))
     modes = BathModeSet.symmetric([(0.01, 1.0, 0.1)], 0.0)
-    rate = pair_rate(lat, modes, naive.projector())
+    rate = pair_rate(lat, lambda d: correlation_fn_discrete(modes, d), naive.projector())
     x = correlation_fn_discrete(modes, 0.0)
     a2 = lat.coupling_norm ** 2
     assert abs(rate - 2 * x * a2) / (2 * x * a2) < 1e-12
@@ -499,7 +500,7 @@ def test_pair_rate_scaling_with_carrier():
     for kd in (0.01, 0.02, 0.04):
         modes = BathModeSet.symmetric([(kd / d, 1.0, 0.05)], 0.0)
         state = pair_encode(ground_ket(1), lat)
-        rates[kd] = decoherence_rate(lat, modes, state.projector())
+        rates[kd] = _discrete_rate(lat, modes, state.projector())
     assert abs(rates[0.02] / rates[0.01] - 4.0) < 0.4
     assert abs(rates[0.04] / rates[0.01] - 16.0) < 1.6
 
@@ -510,4 +511,4 @@ def test_pair_rate_warns_outside_constant_regime():
     minus, plus = lat.coupling_eigenstates()
     naive = Ket(HilbertSpace((2, 2)), (np.kron(plus, plus) + np.kron(minus, minus)) / math.sqrt(2))
     with pytest.warns(UserWarning, match="pair-constant"):
-        pair_rate(lat, modes, naive.projector())
+        pair_rate(lat, lambda d: correlation_fn_discrete(modes, d), naive.projector())

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from decolab.fidelity import Ensemble, closed_form_c2
 from decolab.operators import (
     DenseOperator,
     HilbertSpace,
@@ -19,7 +20,6 @@ from decolab.operators import (
     pauli,
     purify,
     thermal_boson_state,
-    variance_form,
 )
 from decolab.rng import Xoshiro256pp, random_density_matrix, random_hermitian_matrix, random_unitary_matrix
 
@@ -283,7 +283,7 @@ def test_variance_form_zero_coupling():
     h = DenseOperator.hermitian_op(space, np.zeros((6, 6)))
     rho_s = Ket(Q1, [1, 0]).projector()
     rho_env = thermal_boson_state(1.0, 0.0, 2)
-    assert variance_form(h, rho_s, rho_env) == 0.0
+    assert closed_form_c2("entanglement", rho_s, h, rho_env) == 0.0
 
 
 def test_variance_form_transverse_coupling_on_vacuum():
@@ -291,7 +291,7 @@ def test_variance_form_transverse_coupling_on_vacuum():
     h, _ = _x_coupling(g, n_max)
     rho_s = Ket(Q1, [1, 0]).projector()
     vac = thermal_boson_state(1.0, 0.0, n_max)
-    v = variance_form(h, rho_s, vac)
+    v = closed_form_c2("entanglement", rho_s, h, vac)
     assert abs(v - g * g) < 1e-14
     assert abs(v - _variance_reference(h.matrix, rho_s.matrix, vac.matrix)) < 1e-14
 
@@ -303,7 +303,7 @@ def test_variance_form_diagonal_coupling_vanishes():
     h = DenseOperator.hermitian_op(space, g * np.kron(pauli("z").matrix, a.matrix + adag.matrix))
     rho_s = Ket(Q1, [1, 0]).projector()
     vac = thermal_boson_state(1.0, 0.0, n_max)
-    assert variance_form(h, rho_s, vac) == 0.0
+    assert closed_form_c2("entanglement", rho_s, h, vac) == 0.0
     assert abs(_variance_reference(h.matrix, rho_s.matrix, vac.matrix)) < 1e-14
 
 
@@ -316,7 +316,7 @@ def test_variance_form_nonnegative_on_random_triples():
         rho_env = random_density_op(rng, (de,))
         space = HilbertSpace((ds, de))
         h = DenseOperator.hermitian_op(space, random_hermitian_matrix(rng, ds * de))
-        assert variance_form(h, rho_s, rho_env) >= 0.0
+        assert closed_form_c2("entanglement", rho_s, h, rho_env) >= 0.0
 
 
 def test_variance_form_matches_reference_on_random_triples():
@@ -325,7 +325,7 @@ def test_variance_form_matches_reference_on_random_triples():
         rho_s = random_density_op(rng, (2,))
         rho_env = random_density_op(rng, (3,))
         h = DenseOperator.hermitian_op(HilbertSpace((2, 3)), random_hermitian_matrix(rng, 6))
-        got = variance_form(h, rho_s, rho_env)
+        got = closed_form_c2("entanglement", rho_s, h, rho_env)
         want = _variance_reference(h.matrix, rho_s.matrix, rho_env.matrix)
         assert abs(got - max(want, 0.0)) < 1e-12
 
@@ -346,7 +346,7 @@ def test_thermal_state_properties(omega, temperature, n_max):
     assert np.abs(rho.matrix - np.diag(pops)).max() == 0.0
 
 
-# --- coupling moments without the joint state ----------------------------------
+# --- the second moment and the closed form without the joint state -----------
 
 def _full_stack_model():
     from decolab.model import build_hamiltonian
@@ -358,7 +358,7 @@ def _full_stack_model():
 
 
 def _one_shot_m2(h, rho_s, rho_env):
-    """The one-line formula coupling_moments replaced, which forms the n x n joint state."""
+    """The one-line second moment, which forms the n x n joint state."""
     return float(np.sum((np.kron(rho_s, rho_env) @ h) * h.T).real)
 
 
@@ -369,15 +369,21 @@ def _one_shot_msq(h, rho_s, rho_env):
     return float(np.sum((rho_env @ b) * b.T).real)
 
 
-def _assert_one_shot_moments(h_i, rho_s, rho_env):
-    """coupling_moments agrees with the one-shot formulas to 1e-14 of m2; returns m2."""
-    from decolab.operators import coupling_moments
+def _assert_one_shot_moments(h_i, state, rho_env):
+    """The second moment and the closed form agree with the one-shot formulas; returns the one-shot (m2, c2).
 
-    m2, msq = coupling_moments(h_i, rho_s, rho_env)
-    want = _one_shot_m2(h_i.matrix, rho_s.matrix, rho_env.matrix)
-    assert abs(m2 - want) <= 1e-14 * abs(want)
-    assert abs(msq - _one_shot_msq(h_i.matrix, rho_s.matrix, rho_env.matrix)) <= 1e-14 * abs(want)
-    return m2
+    ``state`` is a density, taken as the entanglement kind, or a ket, taken as the io kind as well.  The
+    second moment agrees to 1e-14 of m2, and c2 = m2 - msq to 2e-14 of it.
+    """
+    from decolab.operators import _second_moment
+
+    rho_s = state.projector() if isinstance(state, Ket) else state
+    m2 = _one_shot_m2(h_i.matrix, rho_s.matrix, rho_env.matrix)
+    assert abs(_second_moment(h_i, rho_s, rho_env) - m2) <= 1e-14 * abs(m2)
+    c2 = m2 - _one_shot_msq(h_i.matrix, rho_s.matrix, rho_env.matrix)
+    for kind in ("entanglement", "io") if isinstance(state, Ket) else ("entanglement",):
+        assert abs(closed_form_c2(kind, state, h_i, rho_env) - max(c2, 0.0)) <= 2e-14 * abs(m2)
+    return m2, c2
 
 
 def _rotated_env(model, seed):
@@ -397,8 +403,8 @@ def test_coupling_moments_equal_the_one_shot_product_in_one_block():
     env = model.thermal_env_state()
     ds, de = model.system_space().dim, model.env_space().dim
     assert MOMENT_BLOCK_ELEMENTS // (ds * model.space.dim) >= de  # every environment row in one block
-    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), plus_all_ket(2).projector()):
-        _assert_one_shot_moments(model.h_i, rho_s, env)
+    for state in (ghz_ket(2), maximally_mixed_density(2), plus_all_ket(2)):
+        _assert_one_shot_moments(model.h_i, state, env)
 
 
 def test_coupling_moments_equal_the_one_shot_product_in_row_blocks():
@@ -408,8 +414,8 @@ def test_coupling_moments_equal_the_one_shot_product_in_row_blocks():
     model, env = _full_stack_model()
     ds, de = model.system_space().dim, model.env_space().dim
     assert MOMENT_BLOCK_ELEMENTS // (ds * model.space.dim) < de  # more than one block
-    for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2), ground_ket(2).projector()):
-        _assert_one_shot_moments(model.h_i, rho_s, env)
+    for state in (ghz_ket(2), maximally_mixed_density(2), ground_ket(2)):
+        _assert_one_shot_moments(model.h_i, state, env)
 
 
 def test_coupling_moments_match_the_one_shot_product_on_every_suite_model():
@@ -422,9 +428,14 @@ def test_coupling_moments_match_the_one_shot_product_on_every_suite_model():
         L = model.lattice.n_qubits
         env = model.thermal_env_state()
         assert _diagonal(env) is not None
-        for rho_s in (ground_ket(L).projector(), (ghz_ket(L) if L >= 2 else plus_all_ket(1)).projector(),
-                      maximally_mixed_density(L)):
-            _assert_one_shot_moments(model.h_i, rho_s, env)
+        kets = (ground_ket(L), ghz_ket(L) if L >= 2 else plus_all_ket(1))
+        one_shot = [_assert_one_shot_moments(model.h_i, psi, env) for psi in kets]
+        _assert_one_shot_moments(model.h_i, maximally_mixed_density(L), env)
+        weights = (0.25, 0.75)
+        m2 = sum(p * m2_b for p, (m2_b, _) in zip(weights, one_shot))
+        want = sum(p * c2_b for p, (_, c2_b) in zip(weights, one_shot))
+        got = closed_form_c2("average", Ensemble(tuple(zip(weights, kets))), model.h_i, env)
+        assert abs(got - max(want, 0.0)) <= 2e-14 * m2
 
 
 def test_coupling_moments_with_a_non_diagonal_environment_state():
@@ -439,7 +450,7 @@ def test_coupling_moments_with_a_non_diagonal_environment_state():
     for rho_s in (ghz_ket(2).projector(), maximally_mixed_density(2)):
         _assert_one_shot_moments(model.h_i, rho_s, env)
         want = _variance_reference(model.h_i.matrix, rho_s.matrix, env.matrix)
-        assert abs(variance_form(model.h_i, rho_s, env) - want) <= 1e-12 * abs(want)
+        assert abs(closed_form_c2("entanglement", rho_s, model.h_i, env) - want) <= 1e-12 * abs(want)
 
 
 def test_coupling_moments_on_the_vacuum():
@@ -452,26 +463,27 @@ def test_coupling_moments_on_the_vacuum():
     env = model.thermal_env_state()
     weights = _diagonal(env)
     assert weights is not None and np.count_nonzero(weights) == 1  # T = 0: only the vacuum has weight
-    for rho_s in (ghz_ket(2).projector(), ground_ket(2).projector(), plus_all_ket(2).projector()):
-        assert _assert_one_shot_moments(model.h_i, rho_s, env) > 0.0
+    for psi in (ghz_ket(2), ground_ket(2), plus_all_ket(2)):
+        rho_s = psi.projector()
+        assert _assert_one_shot_moments(model.h_i, psi, env)[0] > 0.0
         want = _variance_reference(model.h_i.matrix, rho_s.matrix, env.matrix)
-        assert abs(variance_form(model.h_i, rho_s, env) - want) <= 1e-12 * abs(want)
+        assert abs(closed_form_c2("entanglement", rho_s, model.h_i, env) - want) <= 1e-12 * abs(want)
 
 
 def test_coupling_moments_hold_no_full_size_product():
     import tracemalloc
 
-    from decolab.operators import coupling_moments
     from decolab.states import ghz_ket
 
     model, env = _full_stack_model()
-    rho_s = ghz_ket(2).projector()
+    psi = ghz_ket(2)
     for rho_env in (env, _rotated_env(model, 7)):
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            coupling_moments(model.h_i, rho_s, rho_env)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - entry <= 8 * 2**20  # an n x n complex product is 16 MiB here
+        for kind, state in (("entanglement", psi.projector()), ("io", psi)):
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                closed_form_c2(kind, state, model.h_i, rho_env)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - entry <= 8 * 2**20  # an n x n complex product is 16 MiB here

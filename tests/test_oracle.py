@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decolab.errors import ConvergenceError
-from decolab.fidelity import Ensemble
+from decolab.fidelity import Ensemble, closed_form_c2
 from decolab.model import BathMode, BathModeSet, QubitLattice, build_hamiltonian
 from decolab.operators import DenseOperator, HilbertSpace, Ket, kron
 from decolab.oracle import (
@@ -255,6 +255,8 @@ def test_entanglement_curve_needs_a_density():
     half = DenseOperator.hermitian_op(model.system_space(), np.eye(2) / 2)  # the right matrix, not flagged
     with pytest.raises(ValueError, match="density-flagged"):
         fidelity_curve(model, "entanglement", half, env, times)
+    with pytest.raises(ValueError, match="density-flagged"):  # the closed form's mixture keeps the flags
+        closed_form_c2("entanglement", half, model.h_i, env)
     fidelity_curve(model, "entanglement", maximally_mixed_density(1), env, times)
 
 
@@ -265,6 +267,23 @@ def test_window_selection_across_coupling_scales(g):
     rep = verify_expansion(Scenario(f"g{g}", "io", lattice, modes, ground_ket(1)))
     assert rep.passed
     assert rep.rel_err < 1e-6
+
+
+def test_weak_bath_is_judged_against_its_own_coupling_scale(monkeypatch):
+    # g = 1e-6 gives c2 = 1e-12: an absolute floor of 1e-10 let a fit 50 times too large pass as flat
+    from dataclasses import replace
+
+    from decolab import oracle
+
+    lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
+    modes = BathModeSet((BathMode(0.0, 1.0, 1e-6),), 0.0)
+    scenario = Scenario("weak", "io", lattice, modes, ground_ket(1))
+    rep = verify_expansion(scenario)
+    assert rep.c2_analytic == pytest.approx(1e-12, rel=1e-12)
+    assert rep.passed and rep.rel_err < 1e-5
+    fit = oracle.estimate_c2
+    monkeypatch.setattr(oracle, "estimate_c2", lambda curve: replace(fit(curve), c2_hat=50 * rep.c2_analytic))
+    assert not verify_expansion(scenario).passed
 
 
 def test_verify_factorized_rate_thermal_four_modes():
@@ -328,7 +347,6 @@ def _truncated_correlation(modes, n_max):
 def test_truncated_correlation_factorizes_the_truncated_variance_form():
     # the paper's identity holds exactly at any truncation once Omega^2 is the truncated bath's own
     from decolab import oracle
-    from decolab.fidelity import entanglement_c2
     from decolab.model import rate_from_correlation
     from decolab.suites import FACTORIZATION_COMBOS, _grid_lattice, _grid_modes, _grid_scenarios
 
@@ -353,7 +371,7 @@ def test_truncated_correlation_factorizes_the_truncated_variance_form():
             models[key] = model, model.thermal_env_state()
         model, env = models[key]
         omega2 = _truncated_correlation(modes, n_max)
-        vf = entanglement_c2(rho_s, model.h_i, env)
+        vf = closed_form_c2("entanglement", rho_s, model.h_i, env)
         rate = rate_from_correlation(lattice, omega2, rho_s)
         # an encoded row's rate cancels to rounding, so its gap is judged against the correlation scale
         assert abs(rate - vf) <= 1e-12 * max(vf, omega2(0.0)), (key, vf, rate)
@@ -830,7 +848,6 @@ def test_real_and_complex_paths_agree():
     # checked against the dense reference and its Taylor c2 against the closed form, and an environment
     # state with no mirror symmetry is rejected
     from decolab import oracle
-    from decolab.fidelity import closed_form_c2
     from decolab.rng import random_density_matrix
     from decolab.states import computational_ensemble
 
@@ -949,7 +966,6 @@ def test_encoded_pair_fit_is_certified_at_small_kd(kd):
 def fitted_rows():
     """Per fitted quick/full row: scenario, report, scale, Taylor coefficients, model closed form."""
     from decolab import oracle
-    from decolab.fidelity import closed_form_c2
     from decolab.suites import suite_tasks
 
     rows = []

@@ -53,7 +53,7 @@ def test_traced_quick_suite_records_benchmark_spans(perfbench, capsys):
         inst.uninstall()
     names = {span[1] for span in rec.spans}
     assert {"oracle.eigh", "oracle.advance", "oracle.taylor_coefficients", "oracle.verify_expansion",
-            "suites.task"} <= names
+            "fidelity.closed_form_c2", "model.rate_from_correlation", "suites.task"} <= names
     assert capsys.readouterr().out.startswith("scenario,c2_analytic,")
 
 

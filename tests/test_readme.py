@@ -56,7 +56,7 @@ def test_readme_states_the_full_grids_truncation_gap():
             models[key] = model, rho_env, oracle._scale_moment(model, rho_env)
         model, rho_env, scale = models[key]
         truncated = closed_form_c2(sc.fidelity_kind, sc.state, model.h_i, rho_env)
-        if truncated > oracle.FLAT_C2_FRACTION * max(scale, 1.0):  # verify_expansion's test of a flat row
+        if truncated > oracle.FLAT_C2_FRACTION * scale:  # verify_expansion's test of a flat row
             bath = factorized_c2(sc.fidelity_kind, sc.state, sc.lattice,
                                  lambda d: correlation_fn_discrete(sc.modes, d))
             gaps[sc.name, sc.n_max] = (bath - truncated) / bath
