@@ -16,20 +16,15 @@ Exit codes: 0 success, 2 config error, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import replace
 
-from .config import (
-    ScenarioConfig,
-    SweepSpec,
-    load_config,
-    parse_config,
-    set_config_path,
-)
+from .config import ScenarioConfig, SweepSpec, load_config, set_config_path
 from .errors import ConfigError, ConvergenceError
-from .fidelity import damping_time, factorized_c2, kind_state
+from .fidelity import damping_time, factorized_c2
 from .model import BathModeSet
 from .oracle import Scenario
 from .oracle import dimension_cap  # noqa: F401  (perfbench calls cli.dimension_cap)
@@ -86,19 +81,10 @@ def rows_to_json(rows: list[dict], columns) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _kind_state(cfg: ScenarioConfig, kind: str):
-    """The config's state for one fidelity kind, as ``kind_state`` takes it."""
-    state = cfg.ensemble if kind == "average" else cfg.state
-    try:
-        return kind_state(kind, state)
-    except ValueError as exc:
-        raise ConfigError("fidelity_kind", str(exc)) from exc
-
-
 def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
     """One row per fidelity kind: the factorized ``c2`` under the bath's untruncated correlation ``Omega^2``."""
     omega2 = lambda d: correlation(cfg.bath, d)
-    c2s = [factorized_c2(kind, _kind_state(cfg, kind), cfg.lattice, omega2) for kind in cfg.fidelity_kinds]
+    c2s = [factorized_c2(kind, cfg.kind_input(kind), cfg.lattice, omega2) for kind in cfg.fidelity_kinds]
     # the coupling scale is taken after the rates, so that their errors come first
     scale = abs(omega2(0.0)) * (cfg.lattice.lambda1 ** 2 + cfg.lattice.lambda2 ** 2)
     return [{"scenario_id": cfg.name, "kind": kind, "c2": c2, "tau2": damping_time(c2, scale), "method": "factorized"}
@@ -132,7 +118,7 @@ def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> tupl
     else:
         if not isinstance(cfg.bath, BathModeSet):
             raise ConfigError("bath", "verify needs a discrete bath (the oracle evolves explicit modes)")
-        tasks = _verify_tasks([Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.bath, _kind_state(cfg, kind),
+        tasks = _verify_tasks([Scenario(f"{cfg.name}-{kind}", kind, cfg.lattice, cfg.bath, cfg.kind_input(kind),
                                         cfg.n_max) for kind in cfg.fidelity_kinds])
     rows, failures = [], []
     for name, run in tasks:
@@ -144,38 +130,23 @@ def cmd_verify(cfg: ScenarioConfig | None, suite: str | None, seed: int) -> tupl
     return rows, failures
 
 
-def _sweep_point_config(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> tuple[ScenarioConfig, float | None]:
-    """Apply one sweep value; returns the point config and the active spacing."""
-    if spec.parameter == "d":
-        return cfg.with_spacing(value), value
-    if spec.parameter == "temperature":
-        point = cfg.with_temperature(value)
-    else:
-        point = parse_config(set_config_path(cfg.raw, spec.parameter, value))
-    spacing = None
-    if point.lattice.n_qubits >= 2:
-        spacing = point.lattice.positions[1] - point.lattice.positions[0]
-    return point, spacing
+# one sweep point's row of each command in config.SWEEP_COMMANDS; rates reports the point's first kind only
+_SWEEP_FILLS = {
+    "rates": lambda point, spacing: cmd_rates(replace(point, fidelity_kinds=point.fidelity_kinds[:1]))[0],
+    "correlation": lambda point, spacing: cmd_correlation(point, [spacing])[0],
+    "regime": lambda point, spacing: cmd_regime(point, [spacing])[0],
+}
 
 
 def _sweep_row(cfg: ScenarioConfig, spec: SweepSpec, value: float) -> dict:
-    row = {spec.parameter: value, "error": ""}
-    for c in spec.columns:
-        row[c] = None
+    row = {spec.parameter: value, **dict.fromkeys(spec.columns), "error": ""}
     try:
-        point, spacing = _sweep_point_config(cfg, spec, value)
-        wants_distance = any(c in spec.columns for c in ("omega2", "normalized", "regime", "kbar_d", "dk_d"))
-        if wants_distance and spacing is None:
+        point, spacing = cfg.sweep_point(value)
+        if spacing is None and any(reads_spacing for _, reads_spacing, _ in spec.commands):
             raise ConfigError("sweep.columns", "distance columns need >= 2 qubits or parameter 'd'")
-        if "c2" in spec.columns or "tau2" in spec.columns or "method" in spec.columns:
-            rates = cmd_rates(replace(point, fidelity_kinds=point.fidelity_kinds[:1]))[0]  # the kind it reports
-            row["c2"], row["tau2"], row["method"] = rates["c2"], rates["tau2"], rates["method"]
-        if "omega2" in spec.columns or "normalized" in spec.columns:
-            corr = cmd_correlation(point, [spacing])[0]
-            row["omega2"], row["normalized"] = corr["omega2"], corr["normalized"]
-        if any(c in spec.columns for c in ("regime", "kbar_d", "dk_d")):
-            reg = cmd_regime(point, [spacing])[0]
-            row["regime"], row["kbar_d"], row["dk_d"] = reg["regime"], reg["kbar_d"], reg["dk_d"]
+        for command, _, columns in spec.commands:
+            filled = _SWEEP_FILLS[command](point, spacing)
+            row.update((c, filled[c]) for c in columns)
     except (ConfigError, ConvergenceError, ValueError) as exc:
         row["error"] = str(exc).replace(",", ";").replace("\n", " ")
     return {k: row[k] for k in (spec.parameter, *spec.columns, "error")}
@@ -237,8 +208,14 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
     return values
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; ``main`` parses every call's flags with it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = None
         if args.config:

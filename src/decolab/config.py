@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .fidelity import FIDELITY_KINDS, Ensemble
+from .fidelity import FIDELITY_KINDS, Ensemble, kind_members
 from .model import BathMode, BathModeSet, QubitLattice
 from .operators import DenseOperator, Ket
 from .spectral import OHMIC_FORMS, GaussianSpectrum, OhmicBath
@@ -40,6 +40,14 @@ BATH_KINDS = ("discrete", "ohmic", "gaussian")
 def _expect(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(path, message)
+
+
+def _at(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the domain ValueError it raises reported as a ConfigError at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _is_number(v) -> bool:
@@ -90,21 +98,31 @@ class ScenarioConfig:
     sweep: "SweepSpec | None"
     raw: dict = field(repr=False, default_factory=dict)
 
-    def with_spacing(self, d: float) -> "ScenarioConfig":
-        """This config with qubit i at i * d, sharing the bath (with its memos), the state and ``raw``."""
-        positions = tuple(_finite(i * d, f"qubits[{i}].position") for i in range(self.lattice.n_qubits))
-        try:
-            return replace(self, lattice=replace(self.lattice, positions=positions))
-        except ValueError as exc:
-            raise ConfigError("qubits", str(exc)) from exc
+    def sweep_point(self, value: float) -> tuple["ScenarioConfig", float | None]:
+        """This config at one value of its sweep, and the point's qubit spacing (None for one qubit).
 
-    def with_temperature(self, t: float) -> "ScenarioConfig":
-        """This config with its bath at temperature ``t``, sharing the lattice, the state and ``raw``."""
-        path = "bath.discrete.modes" if isinstance(self.bath, BathModeSet) else "bath.ohmic"  # as _parse_bath reports
-        try:
-            return replace(self, bath=replace(self.bath, temperature=t))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        A ``d`` point puts qubit i at i * d and a ``temperature`` point moves the bath; both share the rest of
+        this config (the bath's memos, the state and ``raw``).  Any other parameter is a dotted path into
+        ``raw``, whose copy is parsed afresh.
+        """
+        parameter = self.sweep.parameter
+        if parameter == "d":
+            positions = tuple(_finite(i * value, f"qubits[{i}].position") for i in range(self.lattice.n_qubits))
+            return replace(self, lattice=_at("qubits", replace, self.lattice, positions=positions)), value
+        if parameter == "temperature":
+            path = "bath.discrete.modes" if isinstance(self.bath, BathModeSet) else "bath.ohmic"  # as _parse_bath
+            point = replace(self, bath=_at(path, replace, self.bath, temperature=value))
+        else:
+            point = parse_config(set_config_path(self.raw, parameter, value))
+        positions = point.lattice.positions
+        return point, (positions[1] - positions[0] if len(positions) >= 2 else None)
+
+    def kind_input(self, kind: str):
+        """What fidelity ``kind`` evaluates: the ensemble for ``average``, else the state; checked by
+        ``kind_members``, whose refusal names ``fidelity_kind``."""
+        state = self.ensemble if kind == "average" else self.state
+        _at("fidelity_kind", kind_members, kind, state)
+        return state
 
     @functools.cached_property
     def ensemble(self) -> Ensemble:
@@ -118,10 +136,16 @@ class ScenarioConfig:
             st = _build_state(spec, self.lattice, f"ensemble[{i}].state")
             _expect(isinstance(st, Ket), f"ensemble[{i}].state", "ensemble members must be pure states")
             members.append((p, st))
-        try:
-            return Ensemble(tuple(members))
-        except ValueError as exc:
-            raise ConfigError("ensemble", str(exc)) from exc
+        return _at("ensemble", Ensemble, tuple(members))
+
+
+# the sweep columns by the command that fills them, in fill order: (command, reads the qubit spacing, columns)
+SWEEP_COMMANDS = (
+    ("rates", False, ("c2", "tau2", "method")),
+    ("correlation", True, ("omega2", "normalized")),
+    ("regime", True, ("regime", "kbar_d", "dk_d")),
+)
+SWEEP_COLUMNS = tuple(c for _, _, columns in SWEEP_COMMANDS for c in columns)
 
 
 @dataclass(frozen=True)
@@ -130,16 +154,15 @@ class SweepSpec:
     values: tuple[float, ...]
     columns: tuple[str, ...]
 
-
-SWEEP_COLUMNS = ("c2", "tau2", "method", "omega2", "normalized", "regime", "kbar_d", "dk_d")
+    @property
+    def commands(self) -> tuple:
+        """The rows of ``SWEEP_COMMANDS`` that fill at least one of the columns."""
+        return tuple(entry for entry in SWEEP_COMMANDS if set(entry[2]) & set(self.columns))
 
 
 def _build_state(spec, lattice: QubitLattice, path: str):
     if isinstance(spec, str):
-        try:
-            return build_preset(spec, lattice)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
+        return _at(path, build_preset, spec, lattice)
     # explicit amplitudes: numbers or [re, im] pairs
     values = []
     for i, entry in enumerate(spec):
@@ -149,10 +172,7 @@ def _build_state(spec, lattice: QubitLattice, path: str):
             values.append(complex(_finite(entry[0], f"{path}[{i}][0]"), _finite(entry[1], f"{path}[{i}][1]")))
         else:
             raise ConfigError(f"{path}[{i}]", f"expected a number or [re, im] pair, got {entry!r}")
-    try:
-        return ket_from_amplitudes(values, lattice.n_qubits)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _at(path, ket_from_amplitudes, values, lattice.n_qubits)
 
 
 def _parse_lattice(cfg: dict) -> QubitLattice:
@@ -167,10 +187,7 @@ def _parse_lattice(cfg: dict) -> QubitLattice:
     splits = cfg.get("h0_splittings", [])
     _expect(isinstance(splits, list), "h0_splittings", "expected a list of numbers")
     splittings = tuple(_finite(w, f"h0_splittings[{i}]") for i, w in enumerate(splits))
-    try:
-        return QubitLattice(tuple(positions), lambda1, lambda2, splittings)
-    except ValueError as exc:
-        raise ConfigError("qubits", str(exc)) from exc
+    return _at("qubits", QubitLattice, tuple(positions), lambda1, lambda2, splittings)
 
 
 def _parse_bath(cfg: dict):
@@ -193,10 +210,7 @@ def _parse_bath(cfg: dict):
             omega = _get_number(m, "omega", f"bath.discrete.modes[{i}]", required=True)
             g = _get_number(m, "g", f"bath.discrete.modes[{i}]", required=True)
             modes.append(BathMode(k, omega, g))
-        try:
-            return BathModeSet(tuple(modes), temperature)
-        except ValueError as exc:
-            raise ConfigError("bath.discrete.modes", str(exc)) from exc
+        return _at("bath.discrete.modes", BathModeSet, tuple(modes), temperature)
 
     if kind == "ohmic":
         form = body.get("form", "quad")
@@ -205,18 +219,12 @@ def _parse_bath(cfg: dict):
         v = _get_number(body, "v", "bath.ohmic", required=True)
         temperature = _get_number(body, "temperature", "bath.ohmic", default=0.0)
         amplitude = _get_number(body, "amplitude", "bath.ohmic", default=1.0)
-        try:
-            return OhmicBath(omega_c, v, temperature, amplitude, form)
-        except ValueError as exc:
-            raise ConfigError("bath.ohmic", str(exc)) from exc
+        return _at("bath.ohmic", OhmicBath, omega_c, v, temperature, amplitude, form)
 
     k_bar = _get_number(body, "k_bar", "bath.gaussian", required=True)
     delta_k = _get_number(body, "delta_k", "bath.gaussian", required=True)
     x = _get_number(body, "x", "bath.gaussian", required=True)
-    try:
-        return GaussianSpectrum(k_bar, delta_k, x)
-    except ValueError as exc:
-        raise ConfigError("bath.gaussian", str(exc)) from exc
+    return _at("bath.gaussian", GaussianSpectrum, k_bar, delta_k, x)
 
 
 def _parse_number_list(cfg: dict, key: str, path: str | None = None) -> tuple[float, ...]:

@@ -10,8 +10,8 @@ weighted set of system states they average over, ``kind_members``.  Both
 forms of ``c2`` iterate those members: ``closed_form_c2``, the coupling
 variance against a model's coupling and environment state, and
 ``factorized_c2``, the factorized rate under a spatial correlation function.
-The kind table below holds the rules, and only it: ``kind_state``,
-``kind_members`` and both forms raise ValueError for any other kind name.
+The kind table below holds the rules, and only it: ``kind_members``, the one
+kind function, and both forms raise ValueError for any other kind name.
 """
 
 from __future__ import annotations
@@ -78,22 +78,18 @@ _KINDS = {
 FIDELITY_KINDS = tuple(_KINDS)
 
 
-def kind_state(kind: str, state):
-    """What a kind acts on: io a ``Ket`` and average an ``Ensemble``, as is;
-    entanglement a ``Ket`` or a density, as the density.  Else ValueError."""
+def kind_members(kind: str, state) -> tuple:
+    """The weighted inputs ``(p, state)`` that both forms of c2 and the oracle's curves iterate: an ``Ensemble``'s
+    members for average, a ``Ket`` as given for io, a ``Ket`` or a density as the density for entanglement.
+    Else ValueError."""
     if kind not in _KINDS:
         raise ValueError(f"unknown fidelity kind {kind!r}; expected one of {FIDELITY_KINDS}")
     accepts, what = _KINDS[kind]
     if not isinstance(state, accepts):
         raise ValueError(f"the {kind} fidelity needs {what}")
-    return _density(state) if kind == "entanglement" else state
-
-
-def kind_members(kind: str, state) -> tuple:
-    """The weighted inputs ``(p, state)`` that both forms of c2 and the oracle's curves iterate: the ensemble's
-    members, or the state as given."""
-    kind_state(kind, state)
-    return state.members if kind == "average" else ((1.0, state),)
+    if kind == "average":
+        return state.members
+    return ((1.0, _density(state) if kind == "entanglement" else state),)
 
 
 def closed_form_c2(kind: str, state, h_i: DenseOperator, rho_env: DenseOperator) -> float:

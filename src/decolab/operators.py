@@ -130,9 +130,6 @@ class DenseOperator:
                 raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         return cls(space, m, hermitian=True, density=True)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
 
 @dataclass(frozen=True)
 class Ket:

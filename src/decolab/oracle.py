@@ -74,8 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError
-from .fidelity import (FIDELITY_KINDS, C2_ZERO_FLOOR, closed_form_c2, factorized_c2, kind_members,
-                       kind_state, _density)
+from .fidelity import FIDELITY_KINDS, C2_ZERO_FLOOR, closed_form_c2, factorized_c2, kind_members, _density
 from .model import (
     BathModeSet,
     ModelHamiltonian,
@@ -544,7 +543,7 @@ class Scenario:
         if self.kind not in self.VALID_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         # a check only: the scenario keeps its state as given
-        kind_state(self.fidelity_kind, self.state)
+        kind_members(self.fidelity_kind, self.state)
 
     @property
     def fidelity_kind(self) -> str:
@@ -613,9 +612,10 @@ def _worst_tail(modes: BathModeSet, n_max: int) -> float:
     return max(gibbs_tail_weight(m.omega, modes.temperature, n_max) for m in modes.modes)
 
 
-def factorization_check(model: ModelHamiltonian, rho_env: DenseOperator,
-                        rho_s: DenseOperator) -> tuple[float, float, float, bool]:
+def factorization_check(model: ModelHamiltonian, rho_env: DenseOperator, rho_s) -> tuple[float, float, float, bool]:
     """The paper's identity on one truncated model: (factorized rate, variance form, relative gap, pass).
+
+    ``rho_s`` is the entanglement kind's input: a density, or a ket, which enters as its projector.
 
     The gap must be below FACTORIZATION_REL_TOL when the truncation tail is
     converged below TAIL_WEIGHT_TARGET, and below FIT_REL_TOL otherwise.
@@ -678,6 +678,8 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False,
 
     ``check_convergence`` re-runs the fit at doubled n_max and demands the
     fitted coefficient move by less than 1e-8 relative (raises otherwise).
+    The shift is relative to the larger fitted value, floored at
+    FLAT_C2_FRACTION of the row's coupling scale (C2_ZERO_FLOOR without coupling).
 
     ``memo`` shares the model, its eigendecomposition and the scale moment
     with the scenarios run next to this one on the same model.
@@ -685,8 +687,9 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False,
     memo = ModelMemo() if memo is None else memo
     result = _verify_once(scenario, memo)
     if check_convergence:
+        scale = memo.get(scenario.lattice, scenario.modes, result.n_max)[2]  # the model the row just used
         again = _verify_once(replace(scenario, n_max=2 * result.n_max), memo)
-        denom = max(abs(result.c2_fitted), abs(again.c2_fitted), C2_ZERO_FLOOR)
+        denom = max(abs(result.c2_fitted), abs(again.c2_fitted), FLAT_C2_FRACTION * scale if scale else C2_ZERO_FLOOR)
         shift = abs(again.c2_fitted - result.c2_fitted) / denom
         if shift > 1e-8:
             raise ConvergenceError(
@@ -702,8 +705,7 @@ def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
     c2_factorized = factorization_rel_err = None
     identity_holds = True
     if scenario.kind == "factorized-rate":
-        c2_factorized, _, factorization_rel_err, identity_holds = factorization_check(
-            model, rho_env, kind_state(kind, scenario.state))
+        c2_factorized, _, factorization_rel_err, identity_holds = factorization_check(model, rho_env, scenario.state)
         c2_analytic = c2_factorized
     else:
         c2_analytic = closed_form_c2(kind, scenario.state, model.h_i, rho_env)

@@ -68,8 +68,7 @@ class Xoshiro256pp:
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller on consecutive uniform pairs."""
         m = (n + 1) // 2
-        u1 = np.array([self.uniform() for _ in range(m)])
-        u2 = np.array([self.uniform() for _ in range(m)])
+        u1, u2 = self.uniforms(m), self.uniforms(m)
         r = np.sqrt(-2.0 * np.log(1.0 - u1))
         out = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
         return out[:n]

@@ -181,30 +181,36 @@ def classify_regime(d: float, spec: GaussianSpectrum) -> RegimeReport:
 
 
 def ohmic_correlation_highT(bath: OhmicBath, delta_r: float) -> float:
-    """High-temperature closed form: (4T/omega_c) omega_c^2 / (1 + u^2), as 4T (omega_c / (1 + u^2)).
+    """High-temperature closed form: (4T/omega_c) omega_c^2 / (1 + u^2), as 4T w (``_lorentzian``).
 
     Accurate only for T >> omega_c; at T = 0 it would vanish identically.
     """
     if bath.temperature == 0.0:
         raise ValueError("the highT form needs temperature > 0 (it holds for T >> omega_c)")
-    u = bath.omega_c * delta_r / bath.v
-    return bath.amplitude * 4.0 * (bath.temperature * (bath.omega_c / (1.0 + u * u)))
+    _, w = _lorentzian(bath, delta_r)
+    return bath.amplitude * 4.0 * (bath.temperature * w)
 
 
 def ohmic_correlation_lowT(bath: OhmicBath, delta_r: float) -> float:
     """Low-temperature closed form: 2 omega_c^2 (1 - u^2) / (1 + u^2)^2.
 
     Exact at T = 0 (Laplace transform of the cutoff weight); changes sign at u = 1, where separated sites become
-    anti-correlated.  As 2w omega_c (1 - u^2) / (1 + u^2), w = omega_c / (1 + u^2), it overflows only where its
-    value does.
+    anti-correlated.  As 2w omega_c (1 - u^2) / (1 + u^2) (``_lorentzian``), it overflows only where its value
+    does.
     """
     if bath.temperature > LOWT_MAX_T_OVER_OMEGA_C * bath.omega_c:
         raise ValueError(f"the lowT form needs temperature <= {LOWT_MAX_T_OVER_OMEGA_C:g} omega_c "
                          f"(it holds for T << omega_c), got T = {bath.temperature!r}")
-    u = bath.omega_c * delta_r / bath.v
-    w = bath.omega_c / (1.0 + u * u)
+    u, w = _lorentzian(bath, delta_r)
     ratio = (1.0 - u * u) / (1.0 + u * u) if u * u < math.inf else -1.0  # its limit, once u^2 overflows
     return bath.amplitude * 2.0 * w * (bath.omega_c * ratio)
+
+
+def _lorentzian(bath: OhmicBath, delta_r: float) -> tuple[float, float]:
+    """``u = omega_c delta_r / v`` and ``w = omega_c / (1 + u^2)``.  Once u^2 overflows, w is ``(v / delta_r) / u``,
+    which underflows only where w does."""
+    u = bath.omega_c * delta_r / bath.v
+    return u, (bath.omega_c / (1.0 + u * u) if u * u < math.inf else (bath.v / delta_r) / u)
 
 
 def _hurwitz_zeta(s: int, q: complex, h: float) -> complex:

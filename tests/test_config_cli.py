@@ -190,7 +190,7 @@ def test_discrete_d_sweep_builds_no_model(monkeypatch):
     assert [r["error"] for r in rows] == [""] * len(ds)
     assert all(r["method"] == "factorized" for r in rows)
     for d, row in zip(ds, rows):
-        point = parsed.with_spacing(d)
+        point, _ = parsed.sweep_point(d)
         assert row["c2"] == factorized_c2("entanglement", point.state, point.lattice,
                                           lambda r: correlation_fn_discrete(point.bath, r))
 
@@ -316,11 +316,11 @@ def _d_sweep_config(values):
 
 
 def test_d_sweep_reuses_the_parsed_config(monkeypatch):
-    import decolab.cli
+    import decolab.config
 
     parses = []
-    parse = decolab.cli.parse_config
-    monkeypatch.setattr(decolab.cli, "parse_config", lambda raw: parses.append(raw) or parse(raw))
+    parse = decolab.config.parse_config
+    monkeypatch.setattr(decolab.config, "parse_config", lambda raw: parses.append(raw) or parse(raw))
     cfg = parse_config(_d_sweep_config([0.5, 1.0, 2.0]))
     rows, _ = cmd_sweep(cfg)
     assert [r["error"] for r in rows] == ["", "", ""]
@@ -387,17 +387,16 @@ def test_d_sweep_invalid_spacing_is_a_row_error():
     ({"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}}, "bath.ohmic"),
 ], ids=["discrete", "ohmic"])
 def test_temperature_sweep_reuses_the_parsed_config(monkeypatch, bath, path):
-    import decolab.cli
     import decolab.config
 
     parses, built = [], []
-    parse, build = decolab.cli.parse_config, decolab.config.build_preset
+    parse, build = decolab.config.parse_config, decolab.config.build_preset
     monkeypatch.setattr(decolab.config, "build_preset", lambda name, lattice: built.append(name) or build(name, lattice))
     cfg = parse_config(base_config(qubits=[{"position": 0.0}, {"position": 0.7}], h0_splittings=[], bath=bath,
                                    state="ghz", fidelity_kind=["io", "entanglement", "average"],
                                    sweep={"parameter": "temperature", "values": [0.5, -1.0, 2.0],
                                           "columns": ["c2", "omega2"]}))
-    monkeypatch.setattr(decolab.cli, "parse_config", lambda raw: parses.append(raw) or parse(raw))
+    monkeypatch.setattr(decolab.config, "parse_config", lambda raw: parses.append(raw) or parse(raw))
     rows, _ = cmd_sweep(cfg)
     assert parses == [] and built == ["ghz"]  # each point replaces the bath of the parsed config
     assert [r["error"] for r in rows] == ["", f"{path}: temperature must be >= 0; got -1.0", ""]
@@ -652,6 +651,11 @@ def test_correlation_ohmic_lowT_zero_crossing():
     # highT at d = 0: omega_c^2 = 1e400 does not fit, 4 T omega_c = 4e300 does
     pytest.param({"omega_c": 1e200, "v": 1.0, "temperature": 1e100, "form": "highT"}, "0",
                  lambda u: 4 * Fraction(1e100) * Fraction(1e200) / (1 + u * u), id="highT"),
+    # u = 1e160: u^2 overflows, and w = omega_c / (1 + u^2) underflowed; the values are about -2e-20 and 4e-70
+    pytest.param({"omega_c": 1e150, "v": 1.0, "temperature": 0.0, "form": "lowT"}, "1e10",
+                 lambda u: 2 * Fraction(1e150) ** 2 * (1 - u * u) / (1 + u * u) ** 2, id="lowT-u2-overflows"),
+    pytest.param({"omega_c": 1e150, "v": 1.0, "temperature": 1e100, "form": "highT"}, "1e10",
+                 lambda u: 4 * Fraction(1e100) * Fraction(1e150) / (1 + u * u), id="highT-u2-overflows"),
 ])
 def test_cli_closed_forms_divide_before_they_square(tmp_path, capsys, ohmic, delta_r, exact):
     path = write_config(tmp_path, base_config(bath={"ohmic": ohmic}))
@@ -893,6 +897,52 @@ def test_sweep_empty_values_header_only(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_OK
     assert out.read_text() == "bath.discrete.temperature,c2,error\n"
+
+
+def _sweep_csv(tmp_path, capsys, n_qubits, sweep, state="ghz"):
+    cfg = base_config(qubits=[{"position": 0.5 * i} for i in range(n_qubits)], h0_splittings=[],
+                      bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}}, state=state,
+                      fidelity_kind="entanglement", sweep=sweep)
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+@pytest.mark.parametrize("sweep_range, rows", [
+    ({"start": 0.5, "stop": 2.0, "count": 1}, "0.5,3.7671306905262716,\n"),
+    ({"start": 0.5, "stop": 2.0, "count": 4},
+     "0.5,3.7671306905262716,\n1.0,2.780686511389466,\n1.5,2.5060757610694497,\n2.0,2.459783726229477,\n"),
+    ({"start": 0.01, "stop": 100.0, "count": 1, "scale": "log"}, "0.01,4.816058683556163,\n"),
+    ({"start": 0.01, "stop": 100.0, "count": 5, "scale": "log"},
+     "0.01,4.816058683556163,\n0.1,4.757259998301707,\n1.0,2.780686511389466,\n10.0,2.4195413857143224,\n"
+     "100.0,2.4084511579308314,\n"),
+], ids=["linear-1", "linear-4", "log-1", "log-5"])
+def test_sweep_range_rows(tmp_path, capsys, sweep_range, rows):
+    sweep = {"parameter": "d", "range": sweep_range, "columns": ["c2"]}
+    assert _sweep_csv(tmp_path, capsys, 2, sweep) == "d,c2,error\n" + rows
+
+
+def test_one_qubit_sweep_rows(tmp_path, capsys):
+    # a dotted-path point has no spacing for the distance columns: the row fails before any command fills it
+    sweep = {"parameter": "bath.ohmic.temperature", "values": [0.1, 0.2], "columns": ["c2", "omega2"]}
+    error = "sweep.columns: distance columns need >= 2 qubits or parameter 'd'"
+    assert _sweep_csv(tmp_path, capsys, 1, sweep, "ground") == \
+        f"bath.ohmic.temperature,c2,omega2,error\n0.1,,,{error}\n0.2,,,{error}\n"
+    sweep["columns"] = ["c2", "tau2"]
+    assert _sweep_csv(tmp_path, capsys, 1, sweep, "ground") == ("bath.ohmic.temperature,c2,tau2,error\n"
+                                                                "0.1,1.028665983015855,0.9859679792260276,\n"
+                                                                "0.2,1.1013901764339022,0.9528606682502703,\n")
+
+
+def test_sweep_row_with_every_column(tmp_path, capsys):
+    from decolab.config import SWEEP_COLUMNS
+
+    sweep = {"parameter": "d", "values": [0.3], "columns": list(SWEEP_COLUMNS)}
+    assert _sweep_csv(tmp_path, capsys, 2, sweep) == (
+        "d,c2,tau2,method,omega2,normalized,regime,kbar_d,dk_d,error\n"
+        "0.3,4.345044586878006,0.47973663144204587,factorized,1.9367133502792242,0.8041723334595738,intermediate,"
+        "0.5143936044380206,0.43214542578461324,\n")
 
 
 def test_sweep_point_errors_recorded_not_fatal():

@@ -13,7 +13,6 @@ from decolab.fidelity import (
     damping_time,
     factorized_c2,
     kind_members,
-    kind_state,
 )
 from decolab.operators import (
     DenseOperator,
@@ -189,6 +188,17 @@ def test_tau2_reporting():
     assert damping_time(4e-20, 1.0) == math.inf
 
 
+def test_kind_members_take_the_entanglement_kind_ket_as_its_density():
+    # both forms then read an entanglement ket through its density, as they read a density given as one
+    psi = Ket(Q1, np.array([0.6, 0.8j]))
+    (p, rho), = kind_members("entanglement", psi)
+    assert p == 1.0 and rho.density and np.array_equal(rho.matrix, psi.projector().matrix)
+    (p, member), = kind_members("io", psi)
+    assert p == 1.0 and member is psi
+    ens = Ensemble(((0.5, psi), (0.5, Ket(Q1, np.array([1.0, 0.0])))))
+    assert kind_members("average", ens) is ens.members
+
+
 @pytest.mark.parametrize("kind", ["entangelment", "factorized-rate"])
 def test_kind_table_rejects_other_kind_names(kind):
     # such names used to read as entanglement: on the L2-K1-T0 grid model the
@@ -202,7 +212,7 @@ def test_kind_table_rejects_other_kind_names(kind):
     env = model.thermal_env_state()
     psi = ghz_ket(2)
     assert closed_form_c2("entanglement", psi, model.h_i, env) == pytest.approx(0.01, rel=1e-12)
-    calls = [lambda: kind_state(kind, psi), lambda: kind_members(kind, psi),
+    calls = [lambda: kind_members(kind, psi),
              lambda: closed_form_c2(kind, psi, model.h_i, env),
              lambda: factorized_c2(kind, psi, lattice, lambda d: 1.0)]
     for call in calls:

@@ -269,21 +269,47 @@ def test_window_selection_across_coupling_scales(g):
     assert rep.rel_err < 1e-6
 
 
+def _weak_scenario(g):
+    return Scenario("weak", "io", QubitLattice((0.0,), 1.0, 0.0, (1.0,)), BathModeSet((BathMode(0.0, 1.0, g),), 0.0),
+                    ground_ket(1))
+
+
 def test_weak_bath_is_judged_against_its_own_coupling_scale(monkeypatch):
     # g = 1e-6 gives c2 = 1e-12: an absolute floor of 1e-10 let a fit 50 times too large pass as flat
     from dataclasses import replace
 
     from decolab import oracle
 
-    lattice = QubitLattice((0.0,), 1.0, 0.0, (1.0,))
-    modes = BathModeSet((BathMode(0.0, 1.0, 1e-6),), 0.0)
-    scenario = Scenario("weak", "io", lattice, modes, ground_ket(1))
+    scenario = _weak_scenario(1e-6)
     rep = verify_expansion(scenario)
     assert rep.c2_analytic == pytest.approx(1e-12, rel=1e-12)
     assert rep.passed and rep.rel_err < 1e-5
     fit = oracle.estimate_c2
     monkeypatch.setattr(oracle, "estimate_c2", lambda curve: replace(fit(curve), c2_hat=50 * rep.c2_analytic))
     assert not verify_expansion(scenario).passed
+
+
+def test_convergence_shift_is_judged_against_its_own_coupling_scale(monkeypatch):
+    # c2 = g^2; doubling n_max from 2 to 4 moves the fit by 2.2e-7 and 2.3e-6 of c2 at g = 1e-4 and 1e-6,
+    # and by 1.0e-10 of c2 at g = 1e-8, whose fit window is far wider
+    from dataclasses import replace
+
+    from decolab import oracle
+
+    for g in (1e-4, 1e-6):
+        with pytest.raises(ConvergenceError, match="doubling n_max"):
+            verify_expansion(_weak_scenario(g), check_convergence=True)
+    assert verify_expansion(_weak_scenario(1e-8), check_convergence=True).passed
+    # a shift of 5e-7 of c2 = 1e-16 read as 5e-9 against an absolute floor of 1e-14, and passed
+    once = oracle._verify_once
+
+    def shifted(scenario, memo):  # the doubled run's fit, 5e-7 of c2 away
+        rep = once(scenario, memo)
+        return replace(rep, c2_fitted=rep.c2_fitted * (1.0 + 5e-7)) if scenario.n_max == 4 else rep
+
+    monkeypatch.setattr(oracle, "_verify_once", shifted)
+    with pytest.raises(ConvergenceError, match="doubling n_max"):
+        verify_expansion(_weak_scenario(1e-8), check_convergence=True)
 
 
 def test_verify_factorized_rate_thermal_four_modes():

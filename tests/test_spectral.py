@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ def test_ohmic_low_temperature_profile():
     expected = 0.8 * 2 * bath.omega_c ** 2 * (-3.0 / 25.0)
     assert abs(u2 - expected) < 1e-12
     assert abs(u2 - ohmic_correlation_quad(bath, 2 * bath.v / bath.omega_c)) < 1e-9 * abs(expected)
+
+
+@pytest.mark.parametrize("fn, temperature, form", [
+    (ohmic_correlation_lowT, 0.0, "lowT"),
+    (ohmic_correlation_highT, 1e100, "highT"),
+], ids=["lowT", "highT"])
+def test_closed_forms_keep_their_value_once_u_squared_overflows(fn, temperature, form):
+    # u = omega_c d / v = 1e160: u^2 overflows, and w = omega_c / (1 + u^2) underflowed to a signed zero
+    bath = OhmicBath(1e150, 1.0, temperature, form=form)
+    wc = Fraction(1e150)
+    u = wc * Fraction(1e10)
+    w = wc / (1 + u * u)
+    exact = 2 * w * wc * (1 - u * u) / (1 + u * u) if form == "lowT" else 4 * Fraction(temperature) * w
+    assert fn(bath, 1e10) == pytest.approx(float(exact), rel=1e-12, abs=0.0)  # about -2e-20 and 4e-70
 
 
 # --- reference: the Ohmic integrals by adaptive Gauss-Legendre panel quadrature -----------------
