@@ -254,18 +254,12 @@ class ModelHamiltonian:
         return kron_all(parts)
 
 
-def _coupling_stack(lattice: QubitLattice) -> np.ndarray:
-    """The L couplings A_l = lambda1 sx_l + lambda2 sy_l as one (L, 2^L, 2^L) array, [l] = ``embed(A, l, ...)``.
-
-    Qubit 0 is a basis index's most significant bit, and A_l flips bit l: A[1, 0] takes a 0 to a 1, A[0, 1] back.
-    """
+def _flips(lattice: QubitLattice) -> tuple[np.ndarray, np.ndarray]:
+    """The L couplings A_l = lambda1 sx_l + lambda2 sy_l as bit flips A_l|x> = c_l(x)|x ^ m_l>: the (L,) masks m and the
+    (L, 2^L) coefficients c.  Qubit 0 is a basis index's most significant bit; A[1, 0] takes a 0 to a 1, A[0, 1] back."""
     a = lattice.coupling_matrix()
-    L = lattice.n_qubits
-    cols = np.arange(1 << L)
-    masks = 1 << np.arange(L - 1, -1, -1)[:, None]
-    stack = np.zeros((L, len(cols), len(cols)), dtype=np.complex128)
-    stack[np.arange(L)[:, None], cols ^ masks, cols] = np.where(cols & masks, a[0, 1], a[1, 0])
-    return stack
+    masks = 1 << np.arange(lattice.n_qubits - 1, -1, -1)
+    return masks, np.where(np.arange(1 << lattice.n_qubits) & masks[:, None], a[0, 1], a[1, 0])
 
 
 def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> ModelHamiltonian:
@@ -288,16 +282,16 @@ def build_hamiltonian(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> 
 
     a1, _, _ = boson_ops(n_max)
     a_embedded = [embed(a1, j, mspace).matrix for j in range(K)]
-    h_i_m = np.zeros((space.dim, space.dim), dtype=np.complex128)
     de = mspace.dim
-    for r, a_l in zip(lattice.positions, _coupling_stack(lattice)):
+    blocks = np.zeros((qspace.dim, de, qspace.dim, de), dtype=np.complex128)  # [y, :, x] is h_i's block (y, x)
+    for r, mask, c in zip(lattice.positions, *_flips(lattice)):
         field_m = np.zeros((de, de), dtype=np.complex128)
         for j, m in enumerate(modes.modes):
             phase = np.exp(-1j * m.k * r)
             field_m += m.g * (phase * a_embedded[j] + np.conj(phase) * a_embedded[j].conj().T)
-        for i, j in zip(*np.nonzero(a_l)):  # np.kron(a_l, field_m) added block by block, zero blocks skipped
-            h_i_m[i * de:(i + 1) * de, j * de:(j + 1) * de] += a_l[i, j] * field_m
-    h_i = DenseOperator.hermitian_op(space, h_i_m)
+        for x, c_x in enumerate(c):  # np.kron(A_l, field_m) added block by block: c_l(x) field_m into (x ^ m_l, x)
+            blocks[x ^ mask, :, x] += c_x * field_m
+    h_i = DenseOperator.hermitian_op(space, blocks.reshape(space.dim, space.dim))
 
     return ModelHamiltonian(space, h0_diag, h_i, h_env_diag, lattice, modes, n_max)
 
@@ -311,15 +305,19 @@ def correlation_fn_discrete(modes: BathModeSet, delta_r: float) -> float:
     )
 
 
-def _covariances(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Re <dO_i dO_j> of a stack ``ops``, one rho O_i at a time contracted against the whole stack for its row;
+def _moments(lattice: QubitLattice, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complex tr[rho A_i] = sum_x rho[x, x ^ m_i] c_i(x) and tr[rho A_i A_j] = sum_x rho[x, x ^ m_i ^ m_j]
+    c_i(x ^ m_j) c_j(x), gathered with the masks m and coefficients c of ``_flips``."""
+    masks, coeffs = _flips(lattice)
+    x = np.arange(len(rho))
+    flipped = x ^ masks[:, None]  # [j, x] = x ^ m_j, so coeffs[:, flipped][i, j, x] = c_i(x ^ m_j)
+    means = (rho[x, flipped] * coeffs).sum(axis=1)
+    return means, (rho[x, flipped ^ masks[:, None, None]] * coeffs[:, flipped] * coeffs).sum(axis=-1)
+
+
+def _covariances(means: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Re <dO_i dO_j> from the complex means tr[rho O_i] and moments tr[rho O_i O_j];
     an imaginary residue above tolerance raises."""
-    means = np.empty(len(ops), dtype=np.complex128)
-    raw = np.empty((len(ops), len(ops)), dtype=np.complex128)
-    for i, op in enumerate(ops):
-        rho_oi = rho @ op
-        means[i] = np.trace(rho_oi)
-        raw[i] = np.einsum("ab,jba->j", rho_oi, ops)  # tr[rho O_i O_j] for every j
     if np.abs(means.imag).max() > COVARIANCE_IMAG_ATOL:
         raise ValueError("coupling operators have non-real means against the state")
     cov = raw - np.outer(means, means)
@@ -351,7 +349,7 @@ def rate_from_correlation(lattice: QubitLattice, omega2: Callable[[float], float
     """
     if rho_s.space != lattice.qubit_space():
         raise ValueError("state space does not match the lattice qubit space")
-    cov = _covariances(_coupling_stack(lattice), rho_s.matrix)
+    cov = _covariances(*_moments(lattice, rho_s.matrix))
     return _rate_sum(lattice.positions, cov, omega2)
 
 
@@ -386,9 +384,8 @@ def pair_rate(lattice: QubitLattice, omega2: Callable[[float], float], rho_s: De
                 f"{centers[-1]}; the pair-constant approximation is outside its regime",
                 stacklevel=2,
             )
-    stack = _coupling_stack(lattice)
-    stack[0::2] += stack[1::2]  # A_l + A_l' for each pair (l, l') of _pairs, in place
-    cov = _covariances(stack[0::2], rho_s.matrix)
+    means, raw = _moments(lattice, rho_s.matrix)  # the pair sums A_l + A_l' of _pairs are 2x2 block sums
+    cov = _covariances(means.reshape(-1, 2).sum(axis=1), raw.reshape(len(centers), 2, -1, 2).sum(axis=(1, 3)))
     return _rate_sum(centers, cov, omega2)
 
 

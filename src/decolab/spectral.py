@@ -196,14 +196,15 @@ def ohmic_correlation_lowT(bath: OhmicBath, delta_r: float) -> float:
 
     Exact at T = 0 (Laplace transform of the cutoff weight); changes sign at u = 1, where separated sites become
     anti-correlated.  As 2w omega_c (1 - u^2) / (1 + u^2) (``_lorentzian``), it overflows only where its value
-    does.
+    does; once u^2 overflows it is its limit -2 (v / delta_r)^2, which underflows only where its value does.
     """
     if bath.temperature > LOWT_MAX_T_OVER_OMEGA_C * bath.omega_c:
         raise ValueError(f"the lowT form needs temperature <= {LOWT_MAX_T_OVER_OMEGA_C:g} omega_c "
                          f"(it holds for T << omega_c), got T = {bath.temperature!r}")
     u, w = _lorentzian(bath, delta_r)
-    ratio = (1.0 - u * u) / (1.0 + u * u) if u * u < math.inf else -1.0  # its limit, once u^2 overflows
-    return bath.amplitude * 2.0 * w * (bath.omega_c * ratio)
+    if u * u < math.inf:
+        return bath.amplitude * 2.0 * w * (bath.omega_c * ((1.0 - u * u) / (1.0 + u * u)))
+    return bath.amplitude * -2.0 * (bath.v / delta_r) ** 2
 
 
 def _lorentzian(bath: OhmicBath, delta_r: float) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 
@@ -12,7 +13,8 @@ from decolab.model import (
     ModelHamiltonian,
     QubitLattice,
     _covariances,
-    _coupling_stack,
+    _flips,
+    _moments,
     build_hamiltonian,
     correlation_fn_discrete,
     pair_encode,
@@ -24,16 +26,32 @@ from decolab.operators import DenseOperator, HilbertSpace, Ket, boson_ops, embed
 from decolab.states import ghz_ket, ground_ket, plus_all_ket
 
 
+def _flip_couplings(lattice):
+    """Each A_l of ``_flips`` as a dense matrix: A_l[x ^ m_l, x] = c_l(x)."""
+    masks, coeffs = _flips(lattice)
+    x = np.arange(coeffs.shape[1])
+    dense = np.zeros((len(masks), len(x), len(x)), dtype=np.complex128)
+    for a_l, m, c in zip(dense, masks, coeffs):
+        a_l[x ^ m, x] = c
+    return dense
+
+
+def _embedded_coupling(lattice, l):
+    """A_l = lambda1 sx_l + lambda2 sy_l embedded by np.kron."""
+    coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
+    return embed(coupling, l, lattice.qubit_space()).matrix
+
+
 def test_coupling_op_axis_cases():
     lat_x = QubitLattice((0.0,), 1.0, 0.0)
-    assert np.abs(_coupling_stack(lat_x)[0] - pauli("x").matrix).max() == 0.0
+    assert np.abs(_flip_couplings(lat_x)[0] - pauli("x").matrix).max() == 0.0
     lat_y = QubitLattice((0.0,), 0.0, 1.0)
-    assert np.abs(_coupling_stack(lat_y)[0] - pauli("y").matrix).max() == 0.0
+    assert np.abs(_flip_couplings(lat_y)[0] - pauli("y").matrix).max() == 0.0
 
 
 def test_coupling_op_eigenvalues_three_four():
     lat = QubitLattice((0.0, 1.0), 3.0, 4.0)
-    for a_l in _coupling_stack(lat):
+    for a_l in _flip_couplings(lat):
         eig = np.linalg.eigvalsh(a_l)
         assert np.abs(eig - np.array([-5.0, -5.0, 5.0, 5.0])).max() < 1e-12
 
@@ -239,38 +257,73 @@ def test_coupling_from_the_stack_equals_the_kron_form(n_qubits, lambdas):
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
 def test_coupling_stack_is_each_embedded_coupling(n_qubits):
+    # the flips of _flips, written out densely, are the couplings embed places
     for lambdas in ((1.0, 0.5), (0.0, 1.3), (-0.7, 0.0), (0.4, -1.1), (0.0, 0.0)):
         lattice = QubitLattice(tuple(float(l) for l in range(n_qubits)), *lambdas)
-        coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
-        stack = _coupling_stack(lattice)
-        assert stack.shape == (n_qubits, 2 ** n_qubits, 2 ** n_qubits)
-        for l in range(n_qubits):
-            expected = embed(coupling, l, lattice.qubit_space()).matrix  # np.kron may sign its zeros: compare values
-            assert np.array_equal(stack[l], expected)
+        masks, coeffs = _flips(lattice)
+        assert masks.shape == (n_qubits,) and coeffs.shape == (n_qubits, 2 ** n_qubits)
+        for l, a_l in enumerate(_flip_couplings(lattice)):
+            expected = _embedded_coupling(lattice, l)  # np.kron may sign its zeros: compare values
+            assert np.array_equal(a_l, expected)
 
 
 def _dense_covariances(lattice, rho):
     """Re <dA_i dA_j> one pair at a time, each A_l embedded by np.kron."""
-    coupling = DenseOperator.hermitian_op(HilbertSpace((2,)), lattice.coupling_matrix())
-    ops = [embed(coupling, l, lattice.qubit_space()).matrix for l in range(lattice.n_qubits)]
+    ops = [_embedded_coupling(lattice, l) for l in range(lattice.n_qubits)]
     means = [np.trace(rho @ op).real for op in ops]
     return np.array([[np.trace(rho @ oi @ oj).real - mi * mj for oj, mj in zip(ops, means)]
                      for oi, mi in zip(ops, means)])
 
 
-@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5])
+def _random_density(rng, space, rank):
+    n = space.dim
+    x = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    rho = x @ x.conj().T
+    return DenseOperator.density_op(space, 0.5 * (rho + rho.conj().T) / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
 def test_stacked_covariances_match_the_dense_per_pair_reference(n_qubits):
     rng = np.random.default_rng(n_qubits)
-    n = 2 ** n_qubits
     lambda_pairs = [(0.0, rng.normal()), (rng.normal(), 0.0)] + [tuple(rng.normal(size=2)) for _ in range(3)]
     for lambdas in lambda_pairs:
         lattice = QubitLattice(tuple(float(l) for l in range(n_qubits)), *lambdas)
-        for rank in (1, 2, n):  # pure, mixed, full rank
-            x = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
-            rho = x @ x.conj().T
-            rho = DenseOperator.density_op(lattice.qubit_space(), 0.5 * (rho + rho.conj().T) / np.trace(rho).real)
-            got = _covariances(_coupling_stack(lattice), rho.matrix)
+        for rank in (1, 2, 2 ** n_qubits):  # pure, mixed, full rank
+            rho = _random_density(rng, lattice.qubit_space(), rank)
+            got = _covariances(*_moments(lattice, rho.matrix))
             assert np.abs(got - _dense_covariances(lattice, rho.matrix)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 3])
+def test_pair_rate_matches_the_dense_pair_sum_reference(n_pairs):
+    rng = np.random.default_rng(10 + n_pairs)
+    positions = tuple(x for p in range(n_pairs) for x in (1.5 * p, 1.5 * p + 0.01))
+    omega2 = lambda d: 0.3 * math.exp(-d * d)  # a positive-definite profile, constant across each pair to 1e-4
+    for lambdas in ((1.0, 0.5), (0.0, 1.3), tuple(rng.normal(size=2))):
+        lattice = QubitLattice(positions, *lambdas)
+        sums = [_embedded_coupling(lattice, 2 * p) + _embedded_coupling(lattice, 2 * p + 1) for p in range(n_pairs)]
+        centers = [0.5 * (positions[2 * p] + positions[2 * p + 1]) for p in range(n_pairs)]
+        for rank in (1, 3, 4 ** n_pairs):
+            rho = _random_density(rng, lattice.qubit_space(), rank).matrix
+            means = [np.trace(rho @ s).real for s in sums]
+            expected = 0.5 * sum(omega2(ci - cj) * (np.trace(rho @ si @ sj).real - mi * mj)
+                                 for si, mi, ci in zip(sums, means, centers)
+                                 for sj, mj, cj in zip(sums, means, centers))
+            got = pair_rate(lattice, omega2, DenseOperator.density_op(lattice.qubit_space(), rho))
+            assert abs(got - expected) <= 1e-13 * max(expected, 1.0)
+
+
+def test_rate_of_a_ten_qubit_product_state_is_the_sum_of_its_single_qubit_rates():
+    rng = np.random.default_rng(7)
+    lattice = QubitLattice(tuple(0.4 * l for l in range(10)), 1.0, -0.6)
+    factors = [_random_density(rng, HilbertSpace((2,)), 2) for _ in range(10)]
+    rho = functools.reduce(np.kron, [f.matrix for f in factors])
+    rho = DenseOperator.density_op(lattice.qubit_space(), 0.5 * (rho + rho.conj().T))
+    omega2 = lambda d: 0.3 * math.exp(-d * d)
+    total = rate_from_correlation(lattice, omega2, rho)
+    singles = sum(rate_from_correlation(QubitLattice((r,), 1.0, -0.6), omega2, partial_trace(rho, keep={l}))
+                  for l, r in enumerate(lattice.positions))
+    assert abs(total - singles) <= 1e-12 * singles
 
 
 def test_covariances_reject_non_real_means_and_name_the_imaginary_pair():
@@ -283,6 +336,18 @@ def test_covariances_reject_non_real_means_and_name_the_imaginary_pair():
     crossed = DenseOperator(space, np.eye(4) / 4 + 0.05j * xx)  # real means, tr[rho sx_0 sx_1] = 0.2i
     with pytest.raises(ValueError, match=r"^covariance \(0,1\) has imaginary residue 2\.000e-01$"):
         rate_from_correlation(lattice, lambda d: 1.0, crossed)
+
+
+def test_pair_rate_checks_the_pair_operators_for_imaginary_parts():
+    space = HilbertSpace((2,) * 4)
+    x0, x2 = (np.kron(np.kron(np.eye(2 ** l), pauli("x").matrix), np.eye(2 ** (3 - l))) for l in (0, 2))
+    lattice = QubitLattice((0.0, 0.01, 2.0, 2.01), 1.0, 0.0)
+    skewed = DenseOperator(space, np.eye(16) / 16 + 0.25j * x0)  # <sx_0 + sx_1> = 4i
+    with pytest.raises(ValueError, match=r"^coupling operators have non-real means against the state$"):
+        pair_rate(lattice, lambda d: 1.0, skewed)
+    crossed = DenseOperator(space, np.eye(16) / 16 + 0.0125j * x0 @ x2)  # tr[rho (sx_0 + sx_1)(sx_2 + sx_3)] = 0.2i
+    with pytest.raises(ValueError, match=r"^covariance \(0,1\) has imaginary residue 2\.000e-01$"):
+        pair_rate(lattice, lambda d: 1.0, crossed)
 
 
 def test_free_energies_are_the_dense_free_diagonals():
@@ -446,7 +511,7 @@ def test_pair_encode_annihilated_by_pair_sums():
     logical = plus_all_ket(2)
     out = pair_encode(logical, lat)
     for a, b in ((0, 1), (2, 3)):
-        s = _coupling_stack(lat)[a] + _coupling_stack(lat)[b]
+        s = _embedded_coupling(lat, a) + _embedded_coupling(lat, b)
         assert np.abs(s @ out.amplitudes).max() < 1e-12
 
 
@@ -465,7 +530,7 @@ def test_pair_encode_ghz_logical():
     lat = encoded_lattice()
     out = pair_encode(ghz_ket(2), lat)
     for a, b in ((0, 1), (2, 3)):
-        s = _coupling_stack(lat)[a] + _coupling_stack(lat)[b]
+        s = _embedded_coupling(lat, a) + _embedded_coupling(lat, b)
         assert np.abs(s @ out.amplitudes).max() < 1e-12
 
 

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1080,3 +1085,35 @@ def test_uncertified_window_fails_loudly(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"B = .* is not below the pass tolerance 0\.01"):
         verify_expansion(Scenario("uncertified", "io", model.lattice, model.modes, ground_ket(1)))
     assert advanced == []  # refused before any sample is propagated
+
+
+# the full suite's grid-L2-K4 rows, with each row's bound and the denominator its rel_err and bound share
+_GRID_ROWS_CHILD = """
+import json
+from decolab.oracle import FLAT_C2_FRACTION, ModelMemo, verify_expansion
+from decolab.suites import _grid_scenarios
+memo, rows = ModelMemo(), []
+for sc in _grid_scenarios():
+    if sc.name.startswith("grid-L2-K4-"):
+        r = verify_expansion(sc, False, memo)
+        scale = memo.get(sc.lattice, sc.modes, r.n_max)[2]
+        denom = (scale or 1.0) if r.c2_analytic <= FLAT_C2_FRACTION * scale else r.c2_analytic  # as _verify_once
+        rows.append([r.scenario, r.c2_fitted, r.bound, denom, r.passed])
+print(json.dumps(rows))
+"""
+
+
+def _grid_rows_on_blas_threads(n):
+    threads = {var: str(n) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = {**os.environ, **threads, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _GRID_ROWS_CHILD], env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def test_blas_thread_count_moves_fitted_c2_only_within_the_certified_bound():
+    # BLAS may sum in another order on more threads; a row's fit may move, but not by its bound, and no pass cell
+    one, two = _grid_rows_on_blas_threads(1), _grid_rows_on_blas_threads(2)
+    assert len(one) == 18 and [r[0] for r in one] == [r[0] for r in two]
+    for (name, c2_one, bound_one, denom, passed_one), (_, c2_two, bound_two, _, passed_two) in zip(one, two):
+        assert passed_one == passed_two, name
+        assert abs(c2_one - c2_two) / denom <= min(bound_one, bound_two), name

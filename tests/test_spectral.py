@@ -135,6 +135,16 @@ def test_closed_forms_keep_their_value_once_u_squared_overflows(fn, temperature,
     assert fn(bath, 1e10) == pytest.approx(float(exact), rel=1e-12, abs=0.0)  # about -2e-20 and 4e-70
 
 
+def test_lowT_keeps_its_value_where_omega_c_d_overflows():
+    # omega_c d = 1e350 overflows before the division by v, so u is inf; the value, -2 (v/d)^2, fits
+    bath = OhmicBath(1e150, 1e100, 0.0, form="lowT")
+    u = Fraction(1e150) * Fraction(1e200) / Fraction(1e100)
+    exact = 2 * Fraction(1e150) ** 2 * (1 - u * u) / (1 + u * u) ** 2
+    assert float(exact) == pytest.approx(-2e-200, rel=1e-15)
+    assert ohmic_correlation_lowT(bath, 1e200) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    assert correlation(bath, -1e200) == ohmic_correlation_lowT(bath, 1e200)
+
+
 # --- reference: the Ohmic integrals by adaptive Gauss-Legendre panel quadrature -----------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
