@@ -3,7 +3,7 @@
 Output is CSV (or a JSON mirror of the same rows) with a fixed column order,
 shortest round-trip float formatting, "inf" for infinite damping times, LF
 line endings and a header row even when there are no data rows.  Reruns with
-the same config and seed are byte-identical.
+the same config (and ``verify``'s seed) are byte-identical.
 
 ``rates`` and ``sweep`` report every bath's factorized ``c2``, with no dense model.  Beyond "does it have
 explicit modes", which ``verify --config`` needs, the bath's kind is left to ``spectral``: its correlation comes
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="JSON scenario config")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; tasks run serially")
 
     common(sub.add_parser("rates", help="factorized damping coefficients, one route for every bath"))
@@ -194,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="closed forms vs the exact-evolution oracle")
     common(p_ver, config_required=False)
     p_ver.add_argument("--suite", choices=SUITE_NAMES, help="built-in suite to run")
+    p_ver.add_argument("--seed", type=int, default=0, help="seed of the inequality suite's random instances")
     common(sub.add_parser("sweep", help="parameter sweep with selected output columns"))
     return parser
 
@@ -220,7 +220,6 @@ def main(argv=None) -> int:
         cfg = None
         if args.config:
             cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else (cfg.seed if cfg else 0)
 
         verify_failed, failures = False, []
         if args.command == "rates":
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             if (args.suite is None) == (cfg is None):
                 raise ConfigError("verify", "exactly one of --suite or --config is required")
-            (rows, failures), columns = cmd_verify(cfg, args.suite, seed), VERIFY_COLUMNS
+            (rows, failures), columns = cmd_verify(cfg, args.suite, args.seed), VERIFY_COLUMNS
             verify_failed = any(not r["pass"] for r in rows)
         else:
             rows, columns = cmd_sweep(cfg)

@@ -11,8 +11,7 @@ schema is documented in the README; the short version:
       "bath": {"discrete": {"temperature": 0.0,
                             "modes": [{"k": 0.0, "omega": 1.0, "g": 0.05}]}},
       "state": "ground",
-      "fidelity_kind": "entanglement",
-      "seed": 0
+      "fidelity_kind": "entanglement"
     }
 
 ``bath`` takes exactly one of ``discrete``, ``ohmic`` or ``gaussian``; the parsed
@@ -66,18 +65,19 @@ def _finite(v, path: str) -> float:
 
 
 def _get_number(obj: dict, key: str, path: str, default=None, required: bool = False) -> float | None:
+    path = f"{path}.{key}" if path else key  # a top-level field's path is its key
     if key not in obj:
-        _expect(not required, f"{path}.{key}", "missing required field")
+        _expect(not required, path, "missing required field")
         return default
-    return _finite(obj[key], f"{path}.{key}")
+    return _finite(obj[key], path)
 
 
 def _get_int(obj: dict, key: str, path: str, default=None) -> int | None:
+    path = f"{path}.{key}" if path else key
     if key not in obj:
         return default
     v = obj[key]
-    _expect(isinstance(v, int) and not isinstance(v, bool), f"{path}.{key}",
-            f"expected an integer, got {v!r}")
+    _expect(isinstance(v, int) and not isinstance(v, bool), path, f"expected an integer, got {v!r}")
     return v
 
 
@@ -92,7 +92,6 @@ class ScenarioConfig:
     fidelity_kinds: tuple[str, ...]
     ensemble_spec: tuple | None
     n_max: int | None
-    seed: int
     delta_r: tuple[float, ...]
     d_values: tuple[float, ...]
     sweep: "SweepSpec | None"
@@ -317,7 +316,6 @@ def parse_config(cfg: dict) -> ScenarioConfig:
     n_max = _get_int(cfg, "n_max", "")
     if n_max is not None:
         _expect(n_max >= 1, "n_max", f"must be >= 1, got {n_max}")
-    seed = _get_int(cfg, "seed", "", default=0)
 
     return ScenarioConfig(
         name=name,
@@ -326,7 +324,6 @@ def parse_config(cfg: dict) -> ScenarioConfig:
         fidelity_kinds=tuple(kinds_raw),
         ensemble_spec=ensemble_spec,
         n_max=n_max,
-        seed=seed,
         delta_r=_parse_number_list(cfg, "delta_r"),
         d_values=_parse_number_list(cfg, "d"),
         sweep=_parse_sweep(cfg),

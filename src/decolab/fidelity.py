@@ -134,7 +134,8 @@ def check_rate_inequality(rho_s: DenseOperator, ensemble: Ensemble,
                           h_i: DenseOperator, rho_env: DenseOperator) -> RateInequalityReport:
     """Entanglement damping dominates every decomposition's average damping.
 
-    Verifies that ``ensemble`` actually mixes to ``rho_s`` before comparing.
+    Verifies that ``ensemble`` actually mixes to ``rho_s`` before comparing.  The comparison allows
+    INEQUALITY_SLACK times max(1, either rate), since the rounding in each rate grows with it.
     """
     mix = ensemble.density()
     dev = np.abs(mix.matrix - rho_s.matrix).max()
@@ -142,4 +143,4 @@ def check_rate_inequality(rho_s: DenseOperator, ensemble: Ensemble,
         raise ValueError(f"ensemble does not reproduce the density (max deviation {dev:.3e})")
     c2_e = closed_form_c2("entanglement", rho_s, h_i, rho_env)
     c2_a = closed_form_c2("average", ensemble, h_i, rho_env)
-    return RateInequalityReport(c2_e, c2_a, c2_e >= c2_a - INEQUALITY_SLACK)
+    return RateInequalityReport(c2_e, c2_a, c2_e >= c2_a - INEQUALITY_SLACK * max(1.0, c2_e, c2_a))

@@ -218,20 +218,15 @@ class ModelHamiltonian:
 
     def total(self) -> DenseOperator:
         """The full-size H_total: the dense reference that ``block`` is tested against."""
-        idx = np.arange(self.space.dim)
-        return DenseOperator.hermitian_op(self.space, self.block(idx, idx))
+        return DenseOperator.hermitian_op(self.space, self.block(np.arange(self.space.dim)))
 
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """H_total's entries at ``np.ix_(rows, cols)`` for index arrays without repeats, without forming H_total.
-
-        One gather of ``h_i``; the free energies land on the entries whose
-        row equals their column.  No Hermiticity check: a block off the
-        diagonal need not be Hermitian.
-        """
-        h = self.h_i.matrix[np.ix_(rows, cols)]
-        both, i, j = np.intersect1d(rows, cols, assume_unique=True, return_indices=True)
-        s, e = np.divmod(both, len(self.h_env_diag))
-        h[i, j] = (h[i, j] + self.h0_diag[s]) + self.h_env_diag[e]
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        """H_total's square block at ``np.ix_(idx, idx)`` for an index array without repeats, without forming
+        H_total: one gather of ``h_i``, with the free energies added on its diagonal."""
+        h = self.h_i.matrix[np.ix_(idx, idx)]
+        s, e = np.divmod(idx, len(self.h_env_diag))
+        i = np.arange(len(idx))
+        h[i, i] = (h[i, i] + self.h0_diag[s]) + self.h_env_diag[e]
         return h
 
     def system_space(self) -> HilbertSpace:
@@ -316,12 +311,15 @@ def _moments(lattice: QubitLattice, rho: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _covariances(means: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Re <dO_i dO_j> from the complex means tr[rho O_i] and moments tr[rho O_i O_j];
-    an imaginary residue above tolerance raises."""
-    if np.abs(means.imag).max() > COVARIANCE_IMAG_ATOL:
+    """Re <dO_i dO_j> from the complex means tr[rho O_i] and moments tr[rho O_i O_j]; an imaginary residue above
+    tolerance raises.  The tolerance is COVARIANCE_IMAG_ATOL times max(1, largest |moment|), and its square root
+    for the means: every |mean|^2 and |covariance| is at most the largest moment tr[rho O_i^2], and rounding
+    grows with it."""
+    scale = max(1.0, np.abs(raw).max())
+    if np.abs(means.imag).max() > COVARIANCE_IMAG_ATOL * math.sqrt(scale):
         raise ValueError("coupling operators have non-real means against the state")
     cov = raw - np.outer(means, means)
-    residue = np.abs(cov.imag) > COVARIANCE_IMAG_ATOL
+    residue = np.abs(cov.imag) > COVARIANCE_IMAG_ATOL * scale
     if residue.any():
         i, j = np.argwhere(residue)[0]
         raise ValueError(f"covariance ({i},{j}) has imaginary residue {cov[i, j].imag:.3e}")
@@ -345,7 +343,7 @@ def rate_from_correlation(lattice: QubitLattice, omega2: Callable[[float], float
     qubits; equals the variance-form damping coefficient when ``omega2`` is
     the bath's thermal correlation.  The coupling operators of distinct qubits
     commute, so the plain (unsymmetrized) covariance is real; a residue above
-    1e-10 is rejected.
+    1e-10 of max(1, largest moment) is rejected (``_covariances``).
     """
     if rho_s.space != lattice.qubit_space():
         raise ValueError("state space does not match the lattice qubit space")

@@ -60,7 +60,8 @@ eigenvectors ``vec`` are real, and the curves take their inputs into W: a
 density rho becomes D^dag rho D, and the Fock columns need no W_env, which
 mixes only mirrored Fock states, on which the environment state's weights
 are equal (``_env_weights``).  A block whose imaginary part in W exceeds
-HERMITIAN_ATOL raises ValueError.
+HERMITIAN_ATOL, relative to its largest entry when that is above 1, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -221,7 +222,8 @@ def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarr
     """The real part of W^dag h W for the sector block h = H[idx, idx], made in place on ``h`` and returned
     as a contiguous copy: a caller that holds no other reference to ``h`` frees it before ``eigh``.
 
-    An imaginary part above HERMITIAN_ATOL raises ValueError.
+    An imaginary part above HERMITIAN_ATOL times max(1, largest real entry) raises ValueError: the mixing's
+    rounding grows with the entries it mixes.
     """
     de = len(basis.mirror)
     s, e = np.divmod(idx, de)
@@ -233,7 +235,7 @@ def _real_block(h: np.ndarray, idx: np.ndarray, basis: _MirrorBasis) -> np.ndarr
     _mix_pairs(h, lo, hi, -1j)  # W_env^dag on the rows
     _mix_pairs(h.T, lo, hi, 1j)  # W_env on the columns
     imag = max(h.imag.max(), -h.imag.min())
-    if imag > HERMITIAN_ATOL:
+    if imag > HERMITIAN_ATOL * max(1.0, h.real.max(), -h.real.min()):
         raise ValueError(f"a sector block is not real in the mirror basis (max imaginary part {imag:.3e})")
     return np.ascontiguousarray(h.real)
 
@@ -266,7 +268,8 @@ class _Propagated:
     def __init__(self, model: ModelHamiltonian):
         parity = model.parity()
         even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-        if np.any(model.block(even, odd)) or np.any(model.block(odd, even)):
+        h = model.h_i.matrix  # the free parts are diagonal: only the coupling can join the sectors
+        if np.any(h[np.ix_(even, odd)]) or np.any(h[np.ix_(odd, even)]):
             raise ValueError("H_total couples the two parity sectors")
         n = len(parity)
         self.lam = np.empty(n)
@@ -275,7 +278,7 @@ class _Propagated:
         self.vec = np.empty((n, n // 2))
         for idx, cols in self.sectors:
             # the complex block lives only inside _real_block, and the next sector's block is built without this one
-            block = _real_block(DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx, idx)).matrix,
+            block = _real_block(DenseOperator.hermitian_op(HilbertSpace((len(idx),)), model.block(idx)).matrix,
                                 idx, self.basis)
             self.lam[cols], self.vec[idx] = np.linalg.eigh(block)
             del block
@@ -314,8 +317,8 @@ class _Propagated:
 
 
 def _amplitudes(parts: list[_Part], coefs: list[np.ndarray], de: int, m: int):
-    """w[q, e, c] = sum over the parts of sum_{s,n} rows[s, e, n] coef[s, n, q] b[s, n, c], per chunk of the
-    Fock columns c (yielded in order), where b[s, n, c] = sqrt(p_c) sum_s' G[s, s'] rows[s', e_c, n] and each
+    """w[q, e, c] = sum over the parts of sum_{s,n} rows[e, s, n] coef[s, n, q] b[s, n, c], per chunk of the
+    Fock columns c (yielded in order), where b[s, n, c] = sqrt(p_c) sum_s' G[s, s'] rows[e_c, s', n] and each
     part has one coefficient array, shaped (support, sector, q).
 
     A chunk's temporaries fit in BATCH_ELEMENTS, at one column or more; each part is one real product on
@@ -324,30 +327,20 @@ def _amplitudes(parts: list[_Part], coefs: list[np.ndarray], de: int, m: int):
     q = coefs[0].shape[2]
     # per column: w and |w|^2, then one part's column rows (real, then complex), b, coefficients times b,
     # product and the product's gather from w
-    columns = min(m, _chunk(2 * q * de + max((q + 3) * s * n + 2 * q * e for s, e, n in (p.rows.shape for p in parts))))
+    columns = min(m, _chunk(2 * q * de + max((q + 3) * s * n + 2 * q * e for e, s, n in (p.rows.shape for p in parts))))
     for c0 in range(0, m, columns):
         w = np.zeros((q, de, min(columns, m - c0)), dtype=np.complex128)
         for part, coef in zip(parts, coefs):
             j0, j1 = np.searchsorted(part.ket_cols, (c0, c0 + w.shape[2]))
             if j0 == j1:
                 continue
-            s, e, n = part.rows.shape
-            env_major = part.rows.transpose(1, 0, 2)  # (e, s, n), contiguous
-            x = env_major[part.col_rows[j0:j1]]
+            e, s, n = part.rows.shape
+            x = part.rows[part.col_rows[j0:j1]]
             x *= part.col_amps[j0:j1, None, None]
             b = np.matmul(part.gram, x).transpose(1, 2, 0)  # (s, n, c)
-            y = _product(env_major.reshape(e, s * n), (coef[:, :, :, None] * b[:, :, None, :]).reshape(s * n, -1))
-            w[_at(part.env_rows, part.ket_cols[j0:j1] - c0)] += y.reshape(e, q, j1 - j0).transpose(1, 0, 2)
+            y = _product(part.rows.reshape(e, s * n), (coef[:, :, :, None] * b[:, :, None, :]).reshape(s * n, -1))
+            w[:, part.env_rows[:, None], part.ket_cols[j0:j1] - c0] += y.reshape(e, q, j1 - j0).transpose(1, 0, 2)
         yield w
-
-
-def _at(rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """The index of w[:, rows, cols] for ascending, non-empty ``rows`` and ``cols``; a contiguous run is a
-    slice, so a part that covers its chunk adds in place, without a gather and a scatter."""
-    rows, cols = (slice(i[0], i[-1] + 1) if i[-1] - i[0] + 1 == len(i) else i for i in (rows, cols))
-    if not isinstance(rows, slice) and not isinstance(cols, slice):
-        rows = rows[:, None]
-    return slice(None), rows, cols
 
 
 def _env_weights(rho_env: DenseOperator, mirror: np.ndarray) -> np.ndarray:
@@ -368,9 +361,7 @@ class _Part(NamedTuple):
 
     gaps: np.ndarray  # lam_n - h0_s: the sector's eigenvalues less the support's free energies, (support, sector)
     gram: np.ndarray  # G = (D^dag rho D)^T on the class's support, (support, support)
-    # eigenvector rows on the support and the kept environment rows, (support, env, sector); stored env-major,
-    # so that its (env, support x sector) matrix is a view
-    rows: np.ndarray
+    rows: np.ndarray  # eigenvector rows on the kept environment rows and the support, (env, support, sector)
     env_rows: np.ndarray  # the kept environment rows, ascending: where the part lands in w[., e, c]
     ket_cols: np.ndarray  # the kept Fock columns, as indices among the curve's columns, ascending
     col_rows: np.ndarray  # each kept column's Fock state, as a position in env_rows
@@ -442,14 +433,15 @@ def _sector_parts(prop: _Propagated, gram: np.ndarray, support: np.ndarray, stat
     parts = []
     for p, (_, cols) in enumerate(prop.sectors):
         in_sector = prop.parity[support] == p
-        env_rows = np.flatnonzero(np.any(in_sector, axis=0))
-        ket_cols = np.flatnonzero(np.isin(states, env_rows))
+        reach = in_sector.any(axis=0)
+        ket_cols = np.flatnonzero(reach[states])
         if len(ket_cols) == 0:
             continue
+        env_rows = np.flatnonzero(reach)
         # a row of the other sector holds that sector's coefficients: zero it
         rows = prop.rows[support, env_rows[:, None]]  # (env, support, sector)
         rows[~in_sector[:, env_rows].T] = 0.0
-        parts.append(_Part(prop.lam[cols] - prop.h0_diag[support, None], gram, rows.transpose(1, 0, 2), env_rows,
+        parts.append(_Part(prop.lam[cols] - prop.h0_diag[support, None], gram, rows, env_rows,
                            ket_cols, np.searchsorted(env_rows, states[ket_cols]), amps[ket_cols]))
     return parts
 

@@ -183,12 +183,18 @@ def classify_regime(d: float, spec: GaussianSpectrum) -> RegimeReport:
 def ohmic_correlation_highT(bath: OhmicBath, delta_r: float) -> float:
     """High-temperature closed form: (4T/omega_c) omega_c^2 / (1 + u^2), as 4T w (``_lorentzian``).
 
-    Accurate only for T >> omega_c; at T = 0 it would vanish identically.
+    Accurate only for T >> omega_c; at T = 0 it would vanish identically.  Once u^2 overflows it is its limit
+    4 T r^2 / omega_c (r = v / delta_r), formed without u, and from T r first unless T r overflows.
     """
     if bath.temperature == 0.0:
         raise ValueError("the highT form needs temperature > 0 (it holds for T >> omega_c)")
-    _, w = _lorentzian(bath, delta_r)
-    return bath.amplitude * 4.0 * (bath.temperature * w)
+    u, w = _lorentzian(bath, delta_r)
+    if u * u < math.inf:
+        return bath.amplitude * 4.0 * (bath.temperature * w)
+    r = bath.v / delta_r
+    tr = bath.temperature * r
+    limit = tr * (r / bath.omega_c) if math.isfinite(tr) else bath.temperature * (r * (r / bath.omega_c))
+    return bath.amplitude * 4.0 * limit
 
 
 def ohmic_correlation_lowT(bath: OhmicBath, delta_r: float) -> float:
@@ -208,10 +214,10 @@ def ohmic_correlation_lowT(bath: OhmicBath, delta_r: float) -> float:
 
 
 def _lorentzian(bath: OhmicBath, delta_r: float) -> tuple[float, float]:
-    """``u = omega_c delta_r / v`` and ``w = omega_c / (1 + u^2)``.  Once u^2 overflows, w is ``(v / delta_r) / u``,
-    which underflows only where w does."""
+    """``u = omega_c delta_r / v`` and ``w = omega_c / (1 + u^2)``; once u^2 overflows, each caller takes its own
+    limit without u or w."""
     u = bath.omega_c * delta_r / bath.v
-    return u, (bath.omega_c / (1.0 + u * u) if u * u < math.inf else (bath.v / delta_r) / u)
+    return u, bath.omega_c / (1.0 + u * u)
 
 
 def _hurwitz_zeta(s: int, q: complex, h: float) -> complex:

@@ -36,7 +36,6 @@ def base_config(**overrides):
                               "modes": [{"k": 0.0, "omega": 1.0, "g": 0.05}]}},
         "state": "ground",
         "fidelity_kind": "io",
-        "seed": 0,
     }
     cfg.update(overrides)
     return cfg
@@ -59,6 +58,9 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     (lambda c: c.update(state="unknown"), "state"),
     (lambda c: c.update(fidelity_kind="bogus"), "fidelity_kind"),
     (lambda c: c.update(n_max=0), "n_max"),
+    (lambda c: c.update(lambda1="x"), "lambda1"),
+    (lambda c: c.update(lambda2="x"), "lambda2"),
+    pytest.param(lambda c: c.update(n_max=1.5), "n_max", id="n_max-not-an-integer"),
     (lambda c: c.update(sweep={"parameter": "d"}), "sweep"),
 ])
 def test_config_errors_carry_field_paths(mutate, path):
@@ -741,6 +743,41 @@ def test_cli_rejects_a_mode_set_without_one_to_one_mirrors(tmp_path, capsys, nam
     exact = [{"k": 0.9, "omega": 1.0, "g": 0.04}, {"k": -0.9, "omega": 1.0, "g": 0.04}]
     path = write_config(tmp_path, base_config(bath={"discrete": {"temperature": 0.5, "modes": exact}}))
     assert main(["rates", "--config", path]) == EXIT_OK  # JSON's -0.9 is the exact negation of 0.9
+
+
+@pytest.mark.parametrize("command", ["rates", "correlation", "regime", "sweep"])
+def test_only_verify_takes_a_seed(tmp_path, command):
+    # only the inequality suite draws random numbers; a config has no seed field
+    path = write_config(tmp_path, base_config(bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3}},
+                                              delta_r=[0.5], d=[0.5], sweep={"parameter": "d", "values": [0.5]}))
+    assert main([command, "--config", path]) == EXIT_OK
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", path, "--seed", "0"])
+    assert exit_.value.code == EXIT_CONFIG
+
+
+def test_cli_rates_at_a_large_coupling_scales_as_its_square(tmp_path, capsys):
+    # the covariance's imaginary rounding grows as |lambda|^2 (about 1e-7 here) and is judged against it
+    cfg = base_config(qubits=[{"position": p} for p in (0.0, 0.7, 1.4)], h0_splittings=[],
+                      bath={"ohmic": {"omega_c": 1.0, "v": 1.0, "temperature": 0.3, "form": "quad"}},
+                      state=[0.3, [0.1, 0.7], 0.2, 0.5, [0.4, -0.2], 0.1, 0.3, [0.2, 0.6]],
+                      fidelity_kind="entanglement")
+    c2 = {}
+    for lam in (1.0, 1e5):
+        cfg.update(lambda1=lam, lambda2=0.37 * lam)
+        assert main(["rates", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+        c2[lam] = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+    assert c2[1e5] == pytest.approx(1e10 * c2[1.0], rel=1e-9)
+
+
+def test_cli_verify_at_a_large_coupling_passes(tmp_path, capsys):
+    # g = 1e4 leaves a sector block 1.9e-12 off real in the mirror basis: rounding of its 1e4-sized entries
+    modes = [{"k": 1.3, "omega": 1.1, "g": 1e4}, {"k": -1.3, "omega": 1.1, "g": 1e4}]
+    cfg = base_config(qubits=[{"position": 0.0}, {"position": 0.7}], lambda1=1.0, lambda2=0.5,
+                      h0_splittings=[1.0, 0.8], bath={"discrete": {"temperature": 0.0, "modes": modes}},
+                      n_max=3, state="plus_all", fidelity_kind="entanglement")
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1].endswith(",true")
 
 
 def test_cli_verify_requires_exactly_one_source(tmp_path):

@@ -172,6 +172,21 @@ def test_inequality_random_property():
         assert rep.holds
 
 
+def test_inequality_holds_with_equal_rates_at_a_large_coupling():
+    # a pure state against its own one-member ensemble has equal rates; at c2 ~ 3e9 their rounding gap exceeds
+    # an absolute 1e-10, so the slack is relative to the rates
+    rng = Xoshiro256pp(0)
+    env = thermal_boson_state(1.0, 0.3, 8)
+    space = HilbertSpace((2, 2, 9))
+    for _ in range(40):
+        h = DenseOperator.hermitian_op(space, random_hermitian_matrix(rng, 36, 1e4))
+        amp = rng.complex_normals(4)
+        psi = Ket(HilbertSpace((2, 2)), amp / np.linalg.norm(amp))
+        rep = check_rate_inequality(psi.projector(), Ensemble(((1.0, psi),)), h, env)
+        assert rep.c2_entanglement > 1e9
+        assert rep.holds
+
+
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble(((0.7, ket(1, 0)), (0.7, ket(0, 1))))

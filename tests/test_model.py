@@ -212,9 +212,11 @@ def test_block_is_the_total_hamiltonian_entry_for_entry(monkeypatch):
     for model in models:
         h = _dense_total(model)
         parity = model.parity()
-        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-        for rows, cols in ((even, even), (odd, odd), (even, odd), (odd, even)):
-            assert model.block(rows, cols).tobytes() == h[np.ix_(rows, cols)].tobytes()
+        n = len(parity)
+        rng = np.random.default_rng(n)
+        random_sets = [np.sort(rng.choice(n, size, replace=False)) for size in rng.integers(1, n + 1, 3)]
+        for idx in [np.flatnonzero(parity == 0), np.flatnonzero(parity == 1), *random_sets]:
+            assert model.block(idx).tobytes() == h[np.ix_(idx, idx)].tobytes()
 
     from decolab.suites import suite_tasks
 

@@ -953,11 +953,11 @@ def test_sector_parts_keep_half_of_a_single_parity_input():
     ghz = _Curve(prop, model, "entanglement", ghz_ket(2).projector(), env)
     (_, parts), = ghz.members
     assert len(parts) == 2
-    for part in parts:
-        rows, kept_cols = part.rows.shape[1], len(part.ket_cols)
-        assert (rows, kept_cols) == (128, 128)  # of 256 environment rows and 256 ensemble columns
+    for part in parts:  # rows are (env, support, sector)
+        assert part.rows.shape == (128, 2, 512) and part.rows.flags.c_contiguous
+        assert len(part.ket_cols) == 128  # of 256 environment rows and 256 ensemble columns
     (_, parts), = _Curve(prop, model, "io", plus_all_ket(2), env).members
-    assert [part.rows.shape[1] for part in parts] == [256, 256]
+    assert [part.rows.shape[:2] for part in parts] == [(256, 4), (256, 4)]
 
 
 # --- one certified fit per row -------------------------------------------------

@@ -145,6 +145,20 @@ def test_lowT_keeps_its_value_where_omega_c_d_overflows():
     assert correlation(bath, -1e200) == ohmic_correlation_lowT(bath, 1e200)
 
 
+@pytest.mark.parametrize("omega_c, v, temperature, d, value", [
+    (1e150, 1e100, 1e100, 1e200, 4e-250),  # (v/d)^2 / omega_c = 1e-350 alone underflows
+    (1e180, 1e10, 1e300, 1.0, 4e140),  # T v/d = 1e310 alone overflows
+])
+def test_highT_keeps_its_value_once_u_squared_overflows(omega_c, v, temperature, d, value):
+    # u = omega_c d / v: u^2 (or u itself) overflows; the value, 4T (v/d)^2 / omega_c, fits
+    bath = OhmicBath(omega_c, v, temperature, form="highT")
+    u = Fraction(omega_c) * Fraction(d) / Fraction(v)
+    exact = 4 * Fraction(temperature) * Fraction(omega_c) / (1 + u * u)
+    assert float(exact) == pytest.approx(value, rel=1e-15)
+    assert ohmic_correlation_highT(bath, d) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    assert correlation(bath, -d) == ohmic_correlation_highT(bath, d)
+
+
 # --- reference: the Ohmic integrals by adaptive Gauss-Legendre panel quadrature -----------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
