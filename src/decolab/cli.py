@@ -87,6 +87,9 @@ def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
     c2s = [factorized_c2(kind, cfg.kind_input(kind), cfg.lattice, omega2) for kind in cfg.fidelity_kinds]
     # the coupling scale is taken after the rates, so that their errors come first
     scale = abs(omega2(0.0)) * (cfg.lattice.lambda1 ** 2 + cfg.lattice.lambda2 ** 2)
+    if not all(map(math.isfinite, (scale, *c2s))):
+        raise ConfigError("lambda1", f"c2 = {max(c2s)} at the coupling scale (lambda1^2 + lambda2^2) Omega^2(0) = "
+                                     f"{scale} is beyond the float range")
     return [{"scenario_id": cfg.name, "kind": kind, "c2": c2, "tau2": damping_time(c2, scale), "method": "factorized"}
             for kind, c2 in zip(cfg.fidelity_kinds, c2s)]
 

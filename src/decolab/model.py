@@ -67,6 +67,9 @@ class QubitLattice:
             raise ValueError(f"positions must be strictly increasing, got {pos}")
         if len(splits) != len(pos):
             raise ValueError(f"{len(splits)} level splittings for {len(pos)} qubits")
+        scale = float(self.lambda1) * self.lambda1 + float(self.lambda2) * self.lambda2  # every rate's factor
+        if not math.isfinite(scale):
+            raise ValueError(f"lambda1^2 + lambda2^2 = {scale} is beyond the float range")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "h0_splittings", splits)
 
@@ -136,6 +139,9 @@ class BathModeSet:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "temperature", float(self.temperature))
         self.mirror_pairing()  # raises on a mode without a mirror of its own
+        omega2 = correlation_fn_discrete(self, 0.0)  # the largest correlation, and each mode's coth(omega / 2T)
+        if not math.isfinite(omega2):
+            raise ValueError(f"Omega^2(0) = 2 sum_k g_k^2 coth(omega_k / 2T) = {omega2} is beyond the float range")
 
     @classmethod
     def symmetric(cls, pairs: Sequence[tuple[float, float, float]], temperature: float) -> "BathModeSet":
@@ -175,7 +181,7 @@ class BathModeSet:
 
 
 def _coth(x: float) -> float:
-    return 1.0 / math.tanh(x)
+    return 1.0 / math.tanh(x) if x else math.inf  # x = 0 only where omega / 2T underflows
 
 
 def thermal_occupation_factor(omega: float, temperature: float) -> float:
@@ -330,7 +336,7 @@ def _rate_sum(coords: Sequence[float], cov: np.ndarray, omega2: Callable[[float]
     rate = 0.0
     for i, ri in enumerate(coords):
         for j, rj in enumerate(coords):
-            rate += omega2(ri - rj) * cov[i, j]
+            rate += omega2(ri - rj) * float(cov[i, j])  # a float overflows to inf without a warning
     # Omega^2 is twice the per-site thermal weight; the factorized rate is the variance form
     return _nonnegative(0.5 * float(rate), "decoherence rate")
 

@@ -265,11 +265,12 @@ def gibbs_tail_weight(omega: float, temperature: float, n_max: int) -> float:
 
 
 def n_max_for_tail(omega: float, temperature: float) -> int:
-    """Smallest level, at least N_MAX_FLOOR, whose untruncated tail weight is below TAIL_WEIGHT_TARGET."""
+    """Smallest level, at least N_MAX_FLOOR, whose untruncated tail weight is below TAIL_WEIGHT_TARGET; math.inf
+    where that level is beyond the float range, which no dimension cap admits."""
     if temperature == 0.0:
         return N_MAX_FLOOR
-    n = math.ceil(math.log(TAIL_WEIGHT_TARGET) / (-omega / temperature)) - 1
-    return max(N_MAX_FLOOR, n)
+    n = math.log(TAIL_WEIGHT_TARGET) / (-omega / temperature)
+    return max(N_MAX_FLOOR, math.ceil(n) - 1) if math.isfinite(n) else math.inf
 
 
 def boson_ops(n_max: int) -> tuple[DenseOperator, DenseOperator, DenseOperator]:

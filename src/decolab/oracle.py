@@ -33,10 +33,12 @@ x n/2 block is the coupling's block with the free energies on its diagonal
 (``ModelHamiltonian.block``), made real and diagonalised in turn, so H_total
 is never formed (only ``evolve_exact``, the tests' dense reference, forms
 it), and the eigenvectors stay as one real n x n/2 array, each basis state's
-row in its own sector's eigenbasis, for as long as the model is in use.  Per
-curve, each sector keeps only the environment rows and Fock columns that the
-input's support reaches in it: a single-parity input does a quarter of the
-dense product's work.  A curve keeps those rows and its members' densities.
+row in its own sector's eigenbasis, for as long as the model is in use.  In
+sector p a system state of parity a meets exactly the environment states of
+parity p - a, so a curve splits each member into parts by that rule, one per
+(sector, row parity, column parity), and a part's eigenvector rows hold no
+zeros: a single-parity input does a quarter of the dense product's work, a
+mixed-parity one half.  A curve keeps those rows and its members' G blocks.
 The mirror-basis mixing of a sector block, the propagation and the Taylor
 terms work in chunks sized so that their temporaries hold BATCH_ELEMENTS
 complex entries together (numpy's own copies keep a chunk's peak below about
@@ -255,9 +257,10 @@ class _Propagated:
     the other, so both hold n/2 states.  ``lam`` holds the whole spectrum
     with the even sector first.  ``vec`` is (n, n/2): row i holds basis state
     i's coefficients in its own sector's eigenbasis.  ``sectors`` holds, per
-    sector (even, then odd), its basis indices and its slice of ``lam``.  A
-    Hamiltonian with an entry between the sectors, or a sector block that is
-    not Hermitian, or not real in W, raises ValueError.
+    sector (even, then odd), its basis indices and its slice of ``lam``, and
+    ``env[q]`` the environment states of boson parity q.  A Hamiltonian
+    with an entry between the sectors, or a sector block that is not
+    Hermitian, or not real in W, raises ValueError.
 
     ``basis`` is the T-invariant basis W (``_MirrorBasis``): each block is
     diagonalised as the real symmetric W^dag H W, ``vec`` holds its real
@@ -284,7 +287,8 @@ class _Propagated:
             del block
         self.h0_diag = model.h0_diag
         ds = len(self.h0_diag)
-        self.parity = parity.reshape(ds, n // ds)  # (system, env)
+        self.system_parity = parity[::n // ds]  # environment index 0 is the boson vacuum
+        self.env = [np.flatnonzero(parity[:n // ds] == q) for q in (0, 1)]  # system index 0 has no excitation
         self.rows = self.vec.reshape(ds, n // ds, n // 2)  # (system, env, sector eigenvector)
 
     def advance(self, curve: _Curve, t) -> np.ndarray:
@@ -302,13 +306,12 @@ class _Propagated:
         times = np.atleast_1d(np.asarray(t, dtype=float))
         live = times[times != 0.0]
         f = np.zeros(len(live))
-        de, m = self.rows.shape[1], curve.env_cols
         for weight, parts in curve.members:
             span = _chunk(sum(p.gaps.size for p in parts))  # times whose phases fit in the budget
             for i in range(0, len(live), span):
                 tc = live[i:i + span]
                 phases = [np.exp(-1j * np.multiply.outer(p.gaps, tc)) for p in parts]
-                for w in _amplitudes(parts, phases, de, m):
+                for w in _amplitudes(curve, parts, phases):
                     # pairwise summation over each time's (e, m): a running row sum loses the fit's precision
                     f[i:i + span] += weight * np.sum(np.abs(w) ** 2, axis=(1, 2))
         out = np.ones(times.shape)
@@ -316,30 +319,37 @@ class _Propagated:
         return out
 
 
-def _amplitudes(parts: list[_Part], coefs: list[np.ndarray], de: int, m: int):
+def _amplitudes(curve: _Curve, parts: list[_Part], coefs: list[np.ndarray]):
     """w[q, e, c] = sum over the parts of sum_{s,n} rows[e, s, n] coef[s, n, q] b[s, n, c], per chunk of the
     Fock columns c (yielded in order), where b[s, n, c] = sqrt(p_c) sum_s' G[s, s'] rows[e_c, s', n] and each
-    part has one coefficient array, shaped (support, sector, q).
+    part has one coefficient array, shaped (support, sector, q).  The environment axis e and the column axis c
+    hold the even states first, then the odd ones, so each part adds into one block of w.
 
     A chunk's temporaries fit in BATCH_ELEMENTS, at one column or more; each part is one real product on
     the (re, im) view of its coefficients times b.
     """
-    q = coefs[0].shape[2]
-    # per column: w and |w|^2, then one part's column rows (real, then complex), b, coefficients times b,
-    # product and the product's gather from w
-    columns = min(m, _chunk(2 * q * de + max((q + 3) * s * n + 2 * q * e for e, s, n in (p.rows.shape for p in parts))))
+    prop, q = curve.prop, coefs[0].shape[2]
+    env = (slice(0, len(prop.env[0])), slice(len(prop.env[0]), None))  # w's environment states of each parity
+    start = (0, len(curve.columns[0][0]))
+    m = start[1] + len(curve.columns[1][0])
+    # per column: w and |w|^2, then one part's column rows (real, then complex), b, coefficients times b and
+    # the product
+    columns = min(m, _chunk(2 * q * prop.rows.shape[1] + max(
+        (q + 1) * p.gaps.size + 2 * len(p.cols) * p.gaps.shape[1] + q * len(p.rows) for p in parts)))
     for c0 in range(0, m, columns):
-        w = np.zeros((q, de, min(columns, m - c0)), dtype=np.complex128)
+        w = np.zeros((q, prop.rows.shape[1], min(columns, m - c0)), dtype=np.complex128)
         for part, coef in zip(parts, coefs):
-            j0, j1 = np.searchsorted(part.ket_cols, (c0, c0 + w.shape[2]))
-            if j0 == j1:
+            states, amps = curve.columns[part.col_parity]
+            offset = start[part.col_parity] - c0  # where the part's columns start in w
+            j0, j1 = max(-offset, 0), min(w.shape[2] - offset, len(states))
+            if j0 >= j1:
                 continue
             e, s, n = part.rows.shape
-            x = part.rows[part.col_rows[j0:j1]]
-            x *= part.col_amps[j0:j1, None, None]
-            b = np.matmul(part.gram, x).transpose(1, 2, 0)  # (s, n, c)
+            x = prop.rows[part.cols[:, None], states[j0:j1]]  # (s', c, n)
+            x *= amps[j0:j1, None]
+            b = (part.gram @ x.reshape(len(part.cols), -1)).reshape(s, j1 - j0, n).transpose(0, 2, 1)  # (s, n, c)
             y = _product(part.rows.reshape(e, s * n), (coef[:, :, :, None] * b[:, :, None, :]).reshape(s * n, -1))
-            w[:, part.env_rows[:, None], part.ket_cols[j0:j1] - c0] += y.reshape(e, q, j1 - j0).transpose(1, 0, 2)
+            w[:, env[part.env_parity], offset + j0:offset + j1] += y.reshape(e, q, j1 - j0).transpose(1, 0, 2)
         yield w
 
 
@@ -357,15 +367,14 @@ def _env_weights(rho_env: DenseOperator, mirror: np.ndarray) -> np.ndarray:
 
 
 class _Part(NamedTuple):
-    """One sector's share of one class of a member's support states (see ``_Curve``)."""
+    """Sector p's block between a member's support states of system parity a and a' (see ``_Curve``)."""
 
-    gaps: np.ndarray  # lam_n - h0_s: the sector's eigenvalues less the support's free energies, (support, sector)
-    gram: np.ndarray  # G = (D^dag rho D)^T on the class's support, (support, support)
-    rows: np.ndarray  # eigenvector rows on the kept environment rows and the support, (env, support, sector)
-    env_rows: np.ndarray  # the kept environment rows, ascending: where the part lands in w[., e, c]
-    ket_cols: np.ndarray  # the kept Fock columns, as indices among the curve's columns, ascending
-    col_rows: np.ndarray  # each kept column's Fock state, as a position in env_rows
-    col_amps: np.ndarray  # each kept column's sqrt(p)
+    gaps: np.ndarray  # lam_n - h0_s: the sector's eigenvalues less the row states' free energies, (support, sector)
+    gram: np.ndarray  # G[S_a, S_a'] with G = (D^dag rho D)^T, (support, column support)
+    rows: np.ndarray  # eigenvector rows (E_{p-a}, S_a, sector), shared with the other part of (p, a)
+    cols: np.ndarray  # the column support states S_a'
+    env_parity: int  # p - a: the rows' block of w's environment axis
+    col_parity: int  # p - a': the parity of the part's Fock columns
 
 
 class _Curve:
@@ -377,13 +386,15 @@ class _Curve:
     basis W (``_Propagated.basis``) as G = (D^dag rho D)^T, and the
     environment as its Fock columns, which need no W_env (``_env_weights``).
 
-    ``members`` keeps ``(weight, parts)`` per member.  The member's support
-    splits into its even and its odd states when G has no entry between
-    them, and is one class otherwise; each class gets one ``_Part`` per
-    parity sector that its columns reach.  A part keeps only the environment
-    rows its support reaches in the sector and the Fock columns among them:
-    a single-parity class keeps half of each, so its two parts do a quarter
-    of the dense product's work.
+    ``members`` keeps ``(weight, parts)`` per member, and ``columns`` the
+    Fock columns of each parity, as (states, sqrt p).  In sector p a support
+    state of system parity a meets exactly the environment states of parity
+    p - a, so a part is one (sector p, row parity a, column parity a')
+    triple: it exists where G[S_a, S_a'] has an entry and the curve has Fock
+    columns of parity p - a'.  Its rows are (E_{p-a}, S_a) and hold no
+    zeros, also for a mixed-parity input.  A single-parity input keeps half
+    of the environment rows and of the columns in each sector, so its two
+    parts do a quarter of the dense product's work.
     """
 
     def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator):
@@ -391,25 +402,19 @@ class _Curve:
         if rho_env.space != model.env_space():
             raise ValueError("environment state does not live on the mode space")
         p = _env_weights(rho_env, prop.basis.mirror)
-        states = np.flatnonzero(p > ENV_WEIGHT_CUTOFF)
-        amps = np.sqrt(p[states])
         self.prop = prop
-        self.env_cols = len(states)
+        self.columns = [(e, np.sqrt(p[e])) for e in (env[p[env] > ENV_WEIGHT_CUTOFF] for env in prop.env)]
         self.members = []
-        system_parity = prop.parity[:, 0]  # environment index 0 is the boson vacuum
         phase = prop.basis.phase
         for weight, psi in kind_members(kind, state):
             rho = _density(psi)
             if rho.space != system or not rho.density:
                 raise ValueError("input state is not a density-flagged state on the system space")
             gram = phase[:, None] * rho.matrix.T * phase.conj()  # (D^dag rho D)^T
-            live = (gram != 0) | (gram.T != 0)
-            support = np.flatnonzero(np.any(live, axis=0))
-            even, odd = (support[system_parity[support] == q] for q in (0, 1))
-            classes = [support] if np.any(live[np.ix_(even, odd)]) else [even, odd]
-            self.members.append((weight, [part for cls in classes if len(cls)
-                                          for part in _sector_parts(prop, gram[np.ix_(cls, cls)], cls, states, amps)]))
-        self.width = sum(len(part.ket_cols) for _, parts in self.members for part in parts)
+            support = np.flatnonzero(np.any((gram != 0) | (gram.T != 0), axis=0))
+            by_parity = [support[prop.system_parity[support] == a] for a in (0, 1)]
+            self.members.append((weight, _sector_parts(prop, gram, by_parity, self.columns)))
+        self.width = sum(len(self.columns[part.col_parity][0]) for _, parts in self.members for part in parts)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -421,28 +426,20 @@ class _Curve:
         return FidelityCurve(times, self.prop.advance(self, times))
 
 
-def _sector_parts(prop: _Propagated, gram: np.ndarray, support: np.ndarray, states: np.ndarray,
-                  amps: np.ndarray) -> list[_Part]:
-    """The parts of one class of support states, with ``gram`` its G; ``states`` are the curve's Fock columns
-    (ascending environment states) and ``amps`` their sqrt(p).
-
-    Each sector keeps the environment rows a support entry reaches in it and
-    the columns whose Fock state is one of them: no other column reaches the
-    sector.  A sector with no such column gets no part.
-    """
+def _sector_parts(prop: _Propagated, gram: np.ndarray, support: list[np.ndarray],
+                  columns: list[tuple[np.ndarray, np.ndarray]]) -> list[_Part]:
+    """The parts of one member, with ``gram`` its G, ``support`` its support states of each system parity and
+    ``columns`` the curve's Fock columns of each parity (see ``_Curve``).  The parts of one (sector, row
+    parity) share their rows and gaps."""
     parts = []
     for p, (_, cols) in enumerate(prop.sectors):
-        in_sector = prop.parity[support] == p
-        reach = in_sector.any(axis=0)
-        ket_cols = np.flatnonzero(reach[states])
-        if len(ket_cols) == 0:
-            continue
-        env_rows = np.flatnonzero(reach)
-        # a row of the other sector holds that sector's coefficients: zero it
-        rows = prop.rows[support, env_rows[:, None]]  # (env, support, sector)
-        rows[~in_sector[:, env_rows].T] = 0.0
-        parts.append(_Part(prop.lam[cols] - prop.h0_diag[support, None], gram, rows, env_rows,
-                           ket_cols, np.searchsorted(env_rows, states[ket_cols]), amps[ket_cols]))
+        for a, left in enumerate(support):
+            blocks = [(gram[np.ix_(left, right)], right, (p - b) % 2) for b, right in enumerate(support)]
+            blocks = [block for block in blocks if np.any(block[0]) and len(columns[block[2]][0])]
+            if blocks:
+                rows = prop.rows[left, prop.env[(p - a) % 2][:, None]]  # (env, support, sector)
+                gaps = prop.lam[cols] - prop.h0_diag[left, None]
+                parts += [_Part(gaps, g, rows, right, (p - a) % 2, q) for g, right, q in blocks]
     return parts
 
 
@@ -459,7 +456,7 @@ def taylor_coefficients(prop: _Propagated, curve: _Curve) -> np.ndarray:
     f = np.zeros(len(k))
     for weight, parts in curve.members:
         orders = [(-1j * p.gaps)[:, :, None] ** k * inv_fact for p in parts]
-        for w in _amplitudes(parts, orders, prop.rows.shape[1], curve.env_cols):
+        for w in _amplitudes(curve, parts, orders):
             v = w.reshape(len(k), -1).view(np.float64)  # Re <w_a, w_b> is a dot product of (re, im) pairs
             gram = v @ v.T
             f += weight * np.bincount(np.add.outer(k, k).ravel(), gram.ravel())[:len(k)]

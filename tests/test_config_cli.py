@@ -586,6 +586,61 @@ def test_sweep_point_beyond_the_float_range_reports_its_error():
     assert beyond["error"].startswith("bath.ohmic: ") and all(beyond[c] is None for c in columns)
 
 
+
+def _two_qubit_config(**overrides):
+    return base_config(**{"qubits": [{"position": 0.0}, {"position": 0.7}], "lambda1": 1.0, "lambda2": 0.5,
+                          "h0_splittings": [], "state": "ghz", "fidelity_kind": ["io", "entanglement"], **overrides})
+
+
+def _discrete_bath(temperature, *modes):
+    return {"discrete": {"temperature": temperature, "modes": [dict(zip("k omega g".split(), m)) for m in modes]}}
+
+
+@pytest.mark.parametrize("command", [["rates"], ["correlation", "--delta-r", "0,1"], ["regime", "--d", "1"],
+                                     ["verify"]], ids=lambda command: command[0])
+def test_cli_discrete_mode_whose_coth_underflows_names_the_modes(tmp_path, capsys, command):
+    # omega / 2T = 5e-324 / 4 underflows to 0, so coth(omega / 2T) is infinite (it divided by zero)
+    path = write_config(tmp_path, _two_qubit_config(bath=_discrete_bath(2.0, (0.0, 5e-324, 0.05))))
+    assert main([command[0], "--config", path, *command[1:]]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: bath.discrete.modes: Omega^2(0) = ")
+
+
+def test_temperature_sweep_fills_the_error_cell_of_a_point_whose_coth_underflows():
+    cfg = _two_qubit_config(bath=_discrete_bath(0.0, (0.0, 5e-324, 0.05)),
+                            sweep={"parameter": "temperature", "values": [0.0, 2.0], "columns": ["c2", "omega2"]})
+    cold, hot = cmd_sweep(parse_config(cfg))[0]
+    assert cold["error"] == "" and math.isfinite(cold["c2"]) and cold["omega2"] == 2 * 0.05 ** 2
+    assert hot["error"].startswith("bath.discrete.modes: ") and hot["c2"] is None
+
+
+@pytest.mark.parametrize("command", ["verify", "rates"])
+def test_cli_discrete_mode_whose_coth_overflows_names_the_modes(tmp_path, capsys, command):
+    # coth(1e-310 / 2e10) = 2e320: verify's tail level overflowed, and rates printed c2 = inf at exit 0
+    cfg = base_config(state="plus_all", bath=_discrete_bath(1e10, (0.0, 1e-310, 0.05)))
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: bath.discrete.modes: Omega^2(0) = ") and "= inf is" in err
+
+
+def test_cli_tail_level_beyond_the_float_range_exceeds_the_cap(tmp_path, capsys):
+    # coth(1e-300 / 2e7) = 2e307 fits, but the tail-weight level 23 T / omega does not
+    cfg = base_config(state="plus_all", bath=_discrete_bath(1e7, (0.0, 1e-300, 0.05)))
+    assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 4
+    assert "needs n_max=inf, total dimension inf exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lambda1,bath", [
+    (1e200, {"gaussian": {"k_bar": 1.0, "delta_k": 0.5, "x": 1.0}}),  # lambda1^2 alone overflows
+    (1e150, {"gaussian": {"k_bar": 1.0, "delta_k": 0.5, "x": 1e10}}),  # lambda1^2 fits, lambda1^2 x does not
+    (1e150, _discrete_bath(0.0, (0.0, 1.0, 1e5))),
+])
+def test_cli_rates_beyond_the_float_range_names_lambda1(tmp_path, capsys, lambda1, bath):
+    path = write_config(tmp_path, _two_qubit_config(lambda1=lambda1, bath=bath))
+    assert main(["rates", "--config", path]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and "lambda1" in err and "beyond the float range" in err
+
+
 # --- highT at zero temperature -------------------------------------------------
 
 def test_highT_at_zero_temperature_is_rejected(tmp_path, capsys):

@@ -417,9 +417,9 @@ def _qubit_energies(model):
     return np.diagonal(h0).real
 
 
-def _two_qubit_thermal_model():
+def _two_qubit_thermal_model(temperature=0.6):
     lattice = QubitLattice((0.0, 0.7), 1.0, 0.5, (1.0, 0.8))
-    modes = BathModeSet((BathMode(0.0, 1.0, 0.3),), 0.6)
+    modes = BathModeSet((BathMode(0.0, 1.0, 0.3),), temperature)
     model = build_hamiltonian(lattice, modes, 2)
     return model, model.thermal_env_state()
 
@@ -467,20 +467,28 @@ def test_entanglement_curve_matches_dense_evolution(rank):
     assert curve.values[-1] < 0.99  # the dynamics is far from trivial on this window
 
 
-def test_io_and_average_curves_match_dense_evolution():
+@pytest.mark.parametrize("temperature", [0.0, 0.6])
+def test_io_and_average_curves_match_dense_evolution(temperature):
+    # at T = 0 the vacuum is the only Fock column, so every part whose columns would be odd is skipped
+    from decolab import oracle
+    from decolab.model import pair_encode
     from decolab.rng import random_decomposition, random_density_matrix
 
-    model, env = _two_qubit_thermal_model()
+    model, env = _two_qubit_thermal_model(temperature)
     rng = Xoshiro256pp(7)
     space = model.system_space()
     times = np.linspace(0.0, 2.5, 6)
     amp = rng.complex_normals(4)
     psi = Ket(space, amp / np.linalg.norm(amp))
-    for ket in (psi, ghz_ket(2)):  # full support, and support on 2 of 4 basis entries
+    # full support, support on 2 of 4 basis entries, and two inputs with entries between the parities
+    for ket in (psi, ghz_ket(2), plus_all_ket(2), pair_encode(ground_ket(1), model.lattice)):
         io = fidelity_curve(model, "io", ket, env, times)
         assert np.abs(io.values - [_reference_io(model, env, ket, t) for t in times]).max() < 1e-12
         ent = fidelity_curve(model, "entanglement", ket.projector(), env, times)
         assert np.abs(ent.values - io.values).max() < 1e-12
+    curve = oracle._Curve(oracle._Propagated(model), model, "io", plus_all_ket(2), env)
+    (_, parts), = curve.members
+    assert len(parts) == (4 if temperature == 0.0 else 8)  # no part is kept for a column parity without columns
     members = tuple((p, Ket(space, amp))
                     for p, amp in random_decomposition(rng, random_density_matrix(rng, 4, rank=3), 5))
     avg = fidelity_curve(model, "average", Ensemble(members), env, times)
@@ -726,8 +734,11 @@ def test_oracle_temporaries_stay_within_one_budget():
     for kind, state in (("entanglement", ghz_ket(2).projector()), ("io", plus_all_ket(2)),
                         ("entanglement", maximally_mixed_density(2))):
         curve, peak, kept = _traced_growth(lambda: oracle._Curve(prop, model, kind, state, env))
-        parts = sum(p.rows.nbytes + p.gram.nbytes for _, ps in curve.members for p in ps)
+        rows = {id(p.rows): p.rows.nbytes for _, ps in curve.members for p in ps}  # the parts of one (p, a) share
+        parts = sum(rows.values()) + sum(p.gram.nbytes for _, ps in curve.members for p in ps)
         assert parts <= kept <= parts + budget // 8, kind  # the parts are what a curve keeps
+        if kind == "io":  # a mixed-parity input holds no zero rows (4 budgets when it did)
+            assert sum(rows.values()) <= 2 * budget
         assert peak <= parts + budget // 4, kind  # no dense environment columns and no kets
         for stage in (lambda: oracle.taylor_coefficients(prop, curve), lambda: prop.advance(curve, times)):
             _, peak, kept = _traced_growth(stage)
@@ -955,9 +966,11 @@ def test_sector_parts_keep_half_of_a_single_parity_input():
     assert len(parts) == 2
     for part in parts:  # rows are (env, support, sector)
         assert part.rows.shape == (128, 2, 512) and part.rows.flags.c_contiguous
-        assert len(part.ket_cols) == 128  # of 256 environment rows and 256 ensemble columns
+        assert len(ghz.columns[part.col_parity][0]) == 128  # of 256 environment rows and 256 ensemble columns
     (_, parts), = _Curve(prop, model, "io", plus_all_ket(2), env).members
-    assert [part.rows.shape[:2] for part in parts] == [(256, 4), (256, 4)]
+    assert len(parts) == 8 and len({id(part.rows) for part in parts}) == 4  # a (sector, row parity) shares rows
+    for part in parts:
+        assert part.rows.shape == (128, 2, 512) and np.all(np.any(part.rows, axis=2))  # no all-zero row
 
 
 # --- one certified fit per row -------------------------------------------------
