@@ -67,11 +67,17 @@ class QubitLattice:
             raise ValueError(f"positions must be strictly increasing, got {pos}")
         if len(splits) != len(pos):
             raise ValueError(f"{len(splits)} level splittings for {len(pos)} qubits")
-        scale = float(self.lambda1) * self.lambda1 + float(self.lambda2) * self.lambda2  # every rate's factor
-        if not math.isfinite(scale):
-            raise ValueError(f"lambda1^2 + lambda2^2 = {scale} is beyond the float range")
+        self.coupling_scale(self.lambda1, self.lambda2)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "h0_splittings", splits)
+
+    @staticmethod
+    def coupling_scale(lambda1: float, lambda2: float) -> float:
+        """lambda1^2 + lambda2^2, every rate's factor; beyond the float range it raises ValueError."""
+        scale = float(lambda1) * lambda1 + float(lambda2) * lambda2
+        if not math.isfinite(scale):
+            raise ValueError(f"lambda1^2 + lambda2^2 = {scale} is beyond the float range")
+        return scale
 
     @property
     def n_qubits(self) -> int:

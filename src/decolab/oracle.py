@@ -33,12 +33,12 @@ x n/2 block is the coupling's block with the free energies on its diagonal
 (``ModelHamiltonian.block``), made real and diagonalised in turn, so H_total
 is never formed (only ``evolve_exact``, the tests' dense reference, forms
 it), and the eigenvectors stay as one real n x n/2 array, each basis state's
-row in its own sector's eigenbasis, for as long as the model is in use.  In
-sector p a system state of parity a meets exactly the environment states of
-parity p - a, so a curve splits each member into parts by that rule, one per
-(sector, row parity, column parity), and a part's eigenvector rows hold no
-zeros: a single-parity input does a quarter of the dense product's work, a
-mixed-parity one half.  A curve keeps those rows and its members' G blocks.
+row in its own sector's eigenbasis, for as long as the model is in use.  A
+curve splits each member into parts, one per (environment parity, column
+parity) block of its amplitudes, with every support state's rows in its own
+sector, so a part's eigenvector rows hold no zeros: a single-parity input
+does a quarter of the dense product's work, a mixed-parity one half.  A curve
+keeps those rows and its members' G blocks.
 The mirror-basis mixing of a sector block, the propagation and the Taylor
 terms work in chunks sized so that their temporaries hold BATCH_ELEMENTS
 complex entries together (numpy's own copies keep a chunk's peak below about
@@ -47,11 +47,12 @@ block (while it is diagonalised) or one curve's parts, plus about one
 budget, whatever the model's size.  Propagation and the Taylor terms share
 one product per part and chunk, the eigenvector rows against the density
 applied to the columns' eigenvector rows, weighted by exp(-i (lam - h0) t)
-or its Taylor coefficients, and the sectors' amplitudes are summed before
-|.|^2 is taken.  A row is fitted once: the same eigenpairs give the exact
-Taylor coefficients c1..c6 of 1 - F(t), and ``t_max`` minimises the fitted
-c2's error bound (the t^5 and t^6 bias plus sample rounding), which must
-stay below the row's pass tolerance or raise ConvergenceError.
+or its Taylor coefficients, and each part's block of the amplitudes is
+complete before |.|^2 is taken.  A row is fitted once: the same eigenpairs
+give the exact Taylor coefficients c1..c6 of 1 - F(t), and ``t_max``
+minimises the fitted c2's error bound (the t^5 and t^6 bias plus sample
+rounding), which must stay below the row's pass tolerance or raise
+ConvergenceError.
 
 The +/-k mirror symmetry that makes Omega^2(d) real also gives H_total an
 antiunitary symmetry T = (D x P) K with T^2 = 1 (``_MirrorBasis``); every
@@ -296,12 +297,11 @@ class _Propagated:
 
         F = sum_b p_b sum_{e,c} p_c |tr[rho_b exp(i h0 t) <e| exp(-i H t) |e_c>]|^2
         over the member densities rho_b and the Fock columns e_c, with the
-        free co-rotation.  Each sector part adds sum_{s,n} rows[s, e, n]
-        exp(-i (lam_n - h0_s) t) b[s, n, c] into the member's amplitudes
-        w[t, e, c] before |w|^2 is taken (``_amplitudes``; a mixed-parity
-        input feeds both sectors into the same (e, c)).  The times go through
-        in spans whose phases fit in BATCH_ELEMENTS, each span's columns in
-        chunks.
+        free co-rotation.  Each part's block of the member's amplitudes,
+        w[t, e, c] = sum_{s,n} rows[e, s, n] exp(-i (lam_n - h0_s) t) b[s, n, c]
+        (``_amplitudes``), is complete before |w|^2 is taken.  The times go
+        through in spans whose phases fit in BATCH_ELEMENTS, each span's
+        columns in chunks.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
         live = times[times != 0.0]
@@ -320,37 +320,27 @@ class _Propagated:
 
 
 def _amplitudes(curve: _Curve, parts: list[_Part], coefs: list[np.ndarray]):
-    """w[q, e, c] = sum over the parts of sum_{s,n} rows[e, s, n] coef[s, n, q] b[s, n, c], per chunk of the
-    Fock columns c (yielded in order), where b[s, n, c] = sqrt(p_c) sum_s' G[s, s'] rows[e_c, s', n] and each
-    part has one coefficient array, shaped (support, sector, q).  The environment axis e and the column axis c
-    hold the even states first, then the odd ones, so each part adds into one block of w.
+    """Each part's block w[q, e, c] = sum_{s,n} rows[e, s, n] coef[s, n, q] b[s, n, c] of the amplitudes, per
+    chunk of its Fock columns c, where b[s, n, c] = sqrt(p_c) sum_s' G[s, s'] rows[e_c, s', n] and each part has
+    one coefficient array, shaped (support, sector, q).  A member's parts are disjoint (environment parity,
+    column parity) blocks of its amplitudes, so each yielded w is complete.
 
     A chunk's temporaries fit in BATCH_ELEMENTS, at one column or more; each part is one real product on
     the (re, im) view of its coefficients times b.
     """
-    prop, q = curve.prop, coefs[0].shape[2]
-    env = (slice(0, len(prop.env[0])), slice(len(prop.env[0]), None))  # w's environment states of each parity
-    start = (0, len(curve.columns[0][0]))
-    m = start[1] + len(curve.columns[1][0])
-    # per column: w and |w|^2, then one part's column rows (real, then complex), b, coefficients times b and
-    # the product
-    columns = min(m, _chunk(2 * q * prop.rows.shape[1] + max(
-        (q + 1) * p.gaps.size + 2 * len(p.cols) * p.gaps.shape[1] + q * len(p.rows) for p in parts)))
-    for c0 in range(0, m, columns):
-        w = np.zeros((q, prop.rows.shape[1], min(columns, m - c0)), dtype=np.complex128)
-        for part, coef in zip(parts, coefs):
-            states, amps = curve.columns[part.col_parity]
-            offset = start[part.col_parity] - c0  # where the part's columns start in w
-            j0, j1 = max(-offset, 0), min(w.shape[2] - offset, len(states))
-            if j0 >= j1:
-                continue
-            e, s, n = part.rows.shape
-            x = prop.rows[part.cols[:, None], states[j0:j1]]  # (s', c, n)
-            x *= amps[j0:j1, None]
-            b = (part.gram @ x.reshape(len(part.cols), -1)).reshape(s, j1 - j0, n).transpose(0, 2, 1)  # (s, n, c)
+    q = coefs[0].shape[2]
+    for part, coef in zip(parts, coefs):
+        states, amps = curve.columns[part.col_parity]
+        e, s, n = part.rows.shape
+        # per column: the column rows (real, counted as complex), b, coefficients times b, the product and w
+        columns = _chunk((q + 2) * s * n + 2 * q * e)
+        for c0 in range(0, len(states), columns):
+            x = curve.prop.rows[part.support[:, None], states[c0:c0 + columns]]  # (s', c, n)
+            x *= amps[c0:c0 + columns, None]
+            m = x.shape[1]
+            b = (part.gram @ x.reshape(s, -1)).reshape(s, m, n).transpose(0, 2, 1)  # (s, n, c)
             y = _product(part.rows.reshape(e, s * n), (coef[:, :, :, None] * b[:, :, None, :]).reshape(s * n, -1))
-            w[:, env[part.env_parity], offset + j0:offset + j1] += y.reshape(e, q, j1 - j0).transpose(1, 0, 2)
-        yield w
+            yield np.ascontiguousarray(y.reshape(e, q, m).transpose(1, 0, 2))
 
 
 def _env_weights(rho_env: DenseOperator, mirror: np.ndarray) -> np.ndarray:
@@ -367,14 +357,13 @@ def _env_weights(rho_env: DenseOperator, mirror: np.ndarray) -> np.ndarray:
 
 
 class _Part(NamedTuple):
-    """Sector p's block between a member's support states of system parity a and a' (see ``_Curve``)."""
+    """One (environment parity, column parity) block of a member's amplitudes (see ``_Curve``)."""
 
-    gaps: np.ndarray  # lam_n - h0_s: the sector's eigenvalues less the row states' free energies, (support, sector)
-    gram: np.ndarray  # G[S_a, S_a'] with G = (D^dag rho D)^T, (support, column support)
-    rows: np.ndarray  # eigenvector rows (E_{p-a}, S_a, sector), shared with the other part of (p, a)
-    cols: np.ndarray  # the column support states S_a'
-    env_parity: int  # p - a: the rows' block of w's environment axis
-    col_parity: int  # p - a': the parity of the part's Fock columns
+    gaps: np.ndarray  # lam_n - h0_s: each row's own-sector eigenvalues less its free energy, (support, sector)
+    gram: np.ndarray  # G = (D^dag rho D)^T on the pairs whose rows share a sector, else 0, (support, support)
+    rows: np.ndarray  # eigenvector rows (E_eps, S, sector), shared with the other part of its environment parity
+    support: np.ndarray  # the member's support states S
+    col_parity: int  # kappa: the parity of the part's Fock columns
 
 
 class _Curve:
@@ -387,14 +376,17 @@ class _Curve:
     environment as its Fock columns, which need no W_env (``_env_weights``).
 
     ``members`` keeps ``(weight, parts)`` per member, and ``columns`` the
-    Fock columns of each parity, as (states, sqrt p).  In sector p a support
-    state of system parity a meets exactly the environment states of parity
-    p - a, so a part is one (sector p, row parity a, column parity a')
-    triple: it exists where G[S_a, S_a'] has an entry and the curve has Fock
-    columns of parity p - a'.  Its rows are (E_{p-a}, S_a) and hold no
-    zeros, also for a mixed-parity input.  A single-parity input keeps half
-    of the environment rows and of the columns in each sector, so its two
-    parts do a quarter of the dense product's work.
+    Fock columns of each parity, as (states, sqrt p).  A part is one
+    (environment parity eps, column parity kappa) block of the member's
+    amplitudes, with every support state's rows in its own sector: a support
+    state s meets the environment states E_eps in sector parity(s) + eps, so
+    the part's rows are (E_eps, S) and hold no zeros, also for a
+    mixed-parity input.  Its G keeps the pairs (s, s') whose rows share a
+    sector, parity(s') + kappa = parity(s) + eps, and the part exists where
+    that G has an entry and the curve has Fock columns of parity kappa.  A
+    single-parity input keeps half of the environment rows and of the
+    columns in each of its two parts, so they do a quarter of the dense
+    product's work.
     """
 
     def __init__(self, prop: _Propagated, model: ModelHamiltonian, kind: str, state, rho_env: DenseOperator):
@@ -412,8 +404,7 @@ class _Curve:
                 raise ValueError("input state is not a density-flagged state on the system space")
             gram = phase[:, None] * rho.matrix.T * phase.conj()  # (D^dag rho D)^T
             support = np.flatnonzero(np.any((gram != 0) | (gram.T != 0), axis=0))
-            by_parity = [support[prop.system_parity[support] == a] for a in (0, 1)]
-            self.members.append((weight, _sector_parts(prop, gram, by_parity, self.columns)))
+            self.members.append((weight, _block_parts(prop, gram[np.ix_(support, support)], support, self.columns)))
         self.width = sum(len(self.columns[part.col_parity][0]) for _, parts in self.members for part in parts)
 
     @property
@@ -426,20 +417,20 @@ class _Curve:
         return FidelityCurve(times, self.prop.advance(self, times))
 
 
-def _sector_parts(prop: _Propagated, gram: np.ndarray, support: list[np.ndarray],
-                  columns: list[tuple[np.ndarray, np.ndarray]]) -> list[_Part]:
-    """The parts of one member, with ``gram`` its G, ``support`` its support states of each system parity and
-    ``columns`` the curve's Fock columns of each parity (see ``_Curve``).  The parts of one (sector, row
-    parity) share their rows and gaps."""
+def _block_parts(prop: _Propagated, gram: np.ndarray, support: np.ndarray,
+                 columns: list[tuple[np.ndarray, np.ndarray]]) -> list[_Part]:
+    """The parts of one member, with ``gram`` its G on its ``support`` states and ``columns`` the curve's Fock
+    columns of each parity (see ``_Curve``).  The parts of one environment parity share their rows and gaps."""
     parts = []
-    for p, (_, cols) in enumerate(prop.sectors):
-        for a, left in enumerate(support):
-            blocks = [(gram[np.ix_(left, right)], right, (p - b) % 2) for b, right in enumerate(support)]
-            blocks = [block for block in blocks if np.any(block[0]) and len(columns[block[2]][0])]
-            if blocks:
-                rows = prop.rows[left, prop.env[(p - a) % 2][:, None]]  # (env, support, sector)
-                gaps = prop.lam[cols] - prop.h0_diag[left, None]
-                parts += [_Part(gaps, g, rows, right, (p - a) % 2, q) for g, right, q in blocks]
+    parity = prop.system_parity[support]
+    for eps in (0, 1):
+        sector = (parity + eps) % 2  # each support state's own sector against the environment states E_eps
+        blocks = [(np.where(sector[:, None] == (parity + kappa) % 2, gram, 0), kappa) for kappa in (0, 1)]
+        blocks = [(g, kappa) for g, kappa in blocks if np.any(g) and len(columns[kappa][0])]
+        if blocks:
+            rows = prop.rows[support, prop.env[eps][:, None]]  # (env, support, sector)
+            gaps = prop.lam.reshape(2, -1)[sector] - prop.h0_diag[support, None]
+            parts += [_Part(gaps, g, rows, support, kappa) for g, kappa in blocks]
     return parts
 
 
@@ -597,6 +588,26 @@ def resolve_n_max(modes: BathModeSet, n_qubits: int, requested: int | None) -> i
     return n
 
 
+def _check_energy_scale(lattice: QubitLattice, modes: BathModeSet, n_max: int) -> None:
+    """Refuse a model whose Taylor terms would overflow, before it is built, naming the field that sets its energy.
+
+    E = sum_l |w_l| + n_max sum_k omega_k + 2 L |lambda| sqrt(n_max) sum_k |g_k| bounds every |lam_n - h0_s| (the
+    free parts' largest energies and a bound on the coupling's norm).  The amplitudes' order-k terms are bounded by
+    E^k / k!, and ``taylor_coefficients`` takes the Gram of orders 0..TAYLOR_ORDER, so (2E)^(2 TAYLOR_ORDER) must be
+    a float.  The ConfigError names E's largest term: h0_splittings, the modes, or for the coupling the larger of
+    its constant (lambda1 or lambda2) and sum_k |g_k| (the modes).
+    """
+    lam, g = lattice.coupling_norm, sum(abs(m.g) for m in modes.modes)
+    constant = "lambda1" if abs(lattice.lambda1) >= abs(lattice.lambda2) else "lambda2"
+    terms = [(sum(map(abs, lattice.h0_splittings)), "h0_splittings"),
+             (n_max * sum(m.omega for m in modes.modes), "bath.discrete.modes"),
+             (2.0 * lattice.n_qubits * lam * math.sqrt(n_max) * g, constant if lam >= g else "bath.discrete.modes")]
+    energy = sum(term for term, _ in terms)
+    if not 2.0 * energy < np.finfo(float).max ** (0.5 / TAYLOR_ORDER):
+        raise ConfigError(max(terms)[1], f"the energy scale E = {energy:.3e} at n_max = {n_max} puts the Taylor "
+                                         f"terms' bound (2E)^{2 * TAYLOR_ORDER} beyond the float range")
+
+
 def _worst_tail(modes: BathModeSet, n_max: int) -> float:
     return max(gibbs_tail_weight(m.omega, modes.temperature, n_max) for m in modes.modes)
 
@@ -689,6 +700,7 @@ def verify_expansion(scenario: Scenario, check_convergence: bool = False,
 
 def _verify_once(scenario: Scenario, memo: ModelMemo) -> VerifyReport:
     n_max = resolve_n_max(scenario.modes, scenario.lattice.n_qubits, scenario.n_max)
+    _check_energy_scale(scenario.lattice, scenario.modes, n_max)
     model, rho_env, scale, prop = memo.get(scenario.lattice, scenario.modes, n_max)
     kind = scenario.fidelity_kind
     c2_factorized = factorization_rel_err = None

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,11 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     (lambda c: c.update(lambda2="x"), "lambda2"),
     pytest.param(lambda c: c.update(n_max=1.5), "n_max", id="n_max-not-an-integer"),
     (lambda c: c.update(sweep={"parameter": "d"}), "sweep"),
+    # the lattice refuses a coupling scale beyond the float range at the larger constant, and positions at qubits
+    pytest.param(lambda c: c.update(lambda1=1e200), "lambda1", id="lambda1-beyond-the-float-range"),
+    pytest.param(lambda c: c.update(lambda1=1e150, lambda2=-1e200), "lambda2", id="lambda2-beyond-the-float-range"),
+    pytest.param(lambda c: c.update(qubits=[{"position": 1.0}, {"position": 0.0}], h0_splittings=[]), "qubits",
+                 id="qubits-not-increasing"),
 ])
 def test_config_errors_carry_field_paths(mutate, path):
     cfg = base_config()
@@ -639,6 +645,23 @@ def test_cli_rates_beyond_the_float_range_names_lambda1(tmp_path, capsys, lambda
     assert main(["rates", "--config", path]) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and "lambda1" in err and "beyond the float range" in err
+
+
+@pytest.mark.parametrize("overrides,path", [
+    ({"lambda1": 1e150, "bath": _discrete_bath(0.0, (0.0, 1.0, 1e5))}, "lambda1"),  # 2 <H_I^2> overflows
+    ({"lambda1": 1e60, "bath": _discrete_bath(0.0, (0.0, 1.0, 0.05))}, "lambda1"),  # 2 <H_I^2> fits, c6 does not
+    ({"bath": _discrete_bath(0.0, (0.0, 1e30, 0.05))}, "bath.discrete.modes"),
+    ({"h0_splittings": [1e30, 1.0], "bath": _discrete_bath(0.0, (0.0, 1.0, 0.05))}, "h0_splittings"),
+], ids=["lambda1-coupling-scale", "lambda1-taylor-terms", "omega", "h0_splittings"])
+def test_cli_verify_with_taylor_terms_beyond_the_float_range_names_the_field(tmp_path, capsys, overrides, path):
+    # numpy warned in taylor_coefficients and the run ended in "error: Array must not contain infs or NaNs"
+    config = write_config(tmp_path, _two_qubit_config(**overrides))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", config]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {path}: the energy scale E = ")
+    assert err.endswith(" beyond the float range\n")
 
 
 # --- highT at zero temperature -------------------------------------------------

@@ -488,7 +488,7 @@ def test_io_and_average_curves_match_dense_evolution(temperature):
         assert np.abs(ent.values - io.values).max() < 1e-12
     curve = oracle._Curve(oracle._Propagated(model), model, "io", plus_all_ket(2), env)
     (_, parts), = curve.members
-    assert len(parts) == (4 if temperature == 0.0 else 8)  # no part is kept for a column parity without columns
+    assert len(parts) == (2 if temperature == 0.0 else 4)  # no part is kept for a column parity without columns
     members = tuple((p, Ket(space, amp))
                     for p, amp in random_decomposition(rng, random_density_matrix(rng, 4, rank=3), 5))
     avg = fidelity_curve(model, "average", Ensemble(members), env, times)
@@ -734,7 +734,8 @@ def test_oracle_temporaries_stay_within_one_budget():
     for kind, state in (("entanglement", ghz_ket(2).projector()), ("io", plus_all_ket(2)),
                         ("entanglement", maximally_mixed_density(2))):
         curve, peak, kept = _traced_growth(lambda: oracle._Curve(prop, model, kind, state, env))
-        rows = {id(p.rows): p.rows.nbytes for _, ps in curve.members for p in ps}  # the parts of one (p, a) share
+        # the parts of one environment parity share their rows
+        rows = {id(p.rows): p.rows.nbytes for _, ps in curve.members for p in ps}
         parts = sum(rows.values()) + sum(p.gram.nbytes for _, ps in curve.members for p in ps)
         assert parts <= kept <= parts + budget // 8, kind  # the parts are what a curve keeps
         if kind == "io":  # a mixed-parity input holds no zero rows (4 budgets when it did)
@@ -853,13 +854,14 @@ def test_sector_curves_match_dense_evolution_on_mirror_modes():
     for unitary in (None, random_unitary_matrix(rng, 4)):
         ref = [_reference_entanglement(model, env, rho_s, t, unitary) for t in times]
         assert np.abs(ent.values - ref).max() < 1e-12
-    # an even block and an odd block with no entry between them: each block is its own class, in both sectors
+    # an even block and an odd block with no entry between them: G keeps no pair of unequal parities, so each
+    # environment parity has one part, whose columns share its parity
     ghz, odd = ghz_ket(2).projector().matrix, np.diag([0.0, 1.0, 0.0, 0.0])  # |01><01|
     split = DenseOperator.density_op(model.system_space(), 0.5 * ghz + 0.5 * odd)
     prop = oracle._Propagated(model)
     for rho in (maximally_mixed_density(2), split):
         (_, parts), = oracle._Curve(prop, model, "entanglement", rho, env).members
-        assert len(parts) == 4
+        assert len(parts) == 2
         ent = fidelity_curve(model, "entanglement", rho, env, times)
         assert np.abs(ent.values - [_reference_entanglement(model, env, rho, t) for t in times]).max() < 1e-12
     ensemble = computational_ensemble(2)
@@ -968,9 +970,30 @@ def test_sector_parts_keep_half_of_a_single_parity_input():
         assert part.rows.shape == (128, 2, 512) and part.rows.flags.c_contiguous
         assert len(ghz.columns[part.col_parity][0]) == 128  # of 256 environment rows and 256 ensemble columns
     (_, parts), = _Curve(prop, model, "io", plus_all_ket(2), env).members
-    assert len(parts) == 8 and len({id(part.rows) for part in parts}) == 4  # a (sector, row parity) shares rows
+    assert len(parts) == 4 and len({id(part.rows) for part in parts}) == 2
     for part in parts:
-        assert part.rows.shape == (128, 2, 512) and np.all(np.any(part.rows, axis=2))  # no all-zero row
+        assert part.rows.shape == (128, 4, 512) and np.all(np.any(part.rows, axis=2))  # no all-zero row
+
+
+def test_block_parts_are_disjoint_blocks_of_the_amplitudes():
+    # each part is one (environment parity, column parity) block, and the parts of one environment parity
+    # read one rows array
+    from decolab.oracle import _Curve, _Propagated
+
+    model, env = _two_qubit_thermal_model(0.6)
+    prop = _Propagated(model)
+    full, diagonal = {(0, 0), (0, 1), (1, 0), (1, 1)}, {(0, 0), (1, 1)}
+    for kind, state, blocks in (("io", plus_all_ket(2), full), ("entanglement", maximally_mixed_density(2), diagonal),
+                                ("entanglement", ghz_ket(2).projector(), diagonal)):
+        (_, parts), = _Curve(prop, model, kind, state, env).members
+        pairs, rows = [], {}
+        for part in parts:
+            eps, = [q for q, e in enumerate(prop.env) if part.rows.shape[0] == len(e)
+                    and np.array_equal(part.rows, prop.rows[part.support, e[:, None]])]
+            pairs.append((eps, part.col_parity))
+            rows.setdefault(eps, set()).add(id(part.rows))
+        assert len(pairs) == len(blocks) and set(pairs) == blocks, kind
+        assert all(len(ids) == 1 for ids in rows.values()), kind
 
 
 # --- one certified fit per row -------------------------------------------------
