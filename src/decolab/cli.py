@@ -84,12 +84,13 @@ def rows_to_json(rows: list[dict], columns) -> str:
 def cmd_rates(cfg: ScenarioConfig) -> list[dict]:
     """One row per fidelity kind: the factorized ``c2`` under the bath's untruncated correlation ``Omega^2``."""
     omega2 = lambda d: correlation(cfg.bath, d)
-    c2s = [factorized_c2(kind, cfg.kind_input(kind), cfg.lattice, omega2) for kind in cfg.fidelity_kinds]
+    lattice = cfg.lattice
+    c2s = [factorized_c2(kind, cfg.kind_input(kind), lattice, omega2) for kind in cfg.fidelity_kinds]
     # the coupling scale is taken after the rates, so that their errors come first
-    scale = abs(omega2(0.0)) * (cfg.lattice.lambda1 ** 2 + cfg.lattice.lambda2 ** 2)
-    if not all(map(math.isfinite, (scale, *c2s))):
-        raise ConfigError("lambda1", f"c2 = {max(c2s)} at the coupling scale (lambda1^2 + lambda2^2) Omega^2(0) = "
-                                     f"{scale} is beyond the float range")
+    scale = abs(omega2(0.0)) * lattice.coupling_scale(lattice.lambda1, lattice.lambda2)
+    if not all(map(math.isfinite, (scale, *c2s))):  # an overflowed c2 may read inf - inf = nan, so none is quoted
+        raise ConfigError(lattice.scale_field(lattice.lambda1, lattice.lambda2), "c2 or its coupling scale "
+                          f"(lambda1^2 + lambda2^2) Omega^2(0) = {scale} is beyond the float range")
     return [{"scenario_id": cfg.name, "kind": kind, "c2": c2, "tau2": damping_time(c2, scale), "method": "factorized"}
             for kind, c2 in zip(cfg.fidelity_kinds, c2s)]
 

@@ -186,8 +186,7 @@ def _parse_lattice(cfg: dict) -> QubitLattice:
     splits = cfg.get("h0_splittings", [])
     _expect(isinstance(splits, list), "h0_splittings", "expected a list of numbers")
     splittings = tuple(_finite(w, f"h0_splittings[{i}]") for i, w in enumerate(splits))
-    # the coupling scale is refused at the larger of its two constants
-    _at("lambda1" if abs(lambda1) >= abs(lambda2) else "lambda2", QubitLattice.coupling_scale, lambda1, lambda2)
+    _at(QubitLattice.scale_field(lambda1, lambda2), QubitLattice.coupling_scale, lambda1, lambda2)
     return _at("qubits", QubitLattice, tuple(positions), lambda1, lambda2, splittings)
 
 

@@ -6,12 +6,13 @@ with no linear term; ``c2`` plays the role of a squared damping rate
 characteristic time, so vanishing rates stay representable.
 
 The kinds, ``FIDELITY_KINDS`` (io, entanglement, average), differ only in the
-weighted set of system states they average over, ``kind_members``.  Both
-forms of ``c2`` iterate those members: ``closed_form_c2``, the coupling
-variance against a model's coupling and environment state, and
-``factorized_c2``, the factorized rate under a spatial correlation function.
-The kind table below holds the rules, and only it: ``kind_members``, the one
-kind function, and both forms raise ValueError for any other kind name.
+weighted set of system states, kets or densities as given, that they average
+over, ``kind_members``.  Both forms of ``c2`` iterate those members:
+``closed_form_c2``, the coupling variance against a model's coupling and
+environment state, and ``factorized_c2``, the factorized rate under a spatial
+correlation function.  The kind table below holds the rules, and only it:
+``kind_members``, the one kind function, and both forms raise ValueError for
+any other kind name.
 """
 
 from __future__ import annotations
@@ -80,16 +81,14 @@ FIDELITY_KINDS = tuple(_KINDS)
 
 def kind_members(kind: str, state) -> tuple:
     """The weighted inputs ``(p, state)`` that both forms of c2 and the oracle's curves iterate: an ``Ensemble``'s
-    members for average, a ``Ket`` as given for io, a ``Ket`` or a density as the density for entanglement.
+    members for average, else the input as given, a ``Ket`` for io and a ``Ket`` or a density for entanglement.
     Else ValueError."""
     if kind not in _KINDS:
         raise ValueError(f"unknown fidelity kind {kind!r}; expected one of {FIDELITY_KINDS}")
     accepts, what = _KINDS[kind]
     if not isinstance(state, accepts):
         raise ValueError(f"the {kind} fidelity needs {what}")
-    if kind == "average":
-        return state.members
-    return ((1.0, _density(state) if kind == "entanglement" else state),)
+    return state.members if kind == "average" else ((1.0, state),)
 
 
 def closed_form_c2(kind: str, state, h_i: DenseOperator, rho_env: DenseOperator) -> float:
@@ -120,7 +119,7 @@ def _system_mean(member, h4: np.ndarray) -> np.ndarray:
 
 def factorized_c2(kind: str, state, lattice: QubitLattice, omega2) -> float:
     """The members' weighted factorized rates under the spatial correlation ``omega2``."""
-    return sum(p * rate_from_correlation(lattice, omega2, _density(psi)) for p, psi in kind_members(kind, state))
+    return sum(p * rate_from_correlation(lattice, omega2, psi) for p, psi in kind_members(kind, state))
 
 
 @dataclass(frozen=True)

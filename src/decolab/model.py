@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import (
+    MOMENT_BLOCK_ELEMENTS,
     DenseOperator,
     HilbertSpace,
     Ket,
@@ -78,6 +79,11 @@ class QubitLattice:
         if not math.isfinite(scale):
             raise ValueError(f"lambda1^2 + lambda2^2 = {scale} is beyond the float range")
         return scale
+
+    @staticmethod
+    def scale_field(lambda1: float, lambda2: float) -> str:
+        """The field an error of the coupling scale names: the larger of lambda1 and lambda2 (lambda1 on a tie)."""
+        return "lambda1" if abs(lambda1) >= abs(lambda2) else "lambda2"
 
     @property
     def n_qubits(self) -> int:
@@ -312,14 +318,18 @@ def correlation_fn_discrete(modes: BathModeSet, delta_r: float) -> float:
     )
 
 
-def _moments(lattice: QubitLattice, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _moments(lattice: QubitLattice, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The complex tr[rho A_i] = sum_x rho[x, x ^ m_i] c_i(x) and tr[rho A_i A_j] = sum_x rho[x, x ^ m_i ^ m_j]
-    c_i(x ^ m_j) c_j(x), gathered with the masks m and coefficients c of ``_flips``."""
+    c_i(x ^ m_j) c_j(x) by the masks m and coefficients c of ``_flips``, in blocks of MOMENT_BLOCK_ELEMENTS or one i.
+    ``state`` is a density or a ket's amplitudes psi, read as rho[x, y] = psi[x] conj(psi[y]) as np.outer forms it."""
     masks, coeffs = _flips(lattice)
-    x = np.arange(len(rho))
+    x = np.arange(len(state))
+    rho = (lambda cols: state * state.conj()[cols]) if state.ndim == 1 else (lambda cols: state[x, cols])
     flipped = x ^ masks[:, None]  # [j, x] = x ^ m_j, so coeffs[:, flipped][i, j, x] = c_i(x ^ m_j)
-    means = (rho[x, flipped] * coeffs).sum(axis=1)
-    return means, (rho[x, flipped ^ masks[:, None, None]] * coeffs[:, flipped] * coeffs).sum(axis=-1)
+    step = max(1, MOMENT_BLOCK_ELEMENTS // flipped.size)
+    raw = [(rho(flipped ^ masks[b, None, None]) * coeffs[b][:, flipped] * coeffs).sum(axis=-1)
+           for b in (slice(i, i + step) for i in range(0, len(masks), step))]
+    return (rho(flipped) * coeffs).sum(axis=1), np.concatenate(raw)
 
 
 def _covariances(means: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -347,9 +357,16 @@ def _rate_sum(coords: Sequence[float], cov: np.ndarray, omega2: Callable[[float]
     return _nonnegative(0.5 * float(rate), "decoherence rate")
 
 
+def _state_moments(lattice: QubitLattice, rho_s: Ket | DenseOperator) -> tuple[np.ndarray, np.ndarray]:
+    """``_moments`` of a ket or a density on the lattice's qubit space; a state on another space raises ValueError."""
+    if rho_s.space != lattice.qubit_space():
+        raise ValueError("state space does not match the lattice qubit space")
+    return _moments(lattice, rho_s.amplitudes if isinstance(rho_s, Ket) else rho_s.matrix)
+
+
 def rate_from_correlation(lattice: QubitLattice, omega2: Callable[[float], float],
-                          rho_s: DenseOperator) -> float:
-    """Factorized damping rate for an arbitrary spatial correlation function.
+                          rho_s: Ket | DenseOperator) -> float:
+    """Factorized damping rate of a ket (O(L 2^L) memory) or a density (4^L) for any spatial correlation function.
 
     ``(1/2) sum_{l1,l2} omega2(r_l1 - r_l2) <dA_l1 dA_l2>`` over single
     qubits; equals the variance-form damping coefficient when ``omega2`` is
@@ -357,10 +374,7 @@ def rate_from_correlation(lattice: QubitLattice, omega2: Callable[[float], float
     commute, so the plain (unsymmetrized) covariance is real; a residue above
     1e-10 of max(1, largest moment) is rejected (``_covariances``).
     """
-    if rho_s.space != lattice.qubit_space():
-        raise ValueError("state space does not match the lattice qubit space")
-    cov = _covariances(*_moments(lattice, rho_s.matrix))
-    return _rate_sum(lattice.positions, cov, omega2)
+    return _rate_sum(lattice.positions, _covariances(*_state_moments(lattice, rho_s)), omega2)
 
 
 def _pairs(lattice: QubitLattice) -> list[tuple[int, int]]:
@@ -372,8 +386,8 @@ def _pairs(lattice: QubitLattice) -> list[tuple[int, int]]:
 PAIR_CONSTANT_RTOL = 0.01
 
 
-def pair_rate(lattice: QubitLattice, omega2: Callable[[float], float], rho_s: DenseOperator) -> float:
-    """Damping rate of adjacent qubit pairs under a pair-constant correlation.
+def pair_rate(lattice: QubitLattice, omega2: Callable[[float], float], rho_s: Ket | DenseOperator) -> float:
+    """Damping rate of a ket or a density on adjacent qubit pairs under a pair-constant correlation.
 
     Uses the summed pair couplings A_l + A_l' and evaluates the correlation at
     pair-center separations, i.e. the intra-pair correlation is treated as
@@ -381,8 +395,7 @@ def pair_rate(lattice: QubitLattice, omega2: Callable[[float], float], rho_s: De
     is emitted when the correlation actually varies across a pair by more
     than 1%; the value is still computed as defined.
     """
-    if rho_s.space != lattice.qubit_space():
-        raise ValueError("state space does not match the lattice qubit space")
+    means, raw = _state_moments(lattice, rho_s)  # the pair sums A_l + A_l' of _pairs are 2x2 block sums
     centers = []
     x = omega2(0.0)
     for a, b in _pairs(lattice):
@@ -394,7 +407,6 @@ def pair_rate(lattice: QubitLattice, omega2: Callable[[float], float], rho_s: De
                 f"{centers[-1]}; the pair-constant approximation is outside its regime",
                 stacklevel=2,
             )
-    means, raw = _moments(lattice, rho_s.matrix)  # the pair sums A_l + A_l' of _pairs are 2x2 block sums
     cov = _covariances(means.reshape(-1, 2).sum(axis=1), raw.reshape(len(centers), 2, -1, 2).sum(axis=(1, 3)))
     return _rate_sum(centers, cov, omega2)
 
@@ -405,18 +417,12 @@ def pair_encode(logical: Ket, lattice: QubitLattice) -> Ket:
     In the eigenbasis of the coupling A the rule is |-> -> |-,+> and
     |+> -> |+,->, so every output is annihilated by each pair sum A_l + A_l'.
     """
-    pairs = _pairs(lattice)
-    n_logical = len(pairs)
+    n_logical = len(_pairs(lattice))
     if logical.space.factor_dims != (2,) * n_logical:
-        raise ValueError(
-            f"logical state has factors {logical.space.factor_dims}, expected {n_logical} qubits"
-        )
+        raise ValueError(f"logical state has factors {logical.space.factor_dims}, expected {n_logical} qubits")
     minus, plus = lattice.coupling_eigenstates()
-    step = (
-        np.outer(np.kron(minus, plus), minus.conj())
-        + np.outer(np.kron(plus, minus), plus.conj())
-    )
-    enc = step
-    for _ in range(n_logical - 1):
-        enc = np.kron(enc, step)
-    return Ket(lattice.qubit_space(), enc @ logical.amplitudes)
+    step = np.outer(np.kron(minus, plus), minus.conj()) + np.outer(np.kron(plus, minus), plus.conj())
+    psi = logical.amplitudes
+    for q in range(n_logical):  # logical qubit q, the middle axis here, becomes its pair's 4 amplitudes
+        psi = step @ psi.reshape(4 ** q, 2, -1)
+    return Ket(lattice.qubit_space(), psi.reshape(-1))

@@ -369,10 +369,10 @@ class _Part(NamedTuple):
 class _Curve:
     """Exact F(t) of one fidelity kind on one model.
 
-    Every kind is a weighted set of system densities (``kind_members``):
-    ``io`` is the input's projector, ``entanglement`` the density itself and
-    ``average`` one projector per ensemble state.  A member enters the mirror
-    basis W (``_Propagated.basis``) as G = (D^dag rho D)^T, and the
+    Every kind is a weighted set of system states (``kind_members``), each
+    taken as its density: a ket as its projector (``io``, ``average`` and a
+    pure ``entanglement`` input), a density as itself.  A member enters the
+    mirror basis W (``_Propagated.basis``) as G = (D^dag rho D)^T, and the
     environment as its Fock columns, which need no W_env (``_env_weights``).
 
     ``members`` keeps ``(weight, parts)`` per member, and ``columns`` the
@@ -598,7 +598,7 @@ def _check_energy_scale(lattice: QubitLattice, modes: BathModeSet, n_max: int) -
     its constant (lambda1 or lambda2) and sum_k |g_k| (the modes).
     """
     lam, g = lattice.coupling_norm, sum(abs(m.g) for m in modes.modes)
-    constant = "lambda1" if abs(lattice.lambda1) >= abs(lattice.lambda2) else "lambda2"
+    constant = lattice.scale_field(lattice.lambda1, lattice.lambda2)
     terms = [(sum(map(abs, lattice.h0_splittings)), "h0_splittings"),
              (n_max * sum(m.omega for m in modes.modes), "bath.discrete.modes"),
              (2.0 * lattice.n_qubits * lam * math.sqrt(n_max) * g, constant if lam >= g else "bath.discrete.modes")]
@@ -615,7 +615,7 @@ def _worst_tail(modes: BathModeSet, n_max: int) -> float:
 def factorization_check(model: ModelHamiltonian, rho_env: DenseOperator, rho_s) -> tuple[float, float, float, bool]:
     """The paper's identity on one truncated model: (factorized rate, variance form, relative gap, pass).
 
-    ``rho_s`` is the entanglement kind's input: a density, or a ket, which enters as its projector.
+    ``rho_s`` is the entanglement kind's input, a ket or a density, which both forms take as given.
 
     The gap must be below FACTORIZATION_REL_TOL when the truncation tail is
     converged below TAIL_WEIGHT_TARGET, and below FIT_REL_TOL otherwise.

@@ -46,11 +46,6 @@ def computational_ensemble(n_qubits: int) -> Ensemble:
     return Ensemble(tuple(members))
 
 
-def encoded_ground_ket(lattice: QubitLattice) -> Ket:
-    """The all-zeros logical register mapped onto antisymmetric pairs."""
-    return pair_encode(ground_ket(lattice.n_qubits // 2), lattice)
-
-
 def ket_from_amplitudes(values, n_qubits: int) -> Ket:
     amp = np.asarray(values, dtype=np.complex128)
     nrm = np.linalg.norm(amp)
@@ -59,20 +54,19 @@ def ket_from_amplitudes(values, n_qubits: int) -> Ket:
     return Ket(_register(n_qubits), amp / nrm)
 
 
-PRESET_NAMES = ("ground", "plus_all", "ghz", "maximally_mixed", "encoded")
+# per preset name: its state on a lattice's register; encoded is the all-zeros logical register on antisymmetric pairs
+_PRESETS = {
+    "ground": lambda lattice: ground_ket(lattice.n_qubits),
+    "plus_all": lambda lattice: plus_all_ket(lattice.n_qubits),
+    "ghz": lambda lattice: ghz_ket(lattice.n_qubits),
+    "maximally_mixed": lambda lattice: maximally_mixed_density(lattice.n_qubits),
+    "encoded": lambda lattice: pair_encode(ground_ket(lattice.n_qubits // 2), lattice),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def build_preset(name: str, lattice: QubitLattice):
     """Resolve a preset name to a Ket or a density on the lattice register."""
-    n = lattice.n_qubits
-    if name == "ground":
-        return ground_ket(n)
-    if name == "plus_all":
-        return plus_all_ket(n)
-    if name == "ghz":
-        return ghz_ket(n)
-    if name == "maximally_mixed":
-        return maximally_mixed_density(n)
-    if name == "encoded":
-        return encoded_ground_ket(lattice)
-    raise ValueError(f"unknown state preset {name!r}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown state preset {name!r}")
+    return _PRESETS[name](lattice)

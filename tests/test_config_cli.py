@@ -647,6 +647,16 @@ def test_cli_rates_beyond_the_float_range_names_lambda1(tmp_path, capsys, lambda
     assert out == "" and "lambda1" in err and "beyond the float range" in err
 
 
+@pytest.mark.parametrize("larger", ["lambda1", "lambda2"])
+def test_cli_rates_beyond_the_float_range_names_the_larger_constant_and_no_nan(tmp_path, capsys, larger):
+    # with lambda2 the larger, rates named lambda1 and printed the overflowed rate, inf - inf, as c2 = nan
+    path = write_config(tmp_path, _two_qubit_config(**{larger: 1e150, "bath": _discrete_bath(0.0, (0.0, 1.0, 1e5))}))
+    assert main(["rates", "--config", path]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"config error: {larger}: c2 or its coupling scale "
+                                 "(lambda1^2 + lambda2^2) Omega^2(0) = inf is beyond the float range\n")
+
+
 @pytest.mark.parametrize("overrides,path", [
     ({"lambda1": 1e150, "bath": _discrete_bath(0.0, (0.0, 1.0, 1e5))}, "lambda1"),  # 2 <H_I^2> overflows
     ({"lambda1": 1e60, "bath": _discrete_bath(0.0, (0.0, 1.0, 0.05))}, "lambda1"),  # 2 <H_I^2> fits, c6 does not

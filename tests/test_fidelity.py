@@ -203,15 +203,51 @@ def test_tau2_reporting():
     assert damping_time(4e-20, 1.0) == math.inf
 
 
-def test_kind_members_take_the_entanglement_kind_ket_as_its_density():
-    # both forms then read an entanglement ket through its density, as they read a density given as one
-    psi = Ket(Q1, np.array([0.6, 0.8j]))
-    (p, rho), = kind_members("entanglement", psi)
-    assert p == 1.0 and rho.density and np.array_equal(rho.matrix, psi.projector().matrix)
-    (p, member), = kind_members("io", psi)
-    assert p == 1.0 and member is psi
-    ens = Ensemble(((0.5, psi), (0.5, Ket(Q1, np.array([1.0, 0.0])))))
+def test_kind_members_keep_a_ket_as_given_under_every_kind():
+    # the factorized rate reads a ket through its amplitudes, psi[x] conj(psi[y]) being the product np.outer forms
+    from decolab.model import QubitLattice, build_hamiltonian
+    from decolab.suites import _grid_modes
+
+    rng = np.random.default_rng(3)
+    lattice = QubitLattice((0.0, 0.4, 1.1), 1.0, -0.7)
+    amp = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi = Ket(lattice.qubit_space(), amp / np.linalg.norm(amp))
+    for kind in ("io", "entanglement"):
+        (p, member), = kind_members(kind, psi)
+        assert p == 1.0 and member is psi
+    ens = Ensemble(((0.5, psi), (0.5, Ket(lattice.qubit_space(), np.eye(8)[3]))))
     assert kind_members("average", ens) is ens.members
+
+    omega2 = lambda d: 0.3 * math.exp(-d * d) + 0.1 * math.cos(2.0 * d)
+    projector = factorized_c2("entanglement", psi.projector(), lattice, omega2)
+    inputs = {"io": psi, "entanglement": psi, "average": Ensemble(((1.0, psi),))}
+    assert {kind: factorized_c2(kind, inputs[kind], lattice, omega2) for kind in FIDELITY_KINDS} == \
+        dict.fromkeys(FIDELITY_KINDS, projector)
+
+    model = build_hamiltonian(QubitLattice((0.0, 0.7), 1.0, 0.5), _grid_modes(1, 0.5), 3)
+    env = model.thermal_env_state()
+    pair = Ket(HilbertSpace((2, 2)), np.array([0.3, 0.1 + 0.4j, -0.5, 0.2]) / math.sqrt(0.55))
+    c2 = closed_form_c2("entanglement", pair, model.h_i, env)
+    assert c2 == closed_form_c2("io", pair, model.h_i, env)
+    assert c2 == pytest.approx(closed_form_c2("entanglement", pair.projector(), model.h_i, env), rel=1e-14, abs=0.0)
+
+
+def test_factorized_rate_of_a_twelve_qubit_ket_holds_no_density():
+    import tracemalloc
+
+    from decolab.model import QubitLattice
+    from decolab.states import ghz_ket
+
+    lattice = QubitLattice(tuple(0.3 * i for i in range(12)), 1.0, 0.5)
+    psi = ghz_ket(12)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        c2 = factorized_c2("entanglement", psi, lattice, lambda d: math.exp(-d * d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c2 > 0.0 and peak - entry < 16 * 2**20  # the 2^12 x 2^12 projector alone is 256 MiB
 
 
 @pytest.mark.parametrize("kind", ["entangelment", "factorized-rate"])

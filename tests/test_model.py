@@ -277,6 +277,11 @@ def _dense_covariances(lattice, rho):
                      for oi, mi in zip(ops, means)])
 
 
+def _random_ket(rng, space):
+    amp = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return Ket(space, amp / np.linalg.norm(amp))
+
+
 def _random_density(rng, space, rank):
     n = space.dim
     x = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
@@ -286,7 +291,7 @@ def _random_density(rng, space, rank):
 
 @pytest.mark.parametrize("n_qubits", [1, 2, 3, 4, 5, 6])
 def test_stacked_covariances_match_the_dense_per_pair_reference(n_qubits):
-    rng = np.random.default_rng(n_qubits)
+    rng, ket_rng = np.random.default_rng(n_qubits), np.random.default_rng(100 + n_qubits)
     lambda_pairs = [(0.0, rng.normal()), (rng.normal(), 0.0)] + [tuple(rng.normal(size=2)) for _ in range(3)]
     for lambdas in lambda_pairs:
         lattice = QubitLattice(tuple(float(l) for l in range(n_qubits)), *lambdas)
@@ -294,24 +299,28 @@ def test_stacked_covariances_match_the_dense_per_pair_reference(n_qubits):
             rho = _random_density(rng, lattice.qubit_space(), rank)
             got = _covariances(*_moments(lattice, rho.matrix))
             assert np.abs(got - _dense_covariances(lattice, rho.matrix)).max() <= 1e-13
+        psi = _random_ket(ket_rng, lattice.qubit_space()).amplitudes  # a ket, read through its amplitudes
+        got = _covariances(*_moments(lattice, psi))
+        assert np.abs(got - _dense_covariances(lattice, np.outer(psi, psi.conj()))).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n_pairs", [1, 2, 3])
 def test_pair_rate_matches_the_dense_pair_sum_reference(n_pairs):
-    rng = np.random.default_rng(10 + n_pairs)
+    rng, ket_rng = np.random.default_rng(10 + n_pairs), np.random.default_rng(110 + n_pairs)
     positions = tuple(x for p in range(n_pairs) for x in (1.5 * p, 1.5 * p + 0.01))
     omega2 = lambda d: 0.3 * math.exp(-d * d)  # a positive-definite profile, constant across each pair to 1e-4
     for lambdas in ((1.0, 0.5), (0.0, 1.3), tuple(rng.normal(size=2))):
         lattice = QubitLattice(positions, *lambdas)
         sums = [_embedded_coupling(lattice, 2 * p) + _embedded_coupling(lattice, 2 * p + 1) for p in range(n_pairs)]
         centers = [0.5 * (positions[2 * p] + positions[2 * p + 1]) for p in range(n_pairs)]
-        for rank in (1, 3, 4 ** n_pairs):
-            rho = _random_density(rng, lattice.qubit_space(), rank).matrix
+        states = [_random_density(rng, lattice.qubit_space(), rank) for rank in (1, 3, 4 ** n_pairs)]
+        for state in states + [_random_ket(ket_rng, lattice.qubit_space())]:
+            rho = state.projector().matrix if isinstance(state, Ket) else state.matrix
             means = [np.trace(rho @ s).real for s in sums]
             expected = 0.5 * sum(omega2(ci - cj) * (np.trace(rho @ si @ sj).real - mi * mj)
                                  for si, mi, ci in zip(sums, means, centers)
                                  for sj, mj, cj in zip(sums, means, centers))
-            got = pair_rate(lattice, omega2, DenseOperator.density_op(lattice.qubit_space(), rho))
+            got = pair_rate(lattice, omega2, state)
             assert abs(got - expected) <= 1e-13 * max(expected, 1.0)
 
 
@@ -534,6 +543,29 @@ def test_pair_encode_ghz_logical():
     for a, b in ((0, 1), (2, 3)):
         s = _embedded_coupling(lat, a) + _embedded_coupling(lat, b)
         assert np.abs(s @ out.amplitudes).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_logical", [1, 2, 3, 4])
+def test_pair_encode_matches_the_kron_map(n_logical):
+    rng = np.random.default_rng(20 + n_logical)
+    lat = QubitLattice(tuple(x for p in range(n_logical) for x in (2.0 * p, 2.0 * p + 0.1)), *rng.normal(size=2))
+    minus, plus = lat.coupling_eigenstates()
+    step = np.outer(np.kron(minus, plus), minus.conj()) + np.outer(np.kron(plus, minus), plus.conj())
+    enc = functools.reduce(np.kron, [step] * n_logical)  # the 4^n x 2^n map
+    for _ in range(3):
+        logical = _random_ket(rng, HilbertSpace((2,) * n_logical))
+        assert np.abs(pair_encode(logical, lat).amplitudes - enc @ logical.amplitudes).max() <= 1e-15
+
+
+def test_encoded_preset_builds_at_eighteen_qubits():
+    from decolab.states import build_preset
+
+    lat = QubitLattice(tuple(0.5 * l for l in range(18)), 1.0, 0.5)
+    out = build_preset("encoded", lat)
+    minus, plus = lat.coupling_eigenstates()
+    pair = np.kron(minus, plus) * minus.conj()[0] + np.kron(plus, minus) * plus.conj()[0]  # one encoded |0>
+    assert out.space == lat.qubit_space()
+    assert np.abs(out.amplitudes - functools.reduce(np.kron, [pair] * 9)).max() <= 1e-15
 
 
 def test_pair_encode_needs_even_lattice():
